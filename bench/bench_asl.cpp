@@ -11,6 +11,7 @@
 
 #include "driver/VerifyDriver.h"
 #include "is/ISCheck.h"
+#include "lang/Frontend.h"
 #include "protocols/Broadcast.h"
 
 #include <benchmark/benchmark.h>
@@ -34,7 +35,9 @@ void BM_CompileBroadcastModule(benchmark::State &State) {
   size_t Actions = 0;
   for (auto _ : State) {
     std::vector<asl::Diagnostic> Diags;
-    auto C = asl::compileModule(Source, {{"n", State.range(0)}}, Diags);
+    auto C = asl::frontend::compileSource(
+        Source, "", {{"n", State.range(0)}},
+        asl::frontend::FrontendVersion::V2, Diags);
     Actions = C ? C->P.actionNames().size() : 0;
     benchmark::DoNotOptimize(C);
   }

@@ -194,8 +194,8 @@ BENCHMARK(BM_SymmetryPaxos)
 
 //===----------------------------------------------------------------------===//
 // Compact-store scale target: Paxos with 2 rounds over FOUR acceptors
-// must explore end-to-end on one machine. Symmetry reduction and the
-// work-stealing engine are both on (this is the shipped default); Mode
+// must explore end-to-end on one machine. Symmetry reduction is on (the
+// shipped default); Mode
 // selects the store encoding: 0 = raw interning arenas, 1 = the
 // delta/varint-compressed compact store. Counters record the quotient
 // size and the compressed footprint so BENCH_engine.json documents what

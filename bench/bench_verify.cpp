@@ -6,9 +6,9 @@
 /// parallel (PR 2), checking dominates wall-clock, and this is the
 /// workload the obligation scheduler exists for. Modes mirror the engine
 /// benchmarks: 0 = the serial reference checker loops
-/// (--no-parallel-check), N >= 1 = the obligation scheduler with N worker
-/// threads. Consumed by tools/bench_engine.sh, which emits the checker
-/// section of BENCH_engine.json and computes the speedups.
+/// (--engine parallel-check=false), N >= 1 = the obligation scheduler
+/// with N worker threads. Consumed by tools/bench_engine.sh, which emits
+/// the checker section of BENCH_engine.json and computes the speedups.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,8 +111,9 @@ BENCHMARK(BM_CheckerPaxos)
     ->Unit(benchmark::kMillisecond);
 
 /// End-to-end isq-verify wall-clock with and without symmetry reduction on
-/// the symmetric modules. Mode 0 = --no-symmetry, Mode 1 = reduced; both
-/// use the scheduler with one worker so the ratio isolates the quotient.
+/// the symmetric modules. Mode 0 = --engine symmetry=false, Mode 1 =
+/// reduced; both use the scheduler with one worker so the ratio isolates
+/// the quotient.
 void reportVerifySymmetry(benchmark::State &State, VerifyOptions Options,
                           int64_t Mode) {
   Options.Engine.Symmetry = Mode == 1;
@@ -153,7 +154,7 @@ void BM_VerifySymmetryPaxos(benchmark::State &State) {
   reportVerifySymmetry(State, std::move(Options), State.range(1));
 }
 BENCHMARK(BM_VerifySymmetryPaxos)
-    ->Args({3, 0}) // unreduced (--no-symmetry)
+    ->Args({3, 0}) // unreduced (--engine symmetry=false)
     ->Args({3, 1}) // orbit-canonical quotient
     ->Unit(benchmark::kMillisecond);
 

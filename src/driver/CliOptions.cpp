@@ -68,9 +68,6 @@ const char *driver::usageText() {
          "                        alias of --const — parameters declared\n"
          "                        `param n: int := 2;` may also be left\n"
          "                        to their default)\n"
-         "  --frontend v1|v2      frontend pipeline (default: v2; v1 is\n"
-         "                        the legacy tree-walk kept as a\n"
-         "                        differential oracle — same Programs)\n"
          "  --eliminate A,B,C     eliminated actions in schedule order\n"
          "  --rewrite NAME        the action to rewrite (default: Main)\n"
          "  --abstract ACT=ABS    use module action ABS as α(ACT)\n"
@@ -81,10 +78,6 @@ const char *driver::usageText() {
          "                        knob preserves verdicts, counts and\n"
          "                        diagnostics bit-for-bit. Keys:\n"
          "                          threads=N            worker threads (default 1)\n"
-         "                          work-stealing=BOOL   work-stealing frontier\n"
-         "                                               (default true; false runs\n"
-         "                                               the level-synchronous\n"
-         "                                               differential oracle)\n"
          "                          steal-chunk=N        frontier chunk size\n"
          "                                               (default 64)\n"
          "                          shards=N             state-store shards, power\n"
@@ -116,10 +109,6 @@ const char *driver::usageText() {
          "                          mem-budget=BYTES     hot-tier byte budget that\n"
          "                                               triggers eviction; accepts\n"
          "                                               K/M/G suffixes (e.g. 64M)\n"
-         "  --threads N           deprecated alias of --engine threads=N\n"
-         "  --no-parallel-check   deprecated alias of --engine parallel-check=false\n"
-         "  --no-symmetry         deprecated alias of --engine symmetry=false\n"
-         "  --no-work-stealing    deprecated alias of --engine work-stealing=false\n"
          "  --no-cross-check      skip exploring P' / empirical refinement\n"
          "  --format text|json    verdict report format (default: text);\n"
          "                        json emits the schema-versioned report\n"
@@ -136,18 +125,6 @@ const char *driver::usageText() {
 CliParse driver::parseCommandLine(const std::vector<std::string> &Args) {
   CliParse Parse;
   CliOptions &Cli = Parse.Options;
-
-  // One warning per deprecated flag per invocation: scripted callers
-  // often repeat a flag (base command + per-target overrides), and a
-  // warning column per repetition buries real diagnostics.
-  auto Deprecated = [&Parse](const char *Flag, const char *Replacement) {
-    std::string Warning = std::string(Flag) + " is deprecated; use " +
-                          Replacement;
-    for (const std::string &Existing : Parse.Warnings)
-      if (Existing == Warning)
-        return;
-    Parse.Warnings.push_back(std::move(Warning));
-  };
 
   for (size_t I = 0; I < Args.size(); ++I) {
     const std::string &Arg = Args[I];
@@ -172,23 +149,6 @@ CliParse driver::parseCommandLine(const std::vector<std::string> &Args) {
     }
     if (Arg == "--no-cross-check") {
       Cli.Verify.CrossCheck = false;
-      continue;
-    }
-    // Deprecated aliases of --engine KEY=VALUE (kept for one release; see
-    // usageText()).
-    if (Arg == "--no-parallel-check") {
-      Deprecated("--no-parallel-check", "--engine parallel-check=false");
-      Cli.Verify.Engine.ParallelCheck = false;
-      continue;
-    }
-    if (Arg == "--no-symmetry") {
-      Deprecated("--no-symmetry", "--engine symmetry=false");
-      Cli.Verify.Engine.Symmetry = false;
-      continue;
-    }
-    if (Arg == "--no-work-stealing") {
-      Deprecated("--no-work-stealing", "--engine work-stealing=false");
-      Cli.Verify.Engine.WorkStealing = false;
       continue;
     }
     if (Arg == "--engine") {
@@ -237,33 +197,6 @@ CliParse driver::parseCommandLine(const std::vector<std::string> &Args) {
       if (!NeedValue("--rewrite needs a value", V))
         return Parse;
       Cli.Verify.RewriteAction = V;
-      continue;
-    }
-    if (Arg == "--threads") {
-      Deprecated("--threads", "--engine threads=N");
-      std::string V;
-      if (!NeedValue("--threads needs a value", V))
-        return Parse;
-      unsigned N = 0;
-      if (!parseNumber(V, N) || N < 1) {
-        Parse.Error = "--threads expects a positive integer, got '" + V + "'";
-        return Parse;
-      }
-      Cli.Verify.Engine.NumThreads = N;
-      continue;
-    }
-    if (Arg == "--frontend") {
-      std::string V;
-      if (!NeedValue("--frontend needs a value (v1 or v2)", V))
-        return Parse;
-      if (V == "v1")
-        Cli.Verify.Frontend = asl::frontend::FrontendVersion::V1;
-      else if (V == "v2")
-        Cli.Verify.Frontend = asl::frontend::FrontendVersion::V2;
-      else {
-        Parse.Error = "--frontend expects 'v1' or 'v2', got '" + V + "'";
-        return Parse;
-      }
       continue;
     }
     if (Arg == "--const" || Arg == "--param" || Arg == "--abstract" ||

@@ -40,10 +40,6 @@ struct CliParse {
   bool Ok = false;
   CliOptions Options;
   std::string Error;
-  /// Non-fatal usage notes (deprecated-alias warnings). Deduplicated:
-  /// each deprecated flag warns once per invocation no matter how often
-  /// it repeats. The tool prints these to stderr; parsing succeeded.
-  std::vector<std::string> Warnings;
 };
 
 /// Parses the argument vector (argv[1..argc-1], no program name).

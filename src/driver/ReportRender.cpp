@@ -122,7 +122,6 @@ std::string driver::renderJson(const VerifyResult &Result) {
   W.key("orbit_states_represented").value(E.OrbitStatesRepresented);
   W.key("frontier_peak").value(E.FrontierPeak);
   W.key("threads").value(E.Threads);
-  W.key("work_stealing").value(E.WorkStealing);
   W.key("steal_chunk").value(E.StealChunk);
   W.key("steals").value(E.Steals);
   W.key("shards").value(E.Shards);

@@ -7,9 +7,9 @@
 /// has always printed, the JSON form is the machine-readable report
 /// behind `isq-verify --format json`.
 ///
-/// JSON schema (version 6):
+/// JSON schema (version 7):
 ///   {
-///     "schema_version": 6,
+///     "schema_version": 7,
 ///     "tool": "isq-verify",
 ///     "exit_code": 0|1|2,
 ///     "compile_ok": bool, "input_ok": bool, "accepted": bool,
@@ -22,8 +22,8 @@
 ///                      "configs_p_prime", "seconds" },
 ///     "engine":  { exploration statistics incl. "symmetry_reduced",
 ///                  "canon_calls", "canon_cache_hits",
-///                  "orbit_states_represented", "work_stealing",
-///                  "steal_chunk", "steals", "shards",
+///                  "orbit_states_represented", "steal_chunk",
+///                  "steals", "shards",
 ///                  "shard_occupancy", "compressed_bytes",
 ///                  "spill_enabled", "mem_budget", "bytes_hot",
 ///                  "bytes_cold", "blocks_evicted", "blocks_faulted",
@@ -69,6 +69,12 @@
 /// (eviction timing depends on cross-thread allocation order); verdict
 /// fields are unchanged — spilling is bit-identical to the hot-only
 /// store.
+/// Version 7 removed "engine"."work_stealing": the work-stealing frontier
+/// is the only exploration engine, so the flag always read true. With
+/// one frontier, "engine"."expand_seconds" has one meaning: worker
+/// expansion time summed across threads, which can exceed
+/// "engine"."total_seconds" (wall time) when threaded. Every other field
+/// is unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,7 +89,7 @@ namespace isq {
 namespace driver {
 
 /// The version of the JSON report schema emitted by renderJson.
-constexpr int JsonSchemaVersion = 6;
+constexpr int JsonSchemaVersion = 7;
 
 /// Renders the human-readable summary (the `--format text` output).
 std::string renderText(const VerifyResult &Result);

@@ -126,10 +126,11 @@ VerifyResult driver::verifyModule(const VerifyOptions &Options) {
   // declares a symmetric sort: node IDs are interchangeable, so a rank
   // component drawn from a node-typed argument would distinguish members
   // of one orbit. Those components are masked to 0 — unconditionally, not
-  // only under --symmetry, so the identical measure is used by both the
-  // reduced run and the --no-symmetry oracle (identical verdicts by
-  // construction). The full rank is kept for the schedule invariant and
-  // the choice function, which only order PAs within one schedule.
+  // only under symmetry reduction, so the identical measure is used by
+  // both the reduced run and the symmetry=false oracle (identical
+  // verdicts by construction). The full rank is kept for the schedule
+  // invariant and the choice function, which only order PAs within one
+  // schedule.
   std::shared_ptr<const SymmetrySpec> ModuleSym = Compiled->P.symmetry();
   protocols::RankFn MeasureRank =
       [Order, ArgMajor, ModuleSym](const PendingAsync &PA)

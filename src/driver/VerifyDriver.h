@@ -41,9 +41,7 @@ struct VerifyOptions {
   /// Bindings for the module's integer constants and parameters
   /// (--const and --param contribute here alike).
   std::map<std::string, int64_t> Consts;
-  /// Which frontend pipeline compiles the source. V2 (staged, default)
-  /// and V1 (legacy tree-walk, the differential oracle) produce
-  /// bit-identical Programs.
+  /// The frontend pipeline; V2 is the only value (see lang/Frontend.h).
   asl::frontend::FrontendVersion Frontend =
       asl::frontend::FrontendVersion::V2;
   /// The action to rewrite (defaults to Main).
@@ -74,11 +72,11 @@ struct VerifyOptions {
   /// accepted.
   bool CrossCheck = true;
   /// The unified engine configuration: thread budget, checker
-  /// parallelism, symmetry reduction, work-stealing frontier, and store
-  /// shape. Every engine knob flows through here — the explorations, the
-  /// obligation scheduler, and the IS checker read no thread/symmetry/
-  /// steal settings from anywhere else. Results are bit-identical for
-  /// every setting (see engine/EngineConfig.h).
+  /// parallelism, symmetry reduction, frontier steal granularity, and
+  /// store shape. Every engine knob flows through here — the
+  /// explorations, the obligation scheduler, and the IS checker read no
+  /// thread/symmetry/steal settings from anywhere else. Results are
+  /// bit-identical for every setting (see engine/EngineConfig.h).
   engine::EngineConfig Engine;
   /// Externally owned obligation verdict cache shared across requests
   /// (isq-serve plugs its process-wide instance here). Null makes the

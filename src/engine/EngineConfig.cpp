@@ -137,8 +137,6 @@ bool EngineConfig::set(const std::string &Key, const std::string &Value,
     Flag = &ParallelCheck;
   else if (Key == "symmetry")
     Flag = &Symmetry;
-  else if (Key == "work-stealing")
-    Flag = &WorkStealing;
   else if (Key == "compress")
     Flag = &Compress;
   else if (Key == "incremental")
@@ -157,9 +155,9 @@ bool EngineConfig::set(const std::string &Key, const std::string &Value,
     return true;
   }
   Error = "unknown engine option '" + Key +
-          "' (valid: threads, parallel-check, symmetry, work-stealing, "
-          "steal-chunk, shards, compress, incremental, cache-dir, spill, "
-          "spill-dir, mem-budget)";
+          "' (valid: threads, parallel-check, symmetry, steal-chunk, "
+          "shards, compress, incremental, cache-dir, spill, spill-dir, "
+          "mem-budget)";
   return false;
 }
 
@@ -237,8 +235,6 @@ std::map<std::string, std::string> EngineConfig::toKeyValues() const {
     Out["parallel-check"] = ParallelCheck ? "true" : "false";
   if (Symmetry != Defaults.Symmetry)
     Out["symmetry"] = Symmetry ? "true" : "false";
-  if (WorkStealing != Defaults.WorkStealing)
-    Out["work-stealing"] = WorkStealing ? "true" : "false";
   if (StealChunk != Defaults.StealChunk)
     Out["steal-chunk"] = std::to_string(StealChunk);
   if (Shards != Defaults.Shards)

@@ -2,9 +2,9 @@
 ///
 /// \file
 /// The single configuration surface for every engine knob: thread budget,
-/// checker parallelism, symmetry reduction, the work-stealing frontier
-/// (on/off, steal granularity), and the compact state store (shard count,
-/// compressed encodings). One EngineConfig is threaded from the CLI (or
+/// checker parallelism, symmetry reduction, the frontier's steal
+/// granularity, and the compact state store (shard count, compressed
+/// encodings). One EngineConfig is threaded from the CLI (or
 /// the serve wire protocol) through driver::VerifyOptions into the
 /// explorer, the frontier engine, the obligation scheduler, and the IS
 /// checker — no component reads thread/symmetry/steal settings from
@@ -20,8 +20,8 @@
 /// Every knob preserves the engine's determinism contract: verdicts,
 /// counts, and diagnostics are bit-identical for every value of every
 /// knob (timing fields and the steal/telemetry counters excepted); the
-/// level-synchronous path (`work-stealing=false`) and the serial checker
-/// loops (`parallel-check=false`) stay alive as differential oracles.
+/// serial checker loops (`parallel-check=false`) stay alive as the
+/// checkers' differential oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,10 +47,7 @@ struct EngineConfig {
   /// symmetric sort. False explores the full state space (differential
   /// oracle; same verdicts).
   bool Symmetry = true;
-  /// Explore with the work-stealing frontier (true) or the
-  /// level-synchronous barrier path (false; the differential oracle).
-  bool WorkStealing = true;
-  /// Nodes per work-stealing chunk (the steal granularity).
+  /// Nodes per frontier chunk (the steal granularity).
   unsigned StealChunk = 64;
   /// Interning-arena shards. Must be a power of two in [1, 16] (the
   /// handle layout reserves four shard bits).
@@ -84,18 +81,18 @@ struct EngineConfig {
 
   bool operator==(const EngineConfig &O) const {
     return NumThreads == O.NumThreads && ParallelCheck == O.ParallelCheck &&
-           Symmetry == O.Symmetry && WorkStealing == O.WorkStealing &&
-           StealChunk == O.StealChunk && Shards == O.Shards &&
-           Compress == O.Compress && Incremental == O.Incremental &&
-           CacheDir == O.CacheDir && Spill == O.Spill &&
-           SpillDir == O.SpillDir && MemBudget == O.MemBudget;
+           Symmetry == O.Symmetry && StealChunk == O.StealChunk &&
+           Shards == O.Shards && Compress == O.Compress &&
+           Incremental == O.Incremental && CacheDir == O.CacheDir &&
+           Spill == O.Spill && SpillDir == O.SpillDir &&
+           MemBudget == O.MemBudget;
   }
   bool operator!=(const EngineConfig &O) const { return !(*this == O); }
 
   /// Applies one `key=value` setting. Returns false with \p Error set on
   /// an unknown key or malformed value. Valid keys: threads,
-  /// parallel-check, symmetry, work-stealing, steal-chunk, shards,
-  /// compress, incremental, cache-dir, spill, spill-dir, mem-budget.
+  /// parallel-check, symmetry, steal-chunk, shards, compress,
+  /// incremental, cache-dir, spill, spill-dir, mem-budget.
   /// Booleans accept true/false/on/off/1/0; mem-budget accepts a byte
   /// count with an optional K/M/G suffix.
   bool set(const std::string &Key, const std::string &Value,

@@ -1,23 +1,18 @@
 //===- engine/StateGraph.cpp - Parallel frontier exploration -----------------===//
 //
-// Two scheduling modes produce the same graph bit for bit:
-//
-//  * Level-synchronous BFS (work-stealing=false, and the differential
-//    oracle for the mode below): each level is expanded by a worker pool,
-//    then a serial merge folds the level in frontier order.
-//
-//  * Work-stealing (default): the frontier is cut into chunks of
-//    steal-chunk node indices; each chunk copies its ConfigIds out of the
-//    merger-private node list at dispatch, is expanded by whichever
-//    worker pops or steals it (per-worker deques: owner pops newest,
-//    thieves take oldest), and publishes its results through a Done flag.
-//    A single merger folds chunks strictly in node-index order — the
-//    classical FIFO BFS order — so discovery order, counts, verdicts and
-//    diagnostics are independent of which worker expanded what when. The
-//    merger dispatches new full chunks as merging appends nodes, flushes
-//    a partial chunk only when it has nothing left to merge (so no chunk
-//    ever waits on nodes that cannot arrive), and helps expand while the
-//    next chunk in merge order is still in flight.
+// The frontier is cut into chunks of steal-chunk node indices; each chunk
+// copies its ConfigIds out of the merger-private node list at dispatch, is
+// expanded by whichever worker pops or steals it (per-worker deques: owner
+// pops newest, thieves take oldest), and publishes its results through a
+// Done flag. A single merger folds chunks strictly in node-index order —
+// the classical FIFO BFS order — so discovery order, counts, verdicts and
+// diagnostics are independent of which worker expanded what when. The
+// merger dispatches new full chunks as merging appends nodes, flushes a
+// partial chunk only when it has nothing left to merge (so no chunk ever
+// waits on nodes that cannot arrive), and helps expand while the next
+// chunk in merge order is still in flight. The value-level
+// exploreAllLegacy (explorer/Explorer.h) is the reference it is tested
+// against.
 //
 // Workers never touch the node list; duplicate-pruning during expansion
 // reads a lazily-allocated atomic seen-bitmap that the merger writes
@@ -101,7 +96,6 @@ void EngineStats::accumulate(const EngineStats &Other) {
   OrbitStatesRepresented += Other.OrbitStatesRepresented;
   FrontierPeak = std::max(FrontierPeak, Other.FrontierPeak);
   Threads = std::max(Threads, Other.Threads);
-  WorkStealing = WorkStealing || Other.WorkStealing;
   StealChunk = std::max(StealChunk, Other.StealChunk);
   Steals += Other.Steals;
   Shards = std::max(Shards, Other.Shards);
@@ -135,7 +129,7 @@ std::string EngineStats::str() const {
   }
   Out += " frontier-peak=" + std::to_string(FrontierPeak);
   Out += " threads=" + std::to_string(Threads);
-  if (WorkStealing) {
+  if (StealChunk) { // 0 only when no exploration ran
     Out += " steal-chunk=" + std::to_string(StealChunk);
     Out += " steals=" + std::to_string(Steals);
   }
@@ -183,10 +177,10 @@ struct Chunk {
   std::atomic<bool> Done{false};
 };
 
-/// Lazily-allocated atomic bitmap over ConfigIds: the work-stealing
-/// engine's racy duplicate filter. Only the merger sets bits (after the
-/// node is interned and appended); workers read without synchronization —
-/// a stale read is a missed prune, never a wrong result.
+/// Lazily-allocated atomic bitmap over ConfigIds: the engine's racy
+/// duplicate filter. Only the merger sets bits (after the node is interned
+/// and appended); workers read without synchronization — a stale read is a
+/// missed prune, never a wrong result.
 class SeenBits {
   static constexpr size_t BlockLog = 16; // bits per block
   static constexpr size_t NumBlocks = size_t(1) << (32 - BlockLog);
@@ -282,19 +276,13 @@ struct Engine {
   };
   std::array<StoreCanonShard, NumCanonShards> StoreCanonShards;
 
-  /// ConfigId → node index (InvalidId when unexplored). Written only by
-  /// the serial merge; level-sync workers read it frozen between levels.
+  /// ConfigId → node index (InvalidId when unexplored). Merger-only.
   std::vector<uint32_t> NodeOf;
   std::unordered_set<StoreId> TerminalSeen;
-  std::vector<uint32_t> Frontier;
-  std::vector<uint32_t> NextFrontier;
-  bool Stop = false;
 
-  // Work-stealing state (allocated only when the mode is active).
-  bool Ws = false;
-  std::unique_ptr<SeenBits> Seen;
+  SeenBits Seen;
   /// BFS depth per node index; derives the level widths (and hence
-  /// FrontierPeak) the level-synchronous mode observes directly.
+  /// FrontierPeak).
   std::vector<uint32_t> Depths;
   std::vector<size_t> LevelWidths;
   struct WorkerDeque {
@@ -306,8 +294,8 @@ struct Engine {
   std::mutex IdleM;
   std::condition_variable IdleCv;
   std::atomic<size_t> PendingChunks{0};
-  std::atomic<bool> WsStop{false};
-  std::atomic<bool> WsError{false};
+  std::atomic<bool> Shutdown{false};
+  std::atomic<bool> WorkerFailed{false};
   std::exception_ptr WorkerError;
   std::mutex ErrorM;
   std::atomic<uint64_t> StealCount{0};
@@ -416,23 +404,19 @@ struct Engine {
     if (PaSetIdOf == Arena.emptyPaSet() &&
         TerminalSeen.insert(StoreIdOf).second)
       Terminals.push_back(StoreIdOf);
-    if (Ws) {
-      // Publish to the racy duplicate filter only after interning and
-      // registration, so the node set stays schedule-independent.
-      Seen->set(Cid);
-      uint32_t Depth = Parent == UINT32_MAX ? 0 : Depths[Parent] + 1;
-      Depths.push_back(Depth);
-      if (Depth >= LevelWidths.size())
-        LevelWidths.resize(Depth + 1, 0);
-      Stats.FrontierPeak = std::max(Stats.FrontierPeak, ++LevelWidths[Depth]);
-    } else {
-      NextFrontier.push_back(Index);
-    }
+    // Publish to the racy duplicate filter only after interning and
+    // registration, so the node set stays schedule-independent.
+    Seen.set(Cid);
+    uint32_t Depth = Parent == UINT32_MAX ? 0 : Depths[Parent] + 1;
+    Depths.push_back(Depth);
+    if (Depth >= LevelWidths.size())
+      LevelWidths.resize(Depth + 1, 0);
+    Stats.FrontierPeak = std::max(Stats.FrontierPeak, ++LevelWidths[Depth]);
   }
 
   /// Expands one node into its ordered successor candidates. Runs in
   /// worker threads; touches only the sharded arena/caches and the racy
-  /// (work-stealing) or frozen (level-sync) seen state.
+  /// seen-bitmap.
   void expand(ConfigId Cid, NodeOut &Out) {
     auto [StoreIdOf, PaSetIdOf] = Arena.config(Cid);
     const PaCountVec &Entries = Arena.paVec(PaSetIdOf);
@@ -478,65 +462,21 @@ struct Engine {
         }
         // Duplicate pruning happens after interning, so the interned set
         // is identical whether or not the prune hits.
-        if (Ws ? Seen->test(Child) : known(Child))
+        if (Seen.test(Child))
           continue;
         Out.Items.push_back({PaIdOf, Child, Orbit});
       }
     }
   }
 
-  //===--------------------------------------------------------------------===//
-  // Level-synchronous mode
-  //===--------------------------------------------------------------------===//
-
-  /// Expands the whole frontier into \p Outs using the thread budget.
-  void expandLevel(std::vector<NodeOut> &Outs) {
-    size_t Width = Frontier.size();
-    unsigned Workers = static_cast<unsigned>(std::min<size_t>(
-        Opts.Config.NumThreads ? Opts.Config.NumThreads : 1, Width));
-    if (Workers <= 1) {
-      for (size_t I = 0; I < Width; ++I)
-        expand(Nodes[Frontier[I]], Outs[I]);
-      return;
-    }
-    std::atomic<size_t> Next{0};
-    std::exception_ptr Error;
-    std::mutex ErrorMutex;
-    auto Work = [&]() {
-      try {
-        for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-             I < Width; I = Next.fetch_add(1, std::memory_order_relaxed))
-          expand(Nodes[Frontier[I]], Outs[I]);
-      } catch (...) {
-        std::lock_guard<std::mutex> Lock(ErrorMutex);
-        if (!Error)
-          Error = std::current_exception();
-      }
-    };
-    std::vector<std::thread> Threads;
-    Threads.reserve(Workers - 1);
-    for (unsigned I = 0; I + 1 < Workers; ++I)
-      Threads.emplace_back(Work);
-    Work();
-    for (std::thread &T : Threads)
-      T.join();
-    if (Error)
-      std::rethrow_exception(Error);
-  }
-
-  /// Folds one node's candidates into the graph. Shared by both modes;
-  /// the fold order over nodes — frontier order per level here, global
-  /// node-index order under work stealing — is the same total order.
+  /// Folds one node's candidates into the graph. The merger calls it in
+  /// node-index order, the classical FIFO BFS order.
   void foldNode(uint32_t NodeIdx, const NodeOut &Out) {
     Stats.NumTransitions += Out.Transitions;
     for (const Item &It : Out.Items) {
       if (It.Child == InvalidId) { // failing step
         if (!FailureAt)
           FailureAt.emplace(NodeIdx, It.Via);
-        if (Opts.StopAtFirstFailure) {
-          Stop = true;
-          return;
-        }
         continue;
       }
       add(It.Child, NodeIdx, It.Via, It.Orbit);
@@ -544,17 +484,6 @@ struct Engine {
     if (!Out.AnyMove &&
         Arena.config(Nodes[NodeIdx]).second != Arena.emptyPaSet())
       Deadlocks.push_back(NodeIdx);
-  }
-
-  /// Serially folds a level's candidates into the graph in deterministic
-  /// (frontier position, candidate) order.
-  void merge(const std::vector<NodeOut> &Outs) {
-    NextFrontier.clear();
-    for (size_t I = 0; I < Outs.size(); ++I) {
-      foldNode(Frontier[I], Outs[I]);
-      if (Stop)
-        return;
-    }
   }
 
   void seed(const std::vector<Configuration> &Inits) {
@@ -571,28 +500,6 @@ struct Engine {
       }
     }
   }
-
-  void runLevelSync(const std::vector<Configuration> &Inits) {
-    seed(Inits);
-    Frontier.swap(NextFrontier);
-    std::vector<NodeOut> Outs;
-    while (!Frontier.empty() && !Stop) {
-      Stats.FrontierPeak =
-          std::max(Stats.FrontierPeak, Frontier.size());
-      Outs.assign(Frontier.size(), NodeOut());
-      Timer ExpandT;
-      expandLevel(Outs);
-      Stats.ExpandSeconds += ExpandT.elapsed();
-      Timer MergeT;
-      merge(Outs);
-      Stats.MergeSeconds += MergeT.elapsed();
-      Frontier.swap(NextFrontier);
-    }
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Work-stealing mode
-  //===--------------------------------------------------------------------===//
 
   /// Enqueues \p C on the next deque round-robin and wakes a sleeper.
   void pushChunk(Chunk *C, size_t &RoundRobin) {
@@ -664,10 +571,10 @@ struct Engine {
         }
         std::unique_lock<std::mutex> Lock(IdleM);
         IdleCv.wait(Lock, [&] {
-          return WsStop.load(std::memory_order_relaxed) ||
+          return Shutdown.load(std::memory_order_relaxed) ||
                  PendingChunks.load(std::memory_order_relaxed) > 0;
         });
-        if (WsStop.load(std::memory_order_relaxed))
+        if (Shutdown.load(std::memory_order_relaxed))
           return;
       }
     } catch (...) {
@@ -676,7 +583,7 @@ struct Engine {
         if (!WorkerError)
           WorkerError = std::current_exception();
       }
-      WsError.store(true, std::memory_order_relaxed);
+      WorkerFailed.store(true, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> Lock(IdleM);
       }
@@ -694,9 +601,8 @@ struct Engine {
     return ChunkList.back().get();
   }
 
-  void runWorkStealing(const std::vector<Configuration> &Inits) {
-    Ws = true;
-    Seen = std::make_unique<SeenBits>();
+  void run(const std::vector<Configuration> &Inits) {
+    Stats.StealChunk = Opts.Config.StealChunk;
     unsigned T = Opts.Config.NumThreads ? Opts.Config.NumThreads : 1;
     size_t ChunkSize = Opts.Config.StealChunk ? Opts.Config.StealChunk : 1;
     Deques.resize(std::max(1u, T - 1));
@@ -715,7 +621,7 @@ struct Engine {
     size_t RoundRobin = 0;
     std::exception_ptr MergerError;
     try {
-      while (!WsError.load(std::memory_order_relaxed)) {
+      while (!WorkerFailed.load(std::memory_order_relaxed)) {
         // Cut full chunks eagerly so workers run ahead of the merger.
         while (Nodes.size() - Dispatched >= ChunkSize) {
           pushChunk(makeChunk(Dispatched, Dispatched + ChunkSize),
@@ -741,7 +647,7 @@ struct Engine {
           std::unique_lock<std::mutex> Lock(IdleM);
           IdleCv.wait(Lock, [&] {
             return C.Done.load(std::memory_order_acquire) ||
-                   WsError.load(std::memory_order_relaxed) ||
+                   WorkerFailed.load(std::memory_order_relaxed) ||
                    PendingChunks.load(std::memory_order_relaxed) > 0;
           });
           continue;
@@ -761,7 +667,7 @@ struct Engine {
 
     {
       std::lock_guard<std::mutex> Lock(IdleM);
-      WsStop.store(true, std::memory_order_relaxed);
+      Shutdown.store(true, std::memory_order_relaxed);
     }
     IdleCv.notify_all();
     for (std::thread &W : Pool)
@@ -777,21 +683,6 @@ struct Engine {
         static_cast<double>(ExpandNanos.load(std::memory_order_relaxed)) /
         1e9;
     Stats.Steals = StealCount.load(std::memory_order_relaxed);
-  }
-
-  void run(const std::vector<Configuration> &Inits) {
-    // StopAtFirstFailure wants the earliest failure in BFS order and
-    // nothing past it; the level-synchronous loop stops at level
-    // granularity, so it is the mode for that (and the oracle for the
-    // work-stealing default).
-    bool UseWs = Opts.Config.WorkStealing && !Opts.StopAtFirstFailure;
-    Stats.WorkStealing = UseWs;
-    if (UseWs) {
-      Stats.StealChunk = Opts.Config.StealChunk;
-      runWorkStealing(Inits);
-    } else {
-      runLevelSync(Inits);
-    }
   }
 };
 

@@ -6,17 +6,20 @@
 /// enumeration-based check in the system (Explorer, mover checks, IS
 /// conditions, refinement cross-checks).
 ///
-/// The exploration is level-synchronous: each BFS level (frontier) is
-/// expanded by N worker threads into per-node successor lists, then a
-/// serial merge interns new nodes in (frontier position, successor
+/// The frontier is cut into chunks of discovered nodes that N worker
+/// threads expand into per-node successor lists, stealing chunks from
+/// one another's deques; a single merger folds the chunks strictly in
+/// node-index order, registering new nodes in (node, successor
 /// enumeration) order. Because that order is exactly the order the
 /// classical FIFO BFS discovers nodes, the node list, failure verdict,
 /// counterexample trace and truncation point are bit-identical for every
-/// thread count — parallelism changes wall time, never answers.
+/// thread count and steal granularity — parallelism changes wall time,
+/// never answers.
 ///
 /// Thread safety: workers intern through the sharded StateArena and the
-/// interned caches; the seen-index is written only by the serial merge and
-/// read (immutably) by workers for early duplicate pruning.
+/// interned caches; the seen-bitmap used for early duplicate pruning is
+/// written only by the merger, after a node is registered, and read
+/// racily by workers (a missed prune costs the merger a no-op fold).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +42,8 @@ namespace engine {
 /// configuration.
 struct EngineOptions {
   size_t MaxConfigurations = 2'000'000;
-  bool StopAtFirstFailure = false;
   bool RecordParents = true;
-  /// Threads, symmetry, work stealing, steal granularity, store shape.
+  /// Threads, symmetry, steal granularity, store shape.
   /// Results are identical for every setting (see engine/EngineConfig.h).
   EngineConfig Config;
 };
@@ -77,10 +79,10 @@ struct EngineStats {
   size_t FrontierPeak = 0;
   unsigned Threads = 1;
 
-  // Work-stealing frontier. Steals counts chunks taken from another
-  // worker's deque; it is scheduling telemetry (nondeterministic across
-  // runs at > 1 thread), unlike every count above.
-  bool WorkStealing = false;
+  // Frontier chunking. Steals counts chunks taken from another worker's
+  // deque; it is scheduling telemetry (nondeterministic across runs at
+  // > 1 thread), unlike every count above. StealChunk is 0 only when no
+  // exploration ran.
   unsigned StealChunk = 0;
   size_t Steals = 0;
 
@@ -105,7 +107,9 @@ struct EngineStats {
   uint64_t BlocksFaulted = 0;
   uint64_t FaultStallNanos = 0;
 
-  // Per-phase wall time (support/Timer).
+  // Phase times (support/Timer). ExpandSeconds is worker expansion time
+  // summed across threads (it can exceed TotalSeconds when threaded);
+  // MergeSeconds and TotalSeconds are wall time.
   double ExpandSeconds = 0;
   double MergeSeconds = 0;
   double TotalSeconds = 0;

@@ -135,8 +135,6 @@ struct Bfs {
             if (Opts.RecordParents)
               Result.FailureTrace = traceTo(Index, &PA);
           }
-          if (Opts.StopAtFirstFailure)
-            return;
           continue;
         }
         PaMultiset Rest = C.pendingAsyncs();
@@ -168,7 +166,6 @@ ExploreResult isq::exploreAll(const Program &P,
                               const ExploreOptions &Opts) {
   engine::EngineOptions EO;
   EO.MaxConfigurations = Opts.MaxConfigurations;
-  EO.StopAtFirstFailure = Opts.StopAtFirstFailure;
   EO.RecordParents = Opts.RecordParents;
   EO.Config = Opts.Config;
   return fromGraph(engine::exploreGraph(P, Inits, nullptr, EO), Opts);

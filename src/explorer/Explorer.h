@@ -28,11 +28,9 @@ struct ExploreOptions {
   /// Hard cap on distinct configurations; exploration reports truncation
   /// when hit.
   size_t MaxConfigurations = 2'000'000;
-  /// Stop as soon as a failure is found (cheaper counterexamples).
-  bool StopAtFirstFailure = false;
   /// Keep parent pointers for counterexample extraction.
   bool RecordParents = true;
-  /// All engine knobs (threads, symmetry, work stealing, store shape).
+  /// All engine knobs (threads, symmetry, steal granularity, store shape).
   /// Results are bit-identical for every setting; see
   /// engine/EngineConfig.h.
   engine::EngineConfig Config;
@@ -82,8 +80,7 @@ ExploreResult exploreAll(const Program &P,
 
 /// The pre-engine value-level BFS, kept as a differential-testing oracle
 /// and benchmark baseline for the interned engine. Semantically identical
-/// to exploreAll() (modulo NumTransitions under StopAtFirstFailure, where
-/// the engine finishes counting the failing node's level).
+/// to exploreAll().
 ExploreResult exploreAllLegacy(const Program &P,
                                const std::vector<Configuration> &Inits,
                                const ExploreOptions &Opts = ExploreOptions());

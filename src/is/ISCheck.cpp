@@ -31,7 +31,6 @@ ISUniverse ISUniverse::build(const ISApplication &App,
                                                Opts.Config.Compress, Spill);
   EngineOptions EO;
   EO.MaxConfigurations = Opts.MaxConfigurations;
-  EO.StopAtFirstFailure = Opts.StopAtFirstFailure;
   EO.RecordParents = false; // parents are never consulted for universes
   EO.Config = Opts.Config;
   // Both explorations intern into the one arena, so the union dedups by
@@ -482,7 +481,7 @@ bool cacheEligible(const ISApplication &App) {
 /// The scheduled checker: submits every universe-quantified obligation of
 /// the IS rule into one ObligationScheduler and assembles the report from
 /// the reconciled group results. Deliberately separate from the serial
-/// loops above, which survive as the --no-parallel-check differential
+/// loops above, which survive as the parallel-check=false differential
 /// oracle. Transition caches are shared across all conditions; that only
 /// changes who computes an entry, never any obligation outcome.
 ISCheckReport checkISScheduled(const ISApplication &App,

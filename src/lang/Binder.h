@@ -6,8 +6,8 @@
 /// variables, action arities) and diagnoses declaration-level problems
 /// with richer messages than the later stages produce: duplicate
 /// declarations carry a "first declared at ..." note, and a variable
-/// initializer that reads a global declared after it is rejected here
-/// (the v1 pipeline would only fail when evaluating the initial store).
+/// initializer that reads a global declared after it is rejected here,
+/// before the initial store is evaluated.
 ///
 /// The pipeline stops after a failing bind, so the type checker's
 /// overlapping duplicate checks never double-report.

@@ -1,67 +1,11 @@
-//===- lang/Compile.cpp - ASL to semantic objects ----------------------------------===//
+//===- lang/Compile.cpp - ASL constant resolution ----------------------------------===//
 
 #include "lang/Compile.h"
-
-#include "lang/Eval.h"
-#include "lang/TypeCheck.h"
-#include "semantics/Symmetry.h"
-
-#include <memory>
 
 using namespace isq;
 using namespace isq::asl;
 
 namespace {
-
-bool exprUsesPending(const Expr &E) {
-  if (E.Kind == ExprKind::Call &&
-      (E.Name == "pending" || E.Name == "pending_le" ||
-       E.Name == "pending_le_at"))
-    return true;
-  for (const ExprPtr &C : E.Children)
-    if (exprUsesPending(*C))
-      return true;
-  return false;
-}
-
-bool stmtsUsePending(const std::vector<StmtPtr> &Stmts) {
-  for (const StmtPtr &S : Stmts) {
-    for (const ExprPtr &E : S->Exprs)
-      if (exprUsesPending(*E))
-        return true;
-    if (stmtsUsePending(S->Body) || stmtsUsePending(S->ElseBody))
-      return true;
-  }
-  return false;
-}
-
-/// True if the action's gate may observe Ω through pending().
-bool actionUsesPending(const ActionDecl &A) {
-  return stmtsUsePending(A.Body);
-}
-
-/// The value shape induced by an ASL type: Id leaves exactly where the
-/// declared symmetric sort \p Sort is named.
-ValueShape shapeOf(const TypeRef &T, const std::string &Sort) {
-  using TK = TypeRef::Kind;
-  switch (T.K) {
-  case TK::Int:
-    return T.Sort == Sort ? ValueShape::id() : ValueShape::plain();
-  case TK::Option:
-    return ValueShape::option(shapeOf(T.Params[0], Sort));
-  case TK::Set:
-    return ValueShape::setOf(shapeOf(T.Params[0], Sort));
-  case TK::Bag:
-    return ValueShape::bagOf(shapeOf(T.Params[0], Sort));
-  case TK::Seq:
-    return ValueShape::seqOf(shapeOf(T.Params[0], Sort));
-  case TK::Map:
-    return ValueShape::mapOf(shapeOf(T.Params[0], Sort),
-                             shapeOf(T.Params[1], Sort));
-  default:
-    return ValueShape::plain();
-  }
-}
 
 /// Minimal compile-time integer evaluator for constant initializers.
 /// Only literals, references to already-resolved constants, unary minus,
@@ -152,149 +96,4 @@ bool asl::resolveConstBindings(const Module &M,
           {"binding for undeclared constant '" + Name + "'", 0, 0});
   }
   return Diags.size() == Before;
-}
-
-std::optional<CompiledModule>
-asl::compileModule(const std::string &Source,
-                   const std::map<std::string, int64_t> &ConstBindings,
-                   std::vector<Diagnostic> &Diags) {
-  std::optional<Module> Parsed = parseModule(Source, Diags);
-  if (!Parsed)
-    return std::nullopt;
-  for (const ImportDecl &I : Parsed->Imports)
-    Diags.push_back({"imports require a module-resolving frontend (use "
-                     "frontend::compileSource)",
-                     I.Line, I.Column, Severity::Error, I.File});
-  if (!Diags.empty())
-    return std::nullopt;
-  if (!typeCheck(*Parsed, Diags))
-    return std::nullopt;
-  std::map<std::string, int64_t> Resolved;
-  if (!resolveConstBindings(*Parsed, ConstBindings, Resolved, Diags))
-    return std::nullopt;
-  return compileParsedModule(std::move(*Parsed), Resolved, Diags);
-}
-
-std::optional<CompiledModule>
-asl::compileParsedModule(Module &&Parsed,
-                         const std::map<std::string, int64_t> &ResolvedConsts,
-                         std::vector<Diagnostic> &Diags) {
-  // The compiled actions share ownership of the module AST.
-  auto Shared = std::make_shared<Module>(std::move(Parsed));
-
-  // Constants become pre-bound locals of every evaluation.
-  Locals ConstLocals;
-  for (const auto &[Name, V] : ResolvedConsts)
-    ConstLocals[Name] = Value::integer(V);
-
-  // Initial store: evaluate initializers in declaration order; later
-  // initializers may read earlier variables.
-  Store Init;
-  for (const VarDecl &V : Shared->Vars)
-    Init = Init.set(V.Name, evalExpr(*V.Init, Init, ConstLocals));
-
-  // The declared symmetric sort, if any. The bounds are constant
-  // expressions; the resulting domain must stay small enough for the
-  // full permutation group to be enumerated, and the initial store must
-  // be invariant under it (otherwise the quotient exploration would be
-  // unsound and the declaration is rejected here).
-  std::shared_ptr<SymmetrySpec> Sym;
-  for (const SymmetricDecl &D : Shared->Symmetrics) {
-    int64_t Lo = evalExpr(*D.Lo, Init, ConstLocals).getInt();
-    int64_t Hi = evalExpr(*D.Hi, Init, ConstLocals).getInt();
-    if (Lo > Hi) {
-      Diags.push_back({"symmetric sort '" + D.Name + "' has empty domain " +
-                           std::to_string(Lo) + " .. " + std::to_string(Hi),
-                       D.Line, D.Column, Severity::Error, D.File});
-      continue;
-    }
-    size_t Size = static_cast<size_t>(Hi - Lo + 1);
-    if (Size > SymmetrySpec::MaxDomainSize) {
-      Diags.push_back(
-          {"symmetric sort '" + D.Name + "' has " + std::to_string(Size) +
-               " members; at most " +
-               std::to_string(SymmetrySpec::MaxDomainSize) + " supported",
-           D.Line, D.Column, Severity::Error, D.File});
-      continue;
-    }
-    std::vector<int64_t> Domain;
-    for (int64_t N = Lo; N <= Hi; ++N)
-      Domain.push_back(N);
-    Sym = std::make_shared<SymmetrySpec>(D.Name, std::move(Domain));
-    for (const VarDecl &V : Shared->Vars) {
-      ValueShape Shape = shapeOf(V.Type, D.Name);
-      if (!Shape.fixed())
-        Sym->setGlobalShape(Symbol::get(V.Name), Shape);
-    }
-    for (const ActionDecl &A : Shared->Actions) {
-      std::vector<ValueShape> ArgShapes;
-      bool AnyId = false;
-      for (const ParamDecl &P : A.Params) {
-        ArgShapes.push_back(shapeOf(P.Type, D.Name));
-        AnyId = AnyId || !ArgShapes.back().fixed();
-      }
-      if (AnyId)
-        Sym->setActionShape(Symbol::get(A.Name), std::move(ArgShapes));
-    }
-    if (!Sym->isInvariantStore(Init)) {
-      Diags.push_back(
-          {"initial store is not invariant under permutations of "
-           "symmetric sort '" +
-               D.Name + "'",
-           D.Line, D.Column, Severity::Error, D.File});
-      Sym.reset();
-    }
-  }
-  if (!Diags.empty())
-    return std::nullopt;
-
-  // Compile the actions.
-  CompiledModule Result;
-  Result.InitialStore = Init;
-  for (const ActionDecl &A : Shared->Actions) {
-    size_t Arity = A.Params.size();
-    const ActionDecl *Decl = &A;
-    bool UsesPending = actionUsesPending(A);
-    auto BindLocals = [Shared, Decl,
-                       ConstLocals](const std::vector<Value> &Args) {
-      Locals L = ConstLocals;
-      for (size_t I = 0; I < Decl->Params.size(); ++I)
-        L[Decl->Params[I].Name] = Args[I];
-      return L;
-    };
-    Action::GateFn Gate = [Shared, Decl, BindLocals,
-                           UsesPending](const GateContext &Ctx) {
-      Locals L = BindLocals(Ctx.Args);
-      if (UsesPending) {
-        // Expose Ω to the pending builtins: a bag of
-        // (action-symbol index, args...) tuples.
-        Value Mirror = Value::bag({});
-        for (const auto &[PA, Count] : Ctx.Omega.entries()) {
-          std::vector<Value> Tuple;
-          Tuple.push_back(Value::integer(
-              static_cast<int64_t>(PA.Action.index())));
-          for (const Value &Arg : PA.Args)
-            Tuple.push_back(Arg);
-          Mirror = Mirror.bagInsert(Value::tuple(std::move(Tuple)),
-                                    Count);
-        }
-        L["__pending"] = std::move(Mirror);
-      }
-      // The gate is false iff some path can violate an assert.
-      return !runBody(Decl->Body, Ctx.Global, L).CanFail;
-    };
-    Action::TransitionsFn Transitions =
-        [Shared, Decl, BindLocals](const Store &G,
-                                   const std::vector<Value> &Args) {
-          return runBody(Decl->Body, G, BindLocals(Args)).Transitions;
-        };
-    // The evaluator is a pure function of (AST, store, locals), so the
-    // enumerator may run from concurrent checker jobs.
-    Result.P.addAction(Action(A.Name, Arity, std::move(Gate),
-                              std::move(Transitions), UsesPending,
-                              /*TransitionsThreadSafe=*/true));
-  }
-  if (Sym)
-    Result.P.setSymmetry(std::move(Sym));
-  return Result;
 }

@@ -1,11 +1,11 @@
-//===- lang/Compile.h - ASL to semantic objects -------------------*- C++ -*-===//
+//===- lang/Compile.h - ASL compile results -----------------------*- C++ -*-===//
 ///
 /// \file
-/// Compiles a type-checked ASL module into the semantic framework: one
-/// gated atomic Action per action declaration (gate = no path reaches a
-/// violated assert; transitions = all complete paths) and the initial
-/// store from the variable initializers. Integer constants (e.g. the
-/// instance size n) are bound by the host at compile time.
+/// What the frontend (lang/Frontend.h) produces from an ASL module, and
+/// the constant-resolution stage it runs before building HIR: integer
+/// constants (e.g. the instance size n) are bound by the host at compile
+/// time, parameters may fall back to their defaults, and derived
+/// constants are folded.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,16 +30,6 @@ struct CompiledModule {
   Store InitialStore;
 };
 
-/// Parses, type-checks and compiles \p Source, binding the module's
-/// constants from \p ConstBindings. Missing or extra bindings are
-/// diagnosed. Returns std::nullopt on any error. This is the classic
-/// single-file entry point; sources with imports must go through
-/// frontend::compileSource, which resolves modules first.
-std::optional<CompiledModule>
-compileModule(const std::string &Source,
-              const std::map<std::string, int64_t> &ConstBindings,
-              std::vector<Diagnostic> &Diags);
-
 /// Resolves every constant of \p M to a concrete value, in declaration
 /// order: an external binding wins for host-bound consts and params, a
 /// param default or derived-const initializer is folded otherwise (it may
@@ -51,14 +41,6 @@ bool resolveConstBindings(const Module &M,
                           const std::map<std::string, int64_t> &Bindings,
                           std::map<std::string, int64_t> &Resolved,
                           std::vector<Diagnostic> &Diags);
-
-/// Compiles an already parsed and type-checked module whose constants
-/// have been resolved (see resolveConstBindings). Takes ownership of the
-/// AST; the compiled actions share it.
-std::optional<CompiledModule>
-compileParsedModule(Module &&Parsed,
-                    const std::map<std::string, int64_t> &ResolvedConsts,
-                    std::vector<Diagnostic> &Diags);
 
 } // namespace asl
 } // namespace isq

@@ -15,7 +15,7 @@ using namespace isq::asl;
 std::optional<CompiledModule> frontend::compileSource(
     const std::string &Source, const std::string &SourcePath,
     const std::map<std::string, int64_t> &ConstBindings,
-    FrontendVersion Version, std::vector<Diagnostic> &Diags) {
+    FrontendVersion, std::vector<Diagnostic> &Diags) {
   SourceManager SM;
   // Resolve display names on every exit path — diagnostics leave the
   // frontend boundary with FileName filled.
@@ -34,29 +34,19 @@ std::optional<CompiledModule> frontend::compileSource(
   if (!Merged)
     return std::nullopt;
 
-  if (Version == FrontendVersion::V2) {
-    // Bind first: duplicate declarations and initializer-order errors are
-    // reported here with notes; the pipeline stops so the type checker's
-    // overlapping checks never double-report.
-    SymbolTable Syms;
-    if (!bindModule(*Merged, Syms, Diags))
-      return std::nullopt;
-    if (!typeCheck(*Merged, Diags))
-      return std::nullopt;
-    std::map<std::string, int64_t> Resolved;
-    if (!resolveConstBindings(*Merged, ConstBindings, Resolved, Diags))
-      return std::nullopt;
-    hir::Module Hir = buildHir(*Merged, Syms);
-    instantiate(Hir, Resolved);
-    optimizeHir(Hir);
-    return lowerHir(std::move(Hir), Diags);
-  }
-
-  // V1: the legacy tree-walking compile, kept as the differential oracle.
+  // Bind first: duplicate declarations and initializer-order errors are
+  // reported here with notes; the pipeline stops so the type checker's
+  // overlapping checks never double-report.
+  SymbolTable Syms;
+  if (!bindModule(*Merged, Syms, Diags))
+    return std::nullopt;
   if (!typeCheck(*Merged, Diags))
     return std::nullopt;
   std::map<std::string, int64_t> Resolved;
   if (!resolveConstBindings(*Merged, ConstBindings, Resolved, Diags))
     return std::nullopt;
-  return compileParsedModule(std::move(*Merged), Resolved, Diags);
+  hir::Module Hir = buildHir(*Merged, Syms);
+  instantiate(Hir, Resolved);
+  optimizeHir(Hir);
+  return lowerHir(std::move(Hir), Diags);
 }

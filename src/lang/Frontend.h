@@ -1,20 +1,17 @@
 //===- lang/Frontend.h - staged ASL frontend ----------------------*- C++ -*-===//
 ///
 /// \file
-/// The top-level frontend entry point. Two pipelines compile the same
-/// surface language to the same CompiledModule:
+/// The top-level frontend entry point. One staged pipeline compiles the
+/// surface language to a CompiledModule:
 ///
-///   v1 (legacy, differential oracle):
-///     parse+imports -> typecheck -> resolve consts -> tree-walk compile
-///   v2 (staged, default):
 ///     parse+imports -> bind -> typecheck -> resolve consts ->
 ///     build HIR -> instantiate -> optimize -> lower
 ///
-/// Both share the lexer/parser, the module resolver, the type checker and
-/// constant resolution, and both must produce bit-identical Programs for
-/// every input (tested differentially over the example corpus). The
-/// pipeline stops at the first failing stage; diagnostics leave this
-/// entry with their file names resolved (FrontendDiagnostic::FileName).
+/// The native C++ protocols in src/protocols/ are its independent
+/// oracle: their ASL ports must match them execution for execution
+/// (tests/frontend_v2_test.cpp). The pipeline stops at the first failing
+/// stage; diagnostics leave this entry with their file names resolved
+/// (FrontendDiagnostic::FileName).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,15 +24,17 @@ namespace isq {
 namespace asl {
 namespace frontend {
 
-/// Which pipeline compiles the source. V2 is the default; V1 is kept as
-/// the differential oracle (--frontend=v1).
-enum class FrontendVersion { V1, V2 };
+/// The frontend pipeline. V2 is the only one; the enum and the
+/// compileSource parameter remain for source compatibility with callers
+/// that name it, and nothing branches on the value.
+enum class FrontendVersion { V2 };
 
 /// Compiles \p Source, binding constants and parameters from
 /// \p ConstBindings. \p SourcePath is the display name of the main input
 /// and the base for resolving its imports; when empty (e.g. a source
 /// submitted over the wire), imports are unavailable and diagnostics name
-/// the file "<input>". Returns std::nullopt on any error.
+/// the file "<input>". Returns std::nullopt on any error. \p Version is
+/// ignored.
 std::optional<CompiledModule>
 compileSource(const std::string &Source, const std::string &SourcePath,
               const std::map<std::string, int64_t> &ConstBindings,

@@ -17,8 +17,8 @@
 ///
 /// Statement structure is deliberately kept parallel to the AST
 /// (including flat `choose` scoping over the remaining statements of its
-/// block) so the HIR evaluator can mirror the AST evaluator's path
-/// enumeration order exactly — the v1/v2 bit-identical-Program invariant
+/// block) so the HIR evaluator enumerates paths in source order — the
+/// transition order, and with it every exploration's discovery order,
 /// rests on that.
 ///
 //===----------------------------------------------------------------------===//

@@ -14,7 +14,7 @@ namespace {
 
 using TK = TypeRef::Kind;
 
-/// Builds the empty value of ASL type \p T (mirror of Eval.cpp).
+/// Builds the empty value of ASL type \p T.
 Value emptyValueOf(const TypeRef &T) {
   switch (T.K) {
   case TK::Int:
@@ -191,7 +191,7 @@ Value asl::evalHirExpr(const hir::Expr &E, const Store &G, HirEnv &Env) {
     return Value::boolean(!V.getBool());
   }
   case hir::ExprKind::Binary: {
-    // Short-circuit booleans first (mirror of Eval.cpp).
+    // Short-circuit booleans first.
     if (E.Op == "&&") {
       if (!evalHirExpr(*E.Children[0], G, Env).getBool())
         return Value::boolean(false);
@@ -257,16 +257,16 @@ Value asl::evalHirExpr(const hir::Expr &E, const Store &G, HirEnv &Env) {
 
 namespace {
 
-/// One control path being executed (mirror of Eval.cpp's PathState, with
-/// a slot vector for locals).
+/// One control path being executed, with a slot vector for locals.
 struct PathState {
   Store G;
   std::vector<Value> Slots;
   std::vector<PendingAsync> Created;
 };
 
-/// Path enumeration engine; structurally identical to Eval.cpp's Runner
-/// so both frontends enumerate transitions in the same order.
+/// Path enumeration engine. Paths are enumerated in source order, which
+/// fixes the order of an action's transitions and hence BFS discovery
+/// order.
 struct Runner {
   BodyOutcome Outcome;
   const hir::TypeTable *Types = nullptr;
@@ -382,7 +382,7 @@ struct Runner {
 private:
   /// Runs \p Inner to completion, then resumes (\p Outer, \p OuterIndex).
   /// Slots flowing out of the block are intentionally block-scoped:
-  /// restore the outer slot vector (mirror of Eval.cpp's runNested).
+  /// restore the outer slot vector.
   void runNested(const std::vector<hir::StmtPtr> &Inner, PathState State,
                  const std::vector<hir::StmtPtr> &Outer,
                  size_t OuterIndex) {

@@ -1,22 +1,27 @@
 //===- lang/HirEval.h - HIR evaluator -----------------------------*- C++ -*-===//
 ///
 /// \file
-/// Concrete evaluation of HIR expressions and action bodies. A structural
-/// mirror of the AST evaluator (lang/Eval.h): the same short-circuiting,
-/// the same builtin semantics, and the same continuation-passing path
-/// enumeration with the same branch order — so an action lowered from
-/// HIR produces the same transition list, in the same order, as the v1
-/// compile of the same source. Locals live in a flat slot vector instead
-/// of a name map, and the pending-async mirror is a dedicated
-/// environment field instead of the reserved "__pending" local.
+/// Concrete evaluation of HIR expressions and action bodies over the
+/// semantic framework's values and stores. Running a body enumerates all
+/// control paths (choose/if branching, await blocking) in source order
+/// and yields
+///
+///  - CanFail: some path reaches a violated assert — the gate ρ of the
+///    compiled action is the negation;
+///  - Transitions: the (store, created PAs) endpoint of every complete
+///    path, one per path — the transition relation τ.
+///
+/// Locals live in a flat slot vector, and the pending-async mirror is a
+/// dedicated environment field.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ISQ_LANG_HIREVAL_H
 #define ISQ_LANG_HIREVAL_H
 
-#include "lang/Eval.h"
 #include "lang/Hir.h"
+#include "semantics/Action.h"
+#include "semantics/Store.h"
 
 namespace isq {
 namespace asl {
@@ -34,13 +39,21 @@ struct HirEnv {
   const Value *Pending = nullptr;
 };
 
+/// The result of running an action body from one (store, locals) point.
+struct BodyOutcome {
+  /// Some path violated an assert: the action's gate is false here.
+  bool CanFail = false;
+  /// Endpoints of all complete paths.
+  std::vector<Transition> Transitions;
+};
+
 /// Evaluates \p E under global store \p G and environment \p Env. The
 /// environment is taken mutably for map-comprehension binders (written
 /// and restored); it is otherwise unchanged on return.
 Value evalHirExpr(const hir::Expr &E, const Store &G, HirEnv &Env);
 
 /// Runs an action body from (\p G, \p Env), enumerating all control
-/// paths. Same outcome contract as runBody.
+/// paths.
 BodyOutcome runHirBody(const std::vector<hir::StmtPtr> &Body,
                        const Store &G, const HirEnv &Env);
 

@@ -14,7 +14,7 @@ using namespace isq::asl;
 namespace {
 
 /// The value shape induced by an ASL type: Id leaves exactly where the
-/// declared symmetric sort \p Sort is named (mirror of Compile.cpp).
+/// declared symmetric sort \p Sort is named.
 ValueShape shapeOf(const TypeRef &T, const std::string &Sort) {
   using TK = TypeRef::Kind;
   switch (T.K) {
@@ -112,8 +112,10 @@ std::optional<CompiledModule> asl::lowerHir(hir::Module &&M,
   for (const hir::Global &G : Shared->Globals)
     Init = Init.set(G.Name, evalHirExpr(*G.Init, Init, InitEnv));
 
-  // The declared symmetric sort, if any — same admission checks and
-  // diagnostics as the v1 compile.
+  // The declared symmetric sort, if any. The domain must stay small
+  // enough for the full permutation group to be enumerated, and the
+  // initial store must be invariant under it (otherwise the quotient
+  // exploration would be unsound and the declaration is rejected).
   std::shared_ptr<SymmetrySpec> Sym;
   for (const hir::Symmetric &D : Shared->Symmetrics) {
     int64_t Lo = evalHirExpr(*D.Lo, Init, InitEnv).getInt();

@@ -2,13 +2,10 @@
 ///
 /// \file
 /// Lowers an instantiated (and usually optimized) HIR module into the
-/// semantic framework, producing the same CompiledModule shape as the v1
-/// compiler: one gated atomic Action per action declaration, the initial
-/// store from the global initializers, and the symmetry specification
-/// from the symmetric sort declaration. The lowering mirrors
-/// compileParsedModule step for step — same evaluation order, same
-/// diagnostics, same Action construction — so a source compiled through
-/// HIR yields a Program bit-identical to its v1 compile.
+/// semantic framework: one gated atomic Action per action declaration
+/// (gate = no path reaches a violated assert; transitions = all complete
+/// paths), the initial store from the global initializers, and the
+/// symmetry specification from the symmetric sort declaration.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -270,7 +270,7 @@ constexpr uint32_t TagCommute = 4;
 
 /// Obligation-scheduler form of checkMover. Deliberately a separate copy
 /// of the serial loop (not a shared template): the serial path survives
-/// as an independent differential oracle behind --no-parallel-check, so
+/// as an independent differential oracle behind parallel-check=false, so
 /// the two implementations must not share obligation-emission code. Each
 /// job processes a contiguous slice of the universe with job-local dedup
 /// sets; the reconciliation replays units in order so the surviving unit
@@ -286,7 +286,7 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
          "cacheable mover check requires a stamped subject fingerprint");
   ObligationScheduler::Group *Group = Sched.group(Cond);
   // Slice size is thread-count independent so unit/dedup statistics are
-  // identical for any --threads value, not just the verdicts. Mover
+  // identical for any thread count, not just the verdicts. Mover
   // obligations are cheap individually; a large slice keeps scheduler
   // dispatch off the profile on big universes (Paxos/3+).
   constexpr size_t ChunkSize = 2048;

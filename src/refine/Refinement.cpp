@@ -152,7 +152,7 @@ isq::scheduleActionRefinement(ObligationScheduler &Sched, ObCondition Cond,
          "cacheable refinement requires stamped behavior fingerprints");
   ObligationScheduler::Group *Group = Sched.group(Cond);
   // Slice size is thread-count independent so unit/dedup statistics are
-  // identical for any --threads value, not just the verdicts. 4096 keeps
+  // identical for any thread count, not just the verdicts. 4096 keeps
   // job dispatch well under 1% of refinement work on the large
   // context universes (Paxos/3 has hundreds of thousands of contexts).
   constexpr size_t ChunkSize = 4096;

@@ -15,7 +15,7 @@
 /// and every π-invariant predicate (terminal-store membership up to π,
 /// measure decrease with an orbit-invariant measure, commutation of
 /// equivariant actions) coincide between the reduced and unreduced runs.
-/// Equivariance is not checked statically; the `--no-symmetry` unreduced
+/// Equivariance is not checked statically; the `symmetry=false` unreduced
 /// path is kept as a differential oracle (see DESIGN.md "Symmetry
 /// reduction").
 ///

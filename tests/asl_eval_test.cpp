@@ -1,7 +1,7 @@
-//===- tests/asl_eval_test.cpp - ASL evaluator/compiler tests --------------------===//
+//===- tests/asl_eval_test.cpp - ASL (HIR) evaluator/compiler tests --------------===//
 
 #include "explorer/Explorer.h"
-#include "lang/Compile.h"
+#include "lang/Frontend.h"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,8 @@ namespace {
 CompiledModule compileOk(const std::string &Source,
                          std::map<std::string, int64_t> Consts = {}) {
   std::vector<Diagnostic> Diags;
-  auto Compiled = compileModule(Source, Consts, Diags);
+  auto Compiled = frontend::compileSource(
+      Source, "", Consts, frontend::FrontendVersion::V2, Diags);
   EXPECT_TRUE(Compiled.has_value())
       << (Diags.empty() ? "" : Diags[0].str());
   return Compiled ? std::move(*Compiled) : CompiledModule();
@@ -152,7 +153,8 @@ TEST(AslEvalTest, BagOperationsEndToEnd) {
 
 TEST(AslEvalTest, MissingConstBindingDiagnosed) {
   std::vector<Diagnostic> Diags;
-  auto C = compileModule("const n: int;\n", {}, Diags);
+  auto C = frontend::compileSource("const n: int;\n", "", {},
+                                   frontend::FrontendVersion::V2, Diags);
   EXPECT_FALSE(C.has_value());
   ASSERT_FALSE(Diags.empty());
   EXPECT_NE(Diags[0].Message.find("no binding"), std::string::npos);
@@ -160,7 +162,8 @@ TEST(AslEvalTest, MissingConstBindingDiagnosed) {
 
 TEST(AslEvalTest, ExtraConstBindingDiagnosed) {
   std::vector<Diagnostic> Diags;
-  auto C = compileModule("var x: int := 0;\n", {{"n", 3}}, Diags);
+  auto C = frontend::compileSource("var x: int := 0;\n", "", {{"n", 3}},
+                                   frontend::FrontendVersion::V2, Diags);
   EXPECT_FALSE(C.has_value());
   ASSERT_FALSE(Diags.empty());
   EXPECT_NE(Diags[0].Message.find("undeclared constant"),
@@ -192,7 +195,8 @@ action Probe() {
 }
 )";
   std::vector<Diagnostic> Diags;
-  auto C = compileModule(Source, {}, Diags);
+  auto C = frontend::compileSource(Source, "", {},
+                                   frontend::FrontendVersion::V2, Diags);
   ASSERT_TRUE(C.has_value()) << (Diags.empty() ? "" : Diags[0].str());
   // Build the configuration after Main and evaluate Probe's gate there.
   PaMultiset Omega;

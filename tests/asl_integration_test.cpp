@@ -11,7 +11,7 @@
 #include "explorer/Explorer.h"
 #include "is/ISCheck.h"
 #include "is/Sequentialize.h"
-#include "lang/Compile.h"
+#include "lang/Frontend.h"
 #include "protocols/ScheduleInvariant.h"
 #include "refine/Refinement.h"
 
@@ -53,7 +53,8 @@ action Collect(i: int) {
 
 CompiledModule compileBroadcast(int64_t N) {
   std::vector<Diagnostic> Diags;
-  auto C = compileModule(BroadcastAsl, {{"n", N}}, Diags);
+  auto C = frontend::compileSource(BroadcastAsl, "", {{"n", N}},
+                                   frontend::FrontendVersion::V2, Diags);
   EXPECT_TRUE(C.has_value()) << (Diags.empty() ? "" : Diags[0].str());
   return C ? std::move(*C) : CompiledModule();
 }
@@ -179,7 +180,8 @@ action Inc() {
 }
 )";
   std::vector<Diagnostic> Diags;
-  auto C = compileModule(Bad, {{"n", 2}}, Diags);
+  auto C = frontend::compileSource(Bad, "", {{"n", 2}},
+                                   frontend::FrontendVersion::V2, Diags);
   ASSERT_TRUE(C.has_value()) << (Diags.empty() ? "" : Diags[0].str());
   ExploreResult R = explore(C->P, initialConfiguration(C->InitialStore));
   EXPECT_TRUE(R.FailureReachable);

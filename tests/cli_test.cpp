@@ -45,7 +45,7 @@ std::string readExampleAsl(const std::string &Name) {
 }
 
 /// Zeroes every timing field so the JSON compares reproducibly; all other
-/// fields are deterministic at --threads 1.
+/// fields are deterministic at one thread.
 std::string scrubTimings(const std::string &Json) {
   static const std::regex Seconds("(\"[a-z_]*seconds\":)[0-9.]+");
   return std::regex_replace(Json, Seconds, "$010");
@@ -118,9 +118,9 @@ TEST(CliTest, ParsesFullCommandLine) {
   CliParse P = parse({"paxos.asl", "--const", "R=2", "--const", "N=3",
                       "--arg-major", "--eliminate", "StartRound,Join",
                       "--abstract", "Join=JoinAbs", "--weight",
-                      "StartRound=9", "--rewrite", "Main", "--threads", "4",
-                      "--no-cross-check", "--no-parallel-check", "--format",
-                      "json"});
+                      "StartRound=9", "--rewrite", "Main", "--engine",
+                      "threads=4,parallel-check=false", "--no-cross-check",
+                      "--format", "json"});
   ASSERT_TRUE(P.Ok) << P.Error;
   const CliOptions &O = P.Options;
   EXPECT_EQ(O.InputPath, "paxos.asl");
@@ -146,7 +146,6 @@ TEST(CliTest, DefaultsAreTextSerialExplorationParallelCheck) {
   EXPECT_EQ(P.Options.Format, OutputFormat::Text);
   EXPECT_EQ(P.Options.Verify.Engine.NumThreads, 1u);
   EXPECT_TRUE(P.Options.Verify.Engine.ParallelCheck);
-  EXPECT_TRUE(P.Options.Verify.Engine.WorkStealing);
   EXPECT_EQ(P.Options.Verify.Engine.StealChunk, 64u);
   EXPECT_EQ(P.Options.Verify.Engine.Shards, 16u);
   EXPECT_FALSE(P.Options.Verify.Engine.Compress);
@@ -156,14 +155,14 @@ TEST(CliTest, DefaultsAreTextSerialExplorationParallelCheck) {
 // --- The unified --engine flag -------------------------------------------
 
 TEST(CliTest, EngineFlagParsesEveryKey) {
+  // A later --engine setting of a key wins over an earlier one.
   CliParse P = parse({"x.asl", "--eliminate", "A", "--engine",
-                      "threads=8,work-stealing=off,steal-chunk=128",
-                      "--engine", "shards=4,compress=on,symmetry=false",
-                      "--engine", "parallel-check=0"});
+                      "threads=2,steal-chunk=128", "--engine",
+                      "shards=4,compress=on,symmetry=false", "--engine",
+                      "parallel-check=0,threads=8"});
   ASSERT_TRUE(P.Ok) << P.Error;
   const engine::EngineConfig &E = P.Options.Verify.Engine;
   EXPECT_EQ(E.NumThreads, 8u);
-  EXPECT_FALSE(E.WorkStealing);
   EXPECT_EQ(E.StealChunk, 128u);
   EXPECT_EQ(E.Shards, 4u);
   EXPECT_TRUE(E.Compress);
@@ -220,41 +219,29 @@ TEST(CliTest, EngineSpillConflictsAreDiagnosed) {
   expectError({"x.asl", "--engine", "mem-budget=64Q"}, "positive byte count");
 }
 
-TEST(CliTest, DeprecatedAliasesStillSetTheEngineConfig) {
-  CliParse P = parse({"x.asl", "--eliminate", "A", "--threads", "6",
-                      "--no-parallel-check", "--no-symmetry",
-                      "--no-work-stealing"});
-  ASSERT_TRUE(P.Ok) << P.Error;
-  const engine::EngineConfig &E = P.Options.Verify.Engine;
-  EXPECT_EQ(E.NumThreads, 6u);
-  EXPECT_FALSE(E.ParallelCheck);
-  EXPECT_FALSE(E.Symmetry);
-  EXPECT_FALSE(E.WorkStealing);
-  // The aliases are documented as deprecated spellings of --engine.
+TEST(CliTest, RemovedSpellingsAreUsageErrors) {
+  // The old engine aliases, the frontend selector and the frontier
+  // switch are gone: each is a usage error (isq-verify exits 2) with a
+  // diagnostic naming it, never silently accepted.
+  expectError({"x.asl", "--eliminate", "A", "--threads", "2"},
+              "unknown option '--threads'");
+  expectError({"x.asl", "--eliminate", "A", "--no-symmetry"},
+              "unknown option '--no-symmetry'");
+  expectError({"x.asl", "--eliminate", "A", "--no-parallel-check"},
+              "unknown option '--no-parallel-check'");
+  expectError({"x.asl", "--eliminate", "A", "--no-work-stealing"},
+              "unknown option '--no-work-stealing'");
+  expectError({"x.asl", "--eliminate", "A", "--frontend", "v1"},
+              "unknown option '--frontend'");
+  expectError({"x.asl", "--eliminate", "A", "--engine",
+               "work-stealing=false"},
+              "unknown engine option 'work-stealing'");
   std::string Usage = usageText();
   EXPECT_NE(Usage.find("--engine K=V"), std::string::npos);
-  EXPECT_NE(Usage.find("--threads N           deprecated alias"),
-            std::string::npos);
-  EXPECT_NE(Usage.find("--no-parallel-check   deprecated alias"),
-            std::string::npos);
-  EXPECT_NE(Usage.find("--no-symmetry         deprecated alias"),
-            std::string::npos);
-  EXPECT_NE(Usage.find("--no-work-stealing    deprecated alias"),
-            std::string::npos);
-}
-
-TEST(CliTest, EngineFlagComposesWithAliases) {
-  // Later flags win over earlier ones regardless of spelling.
-  CliParse P = parse({"x.asl", "--eliminate", "A", "--threads", "2",
-                      "--engine", "threads=4"});
-  ASSERT_TRUE(P.Ok) << P.Error;
-  EXPECT_EQ(P.Options.Verify.Engine.NumThreads, 4u);
-
-  CliParse Q = parse({"x.asl", "--eliminate", "A", "--engine",
-                      "work-stealing=false", "--engine",
-                      "work-stealing=true"});
-  ASSERT_TRUE(Q.Ok) << Q.Error;
-  EXPECT_TRUE(Q.Options.Verify.Engine.WorkStealing);
+  for (const char *Gone : {"--threads", "--no-symmetry", "--no-parallel-check",
+                           "--no-work-stealing", "--frontend",
+                           "work-stealing"})
+    EXPECT_EQ(Usage.find(Gone), std::string::npos) << Gone;
 }
 
 TEST(CliTest, ListFlagsRejectEmptyItems) {
@@ -285,9 +272,8 @@ TEST(CliTest, RejectsMalformedNumbers) {
   expectError({"x.asl", "--const", "=3"}, "NAME=VALUE");
   expectError({"x.asl", "--weight", "A=-1"}, "non-negative integer");
   expectError({"x.asl", "--weight", "A=1.5"}, "non-negative integer");
-  expectError({"x.asl", "--threads", "0"}, "positive integer");
-  expectError({"x.asl", "--threads", "two"}, "positive integer");
-  expectError({"x.asl", "--threads", "99999999999999999999"},
+  expectError({"x.asl", "--engine", "threads=two"}, "positive integer");
+  expectError({"x.asl", "--engine", "threads=99999999999999999999"},
               "positive integer");
 }
 

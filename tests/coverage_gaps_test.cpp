@@ -11,38 +11,6 @@
 using namespace isq;
 using namespace isq::testing;
 
-TEST(CoverageTest, StopAtFirstFailureShortCircuits) {
-  // A program that both fails (via Check from x != 0) and has a long
-  // healthy suffix: stopping early explores fewer configurations.
-  Program P;
-  P.addAction(Action("Main", 0, Action::alwaysEnabled(),
-                     [](const Store &G, const std::vector<Value> &) {
-                       Transition T(G);
-                       T.Created.emplace_back("Check",
-                                              std::vector<Value>{});
-                       for (int I = 0; I < 6; ++I)
-                         T.Created.emplace_back("Inc",
-                                                std::vector<Value>{});
-                       return std::vector<Transition>{std::move(T)};
-                     }));
-  P.addAction(Action("Check", 0,
-                     [](const GateContext &Ctx) {
-                       return Ctx.Global.get("x").getInt() == 0;
-                     },
-                     [](const Store &G, const std::vector<Value> &) {
-                       return std::vector<Transition>{Transition(G)};
-                     }));
-  P.addAction(updateX("Inc", [](int64_t X) { return X + 1; }));
-
-  ExploreOptions Eager;
-  Eager.StopAtFirstFailure = true;
-  ExploreResult Early = explore(P, initialConfiguration(xStore(1)), Eager);
-  ExploreResult Full = explore(P, initialConfiguration(xStore(1)));
-  EXPECT_TRUE(Early.FailureReachable);
-  EXPECT_TRUE(Full.FailureReachable);
-  EXPECT_LT(Early.Stats.NumTransitions, Full.Stats.NumTransitions);
-}
-
 TEST(CoverageTest, ParentTrackingCanBeDisabled) {
   Program P = makeConditionalFailProgram();
   ExploreOptions Opts;

@@ -300,20 +300,17 @@ TEST(EngineDifferentialTest, MatchesLegacyExplorer) {
 }
 
 //===----------------------------------------------------------------------===//
-// Work-stealing mode
+// Work-stealing frontier
 //===----------------------------------------------------------------------===//
 
 TEST(WorkStealingTest, BitIdenticalAcrossThreadCounts) {
   for (const Instance &I : tier1Instances()) {
     ExploreOptions One;
-    One.Config.WorkStealing = true;
     One.Config.NumThreads = 1;
     ExploreResult Base = explore(I.P, initialConfiguration(I.Init), One);
-    EXPECT_TRUE(Base.Engine.WorkStealing) << I.Name;
 
     for (unsigned Threads : {2u, 8u}) {
       ExploreOptions Par;
-      Par.Config.WorkStealing = true;
       Par.Config.NumThreads = Threads;
       ExploreResult R = explore(I.P, initialConfiguration(I.Init), Par);
       expectIdentical(Base, R,
@@ -326,29 +323,6 @@ TEST(WorkStealingTest, BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(Base.Engine.InternedConfigs, R.Engine.InternedConfigs)
           << I.Name;
       EXPECT_EQ(Base.Engine.FrontierPeak, R.Engine.FrontierPeak) << I.Name;
-    }
-  }
-}
-
-TEST(WorkStealingTest, MatchesLevelSyncOracle) {
-  for (const Instance &I : tier1Instances()) {
-    for (unsigned Threads : {1u, 4u}) {
-      ExploreOptions Ls;
-      Ls.Config.WorkStealing = false;
-      Ls.Config.NumThreads = Threads;
-      ExploreResult Oracle = explore(I.P, initialConfiguration(I.Init), Ls);
-      EXPECT_FALSE(Oracle.Engine.WorkStealing) << I.Name;
-
-      ExploreOptions Ws;
-      Ws.Config.WorkStealing = true;
-      Ws.Config.NumThreads = Threads;
-      ExploreResult R = explore(I.P, initialConfiguration(I.Init), Ws);
-      expectIdentical(Oracle, R,
-                      I.Name + " ws-vs-level-sync at " +
-                          std::to_string(Threads) + " threads");
-      EXPECT_EQ(Oracle.Engine.InternedConfigs, R.Engine.InternedConfigs)
-          << I.Name;
-      EXPECT_EQ(Oracle.Engine.FrontierPeak, R.Engine.FrontierPeak) << I.Name;
     }
   }
 }
@@ -377,14 +351,13 @@ TEST(WorkStealingTest, FailuresHandledWithoutStop) {
   Program Buggy = makeBuggyPingPongProgram(PP);
   Configuration Init = initialConfiguration(makePingPongInitialStore(PP));
 
-  ExploreOptions Serial;
-  Serial.Config.WorkStealing = false;
-  ExploreResult Oracle = explore(Buggy, Init, Serial);
+  ExploreResult Oracle = exploreAllLegacy(Buggy, {Init});
   ASSERT_TRUE(Oracle.FailureReachable);
 
+  // The legacy explorer is always unreduced; compare like with like.
   ExploreOptions Ws;
-  Ws.Config.WorkStealing = true;
   Ws.Config.NumThreads = 4;
+  Ws.Config.Symmetry = false;
   ExploreResult R = explore(Buggy, Init, Ws);
   expectIdentical(Oracle, R, "buggy pingpong under work stealing");
 }

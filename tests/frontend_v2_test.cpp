@@ -1,14 +1,12 @@
 //===- tests/frontend_v2_test.cpp - staged frontend differential tests --------------===//
 ///
 /// \file
-/// The v2 frontend's acceptance surface, checked against the v1 oracle:
-/// every shipped example must compile and verify bit-identically under
-/// both pipelines (same verdict JSON modulo timings), the HIR optimizer
-/// must be idempotent, the printer must round-trip every example, module
-/// resolution must merge diamonds exactly once, parameters must obey the
-/// default/override/derived rules, and the two ASL protocol ports
-/// (ChangRoberts, ProducerConsumer) must match their native-program
-/// twins in src/protocols/ execution for execution.
+/// The staged frontend's acceptance surface: every shipped example must
+/// compile and verify, the HIR optimizer must be idempotent, the printer
+/// must round-trip every example, module resolution must merge diamonds
+/// exactly once, parameters must obey the default/override/derived rules,
+/// and the ASL protocol ports must match their native-program twins in
+/// src/protocols/ — the frontend's independent oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,11 +21,16 @@
 #include "lang/ModuleResolver.h"
 #include "lang/Printer.h"
 #include "lang/TypeCheck.h"
+#include "protocols/Broadcast.h"
 #include "protocols/ChangRoberts.h"
+#include "protocols/Paxos.h"
+#include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
+#include "protocols/TwoPhaseCommit.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -52,20 +55,11 @@ std::string readFile(const std::string &Path) {
 
 std::string scrubTimings(const std::string &Json) {
   static const std::regex Seconds("(\"[a-z_]*seconds\":)[0-9.]+");
-  std::string Out = std::regex_replace(Json, Seconds, "$010");
-  // Obligation-cache telemetry is stats, not verdict: the v1 frontend
-  // carries no HIR fingerprints, so its runs are cache-ineligible
-  // (cache_enabled false, everything a miss) while v2 runs are eligible.
-  // The obligation counts and verdicts still compare strictly.
-  static const std::regex Cache(
-      "(\"(?:cache_hits|cache_misses|disk_hits)\":)[0-9]+");
-  Out = std::regex_replace(Out, Cache, "$010");
-  static const std::regex Enabled("(\"cache_enabled\":)(?:true|false)");
-  return std::regex_replace(Out, Enabled, "$01false");
+  return std::regex_replace(Json, Seconds, "$010");
 }
 
 /// With more than one worker thread the cache telemetry (hash-cons and
-/// canonicalization hit counts) and the work-stealing steal count depend
+/// canonicalization hit counts) and the frontier's steal count depend
 /// on thread interleaving; the verdict, obligations and state counts do
 /// not. Multithreaded comparisons zero the telemetry, single-threaded
 /// ones stay strict.
@@ -133,8 +127,7 @@ std::vector<ExampleJob> exampleJobs() {
   };
 }
 
-VerifyOptions optionsFor(const ExampleJob &Job,
-                         frontend::FrontendVersion Version) {
+VerifyOptions optionsFor(const ExampleJob &Job) {
   VerifyOptions Options;
   Options.Source = readFile(examplePath(Job.File));
   Options.SourcePath = examplePath(Job.File); // imports resolve from here
@@ -144,18 +137,15 @@ VerifyOptions optionsFor(const ExampleJob &Job,
   Options.Weights = Job.Weights;
   if (Job.ArgMajor)
     Options.Order = VerifyOptions::RankOrder::ArgMajor;
-  Options.Frontend = Version;
   return Options;
 }
 
-/// Compiles \p Job's example under \p Version, failing the test on any
-/// diagnostic.
-CompiledModule compileExample(const ExampleJob &Job,
-                              frontend::FrontendVersion Version) {
+/// Compiles \p Job's example, failing the test on any diagnostic.
+CompiledModule compileExample(const ExampleJob &Job) {
   std::vector<Diagnostic> Diags;
   std::optional<CompiledModule> C = frontend::compileSource(
       readFile(examplePath(Job.File)), examplePath(Job.File), Job.Consts,
-      Version, Diags);
+      frontend::FrontendVersion::V2, Diags);
   EXPECT_TRUE(C.has_value())
       << Job.File << ": " << (Diags.empty() ? "" : Diags[0].str());
   return C ? std::move(*C) : CompiledModule();
@@ -180,6 +170,54 @@ hir::Module buildExampleHir(const ExampleJob &Job) {
   return H;
 }
 
+/// The ASL port in \p File, compiled at \p Consts, against its native
+/// twin: the same state-space size, failure verdict and terminal-store
+/// set. The ports name some state differently and the natives carry
+/// their instance size in the store, so terminal stores are compared on
+/// \p SharedVars, over the full (orbit-expanded) terminal set — the two
+/// sides may pick different orbit representatives. Transition counts are
+/// compared only when \p SameTransitions.
+void expectAslMatchesNative(const Program &Native, const Store &NativeInit,
+                            const char *File,
+                            const std::map<std::string, int64_t> &Consts,
+                            const std::vector<const char *> &SharedVars,
+                            bool SameTransitions) {
+  std::vector<Diagnostic> Diags;
+  std::optional<CompiledModule> C = frontend::compileSource(
+      readFile(examplePath(File)), examplePath(File), Consts,
+      frontend::FrontendVersion::V2, Diags);
+  ASSERT_TRUE(C.has_value())
+      << File << ": " << (Diags.empty() ? "" : Diags[0].str());
+  ExploreResult NativeR =
+      explore(Native, initialConfiguration(NativeInit));
+  ExploreResult AslR = explore(C->P, initialConfiguration(C->InitialStore));
+  EXPECT_EQ(NativeR.Stats.NumConfigurations, AslR.Stats.NumConfigurations)
+      << File;
+  EXPECT_FALSE(NativeR.FailureReachable) << File;
+  EXPECT_EQ(NativeR.FailureReachable, AslR.FailureReachable) << File;
+  EXPECT_EQ(NativeR.TerminalStores.size(), AslR.TerminalStores.size())
+      << File;
+  if (SameTransitions) {
+    EXPECT_EQ(NativeR.Stats.NumTransitions, AslR.Stats.NumTransitions)
+        << File;
+  }
+
+  auto Terminals = [&](const Program &P, const Store &Init) {
+    std::vector<std::string> Rows;
+    for (const Store &S : summarize(P, Init).second) {
+      std::string Row;
+      for (const char *Var : SharedVars)
+        Row += std::string(Var) + " = " + S.get(Var).str() + "; ";
+      Rows.push_back(std::move(Row));
+    }
+    std::sort(Rows.begin(), Rows.end());
+    return Rows;
+  };
+  std::vector<std::string> NativeRows = Terminals(Native, NativeInit);
+  EXPECT_FALSE(NativeRows.empty()) << File;
+  EXPECT_EQ(NativeRows, Terminals(C->P, C->InitialStore)) << File;
+}
+
 const std::vector<const char *> AllExampleFiles = {
     "broadcast.asl",         "chang_roberts.asl", "lib/ring.asl",
     "paxos.asl",             "ping_pong.asl",     "producer_consumer.asl",
@@ -187,39 +225,13 @@ const std::vector<const char *> AllExampleFiles = {
 
 } // namespace
 
-// --- v1/v2 differential over the example corpus ---------------------------
+// --- The example corpus ---------------------------------------------------
 
-TEST(FrontendV2Test, EveryExampleVerdictBitIdenticalAcrossFrontends) {
+TEST(FrontendV2Test, EveryExampleVerdictAccepted) {
   for (const ExampleJob &Job : exampleJobs()) {
-    VerifyResult V1 =
-        verifyModule(optionsFor(Job, frontend::FrontendVersion::V1));
-    VerifyResult V2 =
-        verifyModule(optionsFor(Job, frontend::FrontendVersion::V2));
-    EXPECT_TRUE(V1.Accepted) << Job.File << ": " << V1.Summary;
-    EXPECT_TRUE(V2.Accepted) << Job.File << ": " << V2.Summary;
-    EXPECT_EQ(scrubTimings(renderJson(V1)), scrubTimings(renderJson(V2)))
-        << Job.File << ": frontends diverge";
-  }
-}
-
-TEST(FrontendV2Test, EveryExampleProgramShapeMatchesAcrossFrontends) {
-  // Beyond the verdict: the compiled artifacts themselves must agree —
-  // identical initial store and identical full state space.
-  for (const ExampleJob &Job : exampleJobs()) {
-    CompiledModule C1 = compileExample(Job, frontend::FrontendVersion::V1);
-    CompiledModule C2 = compileExample(Job, frontend::FrontendVersion::V2);
-    EXPECT_EQ(C1.InitialStore.str(), C2.InitialStore.str()) << Job.File;
-    ExploreResult R1 = explore(C1.P, initialConfiguration(C1.InitialStore));
-    ExploreResult R2 = explore(C2.P, initialConfiguration(C2.InitialStore));
-    EXPECT_EQ(R1.Stats.NumConfigurations, R2.Stats.NumConfigurations)
-        << Job.File;
-    EXPECT_EQ(R1.Stats.NumTransitions, R2.Stats.NumTransitions) << Job.File;
-    EXPECT_EQ(R1.FailureReachable, R2.FailureReachable) << Job.File;
-    ASSERT_EQ(R1.TerminalStores.size(), R2.TerminalStores.size())
-        << Job.File;
-    for (size_t I = 0; I < R1.TerminalStores.size(); ++I)
-      EXPECT_EQ(R1.TerminalStores[I].str(), R2.TerminalStores[I].str())
-          << Job.File;
+    VerifyResult V = verifyModule(optionsFor(Job));
+    EXPECT_TRUE(V.Accepted) << Job.File << ": " << V.Summary;
+    EXPECT_TRUE(V.Diags.empty()) << Job.File;
   }
 }
 
@@ -261,96 +273,85 @@ TEST(FrontendV2Test, ParamDefaultsOverridesAndDerivedConsts) {
                        "const m: int := n * 3;\n"
                        "var x: int := m;\n"
                        "action Main() { skip; }\n";
-  for (auto Version :
-       {frontend::FrontendVersion::V1, frontend::FrontendVersion::V2}) {
-    std::vector<Diagnostic> Diags;
-    // Default: n = 2, so the derived m = 6.
-    auto Defaulted = frontend::compileSource(Source, "", {}, Version, Diags);
-    ASSERT_TRUE(Defaulted.has_value());
-    EXPECT_EQ(Defaulted->InitialStore.get("x").getInt(), 6);
-    // Override: --param n=5.
-    auto Overridden =
-        frontend::compileSource(Source, "", {{"n", 5}}, Version, Diags);
-    ASSERT_TRUE(Overridden.has_value());
-    EXPECT_EQ(Overridden->InitialStore.get("x").getInt(), 15);
-    // Derived constants are not externally bindable.
-    Diags.clear();
-    auto BoundDerived =
-        frontend::compileSource(Source, "", {{"m", 9}}, Version, Diags);
-    EXPECT_FALSE(BoundDerived.has_value());
-    ASSERT_FALSE(Diags.empty());
-    EXPECT_NE(Diags[0].Message.find("derived"), std::string::npos)
-        << Diags[0].Message;
-    // A defaultless param requires a binding.
-    Diags.clear();
-    auto Unbound = frontend::compileSource(
-        "param n: int;\nvar x: int := n;\naction Main() { skip; }\n", "", {},
-        Version, Diags);
-    EXPECT_FALSE(Unbound.has_value());
-    ASSERT_FALSE(Diags.empty());
-    EXPECT_NE(Diags[0].Message.find("no binding"), std::string::npos)
-        << Diags[0].Message;
-  }
+  const auto V2 = frontend::FrontendVersion::V2;
+  std::vector<Diagnostic> Diags;
+  // Default: n = 2, so the derived m = 6.
+  auto Defaulted = frontend::compileSource(Source, "", {}, V2, Diags);
+  ASSERT_TRUE(Defaulted.has_value());
+  EXPECT_EQ(Defaulted->InitialStore.get("x").getInt(), 6);
+  // Override: --param n=5.
+  auto Overridden = frontend::compileSource(Source, "", {{"n", 5}}, V2, Diags);
+  ASSERT_TRUE(Overridden.has_value());
+  EXPECT_EQ(Overridden->InitialStore.get("x").getInt(), 15);
+  // Derived constants are not externally bindable.
+  Diags.clear();
+  auto BoundDerived =
+      frontend::compileSource(Source, "", {{"m", 9}}, V2, Diags);
+  EXPECT_FALSE(BoundDerived.has_value());
+  ASSERT_FALSE(Diags.empty());
+  EXPECT_NE(Diags[0].Message.find("derived"), std::string::npos)
+      << Diags[0].Message;
+  // A defaultless param requires a binding.
+  Diags.clear();
+  auto Unbound = frontend::compileSource(
+      "param n: int;\nvar x: int := n;\naction Main() { skip; }\n", "", {},
+      V2, Diags);
+  EXPECT_FALSE(Unbound.has_value());
+  ASSERT_FALSE(Diags.empty());
+  EXPECT_NE(Diags[0].Message.find("no binding"), std::string::npos)
+      << Diags[0].Message;
 }
 
-TEST(FrontendV2Test, PaxosParamInstancesMatchV1ConstPrograms) {
+TEST(FrontendV2Test, PaxosParamInstancesBitIdenticalAcrossThreads) {
   // The acceptance criterion for parametric protocols: one paxos.asl,
-  // instantiated at two sizes via bindings, produces verdicts
-  // bit-identical to the v1 (pre-refactor oracle) compilation of the same
-  // binding, for every --threads value.
+  // instantiated at two sizes via bindings, verifies, with verdicts
+  // bit-identical for every thread count.
   ExampleJob Paxos = exampleJobs()[3];
   ASSERT_STREQ(Paxos.File, "paxos.asl");
+  // The engine and the scheduler echo their thread budget; nothing else
+  // in the report may depend on it.
+  static const std::regex ThreadsEcho("(\"threads\":)[0-9]+");
+  std::string Serial;
   for (unsigned Threads : {1u, 2u}) {
-    VerifyOptions O1 = optionsFor(Paxos, frontend::FrontendVersion::V1);
-    VerifyOptions O2 = optionsFor(Paxos, frontend::FrontendVersion::V2);
-    O1.Consts = O2.Consts = {{"R", 2}, {"N", 2}};
-    O1.Engine.NumThreads = O2.Engine.NumThreads = Threads;
-    VerifyResult V1 = verifyModule(O1);
-    VerifyResult V2 = verifyModule(O2);
-    EXPECT_TRUE(V2.Accepted) << V2.Summary;
-    std::string J1 = scrubTimings(renderJson(V1));
-    std::string J2 = scrubTimings(renderJson(V2));
-    if (Threads > 1) {
-      J1 = scrubSchedulingCounters(J1);
-      J2 = scrubSchedulingCounters(J2);
+    VerifyOptions O = optionsFor(Paxos);
+    O.Consts = {{"R", 2}, {"N", 2}};
+    O.Engine.NumThreads = Threads;
+    VerifyResult V = verifyModule(O);
+    EXPECT_TRUE(V.Accepted) << V.Summary;
+    std::string Json = std::regex_replace(
+        scrubSchedulingCounters(scrubTimings(renderJson(V))), ThreadsEcho,
+        "$010");
+    if (Threads == 1) {
+      Serial = Json;
+    } else {
+      EXPECT_EQ(Serial, Json) << "N=2, threads " << Threads;
     }
-    EXPECT_EQ(J1, J2) << "N=2, threads " << Threads;
   }
   // N=3 needs the larger cooperation weights from the example header; the
   // IS check dominates the runtime, so the instance cross-check is
   // skipped and only one thread count is exercised.
-  VerifyOptions O1 = optionsFor(Paxos, frontend::FrontendVersion::V1);
-  VerifyOptions O2 = optionsFor(Paxos, frontend::FrontendVersion::V2);
-  O1.Consts = O2.Consts = {{"R", 2}, {"N", 3}};
-  O1.Weights = O2.Weights = {{"StartRound", 11}, {"Propose", 6},
-                             {"Conclude", 2}};
-  O1.CrossCheck = O2.CrossCheck = false;
-  O1.Engine.NumThreads = O2.Engine.NumThreads = 2;
-  VerifyResult V1 = verifyModule(O1);
-  VerifyResult V2 = verifyModule(O2);
-  EXPECT_TRUE(V2.Accepted) << V2.Summary;
-  EXPECT_EQ(scrubSchedulingCounters(scrubTimings(renderJson(V1))),
-            scrubSchedulingCounters(scrubTimings(renderJson(V2))))
-      << "N=3";
+  VerifyOptions O = optionsFor(Paxos);
+  O.Consts = {{"R", 2}, {"N", 3}};
+  O.Weights = {{"StartRound", 11}, {"Propose", 6}, {"Conclude", 2}};
+  O.CrossCheck = false;
+  O.Engine.NumThreads = 2;
+  VerifyResult V = verifyModule(O);
+  EXPECT_TRUE(V.Accepted) << V.Summary;
 }
 
 // --- Module resolution ----------------------------------------------------
 
 TEST(FrontendV2Test, DiamondImportMergesBaseExactlyOnce) {
   std::string Dir = std::string(ISQ_SOURCE_DIR) + "/tests/asl_imports/";
-  for (auto Version :
-       {frontend::FrontendVersion::V1, frontend::FrontendVersion::V2}) {
-    std::vector<Diagnostic> Diags;
-    auto C = frontend::compileSource(readFile(Dir + "diamond_main.asl"),
-                                     Dir + "diamond_main.asl", {}, Version,
-                                     Diags);
-    ASSERT_TRUE(C.has_value())
-        << (Diags.empty() ? "" : Diags[0].str());
-    // Were the base merged twice, its variable would be a diagnosed
-    // duplicate and the sum below would see a stale initializer.
-    EXPECT_EQ(C->InitialStore.get("base").getInt(), 1);
-    EXPECT_EQ(C->InitialStore.get("total").getInt(), 3);
-  }
+  std::vector<Diagnostic> Diags;
+  auto C = frontend::compileSource(readFile(Dir + "diamond_main.asl"),
+                                   Dir + "diamond_main.asl", {},
+                                   frontend::FrontendVersion::V2, Diags);
+  ASSERT_TRUE(C.has_value()) << (Diags.empty() ? "" : Diags[0].str());
+  // Were the base merged twice, its variable would be a diagnosed
+  // duplicate and the sum below would see a stale initializer.
+  EXPECT_EQ(C->InitialStore.get("base").getInt(), 1);
+  EXPECT_EQ(C->InitialStore.get("total").getInt(), 3);
 }
 
 // --- Native-vs-ASL protocol differentials ---------------------------------
@@ -363,12 +364,12 @@ TEST(FrontendV2Test, ChangRobertsAslMatchesNative) {
 
   ExampleJob Job = exampleJobs()[5];
   ASSERT_STREQ(Job.File, "chang_roberts.asl");
-  VerifyResult Asl = verifyModule(optionsFor(Job, frontend::FrontendVersion::V2));
+  VerifyResult Asl = verifyModule(optionsFor(Job));
   EXPECT_TRUE(Asl.Accepted) << Asl.Summary;
 
   // Same state space (modulo the native store's constant-valued n) and
   // the same unique final outcome: only node n leads.
-  CompiledModule C = compileExample(Job, frontend::FrontendVersion::V2);
+  CompiledModule C = compileExample(Job);
   ExploreResult NativeR =
       explore(Native.P, initialConfiguration(NativeInit));
   ExploreResult AslR = explore(C.P, initialConfiguration(C.InitialStore));
@@ -394,10 +395,10 @@ TEST(FrontendV2Test, ProducerConsumerAslMatchesNative) {
 
   ExampleJob Job = exampleJobs()[4];
   ASSERT_STREQ(Job.File, "producer_consumer.asl");
-  VerifyResult Asl = verifyModule(optionsFor(Job, frontend::FrontendVersion::V2));
+  VerifyResult Asl = verifyModule(optionsFor(Job));
   EXPECT_TRUE(Asl.Accepted) << Asl.Summary;
 
-  CompiledModule C = compileExample(Job, frontend::FrontendVersion::V2);
+  CompiledModule C = compileExample(Job);
   ExploreResult NativeR =
       explore(Native.P, initialConfiguration(NativeInit));
   ExploreResult AslR = explore(C.P, initialConfiguration(C.InitialStore));
@@ -413,4 +414,50 @@ TEST(FrontendV2Test, ProducerConsumerAslMatchesNative) {
     EXPECT_EQ(NativeR.TerminalStores[0].get(Var).str(),
               AslR.TerminalStores[0].get(Var).str())
         << Var;
+}
+
+TEST(FrontendV2Test, PingPongAslMatchesNative) {
+  protocols::PingPongParams Params; // T = 3
+  // The native counts rounds in pingAcked/pongSeen, the port in done.
+  expectAslMatchesNative(protocols::makePingPongProgram(Params),
+                         protocols::makePingPongInitialStore(Params),
+                         "ping_pong.asl", {{"T", 3}}, {"chPing", "chPong"},
+                         /*SameTransitions=*/true);
+}
+
+TEST(FrontendV2Test, BroadcastAslMatchesNative) {
+  protocols::BroadcastParams Params; // n = 3, value i at node i
+  expectAslMatchesNative(protocols::makeBroadcastProgram(Params),
+                         protocols::makeBroadcastInitialStore(Params),
+                         "broadcast.asl", {{"n", 3}},
+                         {"value", "decision", "CH"},
+                         /*SameTransitions=*/true);
+}
+
+TEST(FrontendV2Test, TwoPhaseCommitAslMatchesNative) {
+  protocols::TwoPhaseCommitParams Params; // n = 3
+  // The native's vote channel is the port's yesVotes/noVotes pair.
+  expectAslMatchesNative(protocols::makeTwoPhaseCommitProgram(Params),
+                         protocols::makeTwoPhaseCommitInitialStore(Params),
+                         "two_phase_commit.asl", {{"n", 3}},
+                         {"decision", "reqCh", "decCh", "voted", "finalized"},
+                         /*SameTransitions=*/true);
+}
+
+TEST(FrontendV2Test, PaxosAslMatchesNative) {
+  protocols::PaxosParams Params;
+  Params.NumRounds = 2;
+  Params.NumNodes = 2;
+  // Transition counts differ (2637 native, 3945 ASL) while the
+  // configurations do not: an ASL action yields one transition per
+  // control path, so Join/Vote/Conclude's `choose deliver in coin` gives
+  // two identical stuttering steps where the native gives one, and
+  // Propose yields one step per quorum subset where the native keeps
+  // each distinct proposal once. The native's voteInfo is the port's
+  // voteValue/voteNodes pair.
+  expectAslMatchesNative(protocols::makePaxosProgram(Params),
+                         protocols::makePaxosInitialStore(Params),
+                         "paxos.asl", {{"R", 2}, {"N", 2}},
+                         {"decision", "lastJoined", "joinedNodes"},
+                         /*SameTransitions=*/false);
 }

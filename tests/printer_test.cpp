@@ -1,6 +1,6 @@
 //===- tests/printer_test.cpp - ASL pretty-printer round-trip tests ----------------===//
 
-#include "lang/Compile.h"
+#include "lang/Frontend.h"
 #include "lang/Parser.h"
 #include "lang/Printer.h"
 
@@ -119,10 +119,12 @@ action Add(i: int) {
 }
 )";
   std::vector<Diagnostic> Diags;
-  auto C1 = compileModule(Source, {{"n", 3}}, Diags);
+  auto C1 = frontend::compileSource(Source, "", {{"n", 3}},
+                                    frontend::FrontendVersion::V2, Diags);
   ASSERT_TRUE(C1.has_value()) << (Diags.empty() ? "" : Diags[0].str());
   Module Parsed = parseOk(Source);
-  auto C2 = compileModule(printModule(Parsed), {{"n", 3}}, Diags);
+  auto C2 = frontend::compileSource(printModule(Parsed), "", {{"n", 3}},
+                                    frontend::FrontendVersion::V2, Diags);
   ASSERT_TRUE(C2.has_value()) << (Diags.empty() ? "" : Diags[0].str());
   EXPECT_EQ(C1->InitialStore, C2->InitialStore);
   auto T1 = C1->P.action("Main").transitions(C1->InitialStore, {});

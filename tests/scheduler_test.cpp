@@ -83,7 +83,7 @@ void expectParallelMatchesSerial(const ISApplication &App,
   }
   expectSameCounters(Reports[0].Scheduler, Reports[1].Scheduler);
   expectSameCounters(Reports[0].Scheduler, Reports[2].Scheduler);
-  // The serial oracle behind --no-parallel-check is reachable through the
+  // The serial oracle behind parallel-check=false is reachable through the
   // same options surface.
   ISCheckOptions SerialOpts;
   SerialOpts.Config.ParallelCheck = false;

@@ -630,7 +630,7 @@ TEST(ServeEndToEndTest, BadEngineConfigRejectedStreamSurvives) {
 
   // The stream survives and a corrected submission goes through.
   Request.Engine.clear();
-  Request.Engine["work-stealing"] = "false";
+  Request.Engine["steal-chunk"] = "8";
   ASSERT_TRUE(Live.Client.send(Request));
   ServeReply Good = Live.Client.receive();
   ASSERT_EQ(Good.K, ServeReply::Kind::Verdict) << Good.Error;
@@ -639,6 +639,29 @@ TEST(ServeEndToEndTest, BadEngineConfigRejectedStreamSurvives) {
   ServeReply Stats = Live.Client.stats(8);
   ASSERT_EQ(Stats.K, ServeReply::Kind::Stats);
   EXPECT_GE(Stats.Stats.Stats.FramesRejected, 2u);
+}
+
+TEST(ServeEndToEndTest, RemovedWorkStealingKeyRejectedStreamSurvives) {
+  // The work-stealing frontier is the only one; the key that selected the
+  // level-synchronous frontier is now an unknown option over the wire.
+  LiveServer Live;
+  SubmitRequest Request = fromVerifyOptions(pingPongOptions());
+  Request.RequestId = 1;
+  Request.Engine["work-stealing"] = "false";
+  ASSERT_TRUE(Live.Client.send(Request));
+  ServeReply Error = Live.Client.receive();
+  EXPECT_EQ(Error.K, ServeReply::Kind::ServerError);
+  EXPECT_NE(Error.Error.find("bad engine config"), std::string::npos)
+      << Error.Error;
+  EXPECT_NE(Error.Error.find("unknown engine option 'work-stealing'"),
+            std::string::npos)
+      << Error.Error;
+
+  Request.RequestId = 2;
+  Request.Engine.clear();
+  ServeReply Good = Live.Client.submit(Request);
+  ASSERT_EQ(Good.K, ServeReply::Kind::Verdict) << Good.Error;
+  EXPECT_EQ(Good.Verdict.ExitCode, 0);
 }
 
 TEST(ServeEndToEndTest, DifferingEngineConfigsDoNotCoalesceOrCacheShare) {
@@ -653,7 +676,7 @@ TEST(ServeEndToEndTest, DifferingEngineConfigsDoNotCoalesceOrCacheShare) {
   // must run cold, not attach to the cached verdict...
   SubmitRequest Tuned = fromVerifyOptions(pingPongOptions());
   Tuned.RequestId = 2;
-  Tuned.Engine["work-stealing"] = "false";
+  Tuned.Engine["steal-chunk"] = "8";
   ServeReply Second = Live.Client.submit(Tuned);
   ASSERT_EQ(Second.K, ServeReply::Kind::Verdict) << Second.Error;
   EXPECT_FALSE(Second.Verdict.CacheHit)

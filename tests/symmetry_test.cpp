@@ -10,7 +10,7 @@
 ///  - quotient exploration: fewer interned configurations, identical
 ///    failure verdict, Σ orbit sizes == unreduced reachable count, and
 ///    orbit-expanded terminal stores equal to the unreduced set;
-///  - `--symmetry` vs `--no-symmetry` differentials: identical verdicts,
+///  - `symmetry=true` vs `symmetry=false` differentials: identical verdicts,
 ///    diagnostics and accepted-status for every bundled protocol and for
 ///    the shipped ASL examples at 1, 2 and 8 threads.
 ///

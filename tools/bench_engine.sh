@@ -12,7 +12,7 @@
 #  - the 1..8-worker scaling sweep of the checker on the paper-scale
 #    Paxos (R=2, N=3) instance, and
 #  - the compact-store scale row: Paxos over FOUR acceptors explored
-#    end-to-end (symmetry + work stealing on), raw arenas vs the
+#    end-to-end (symmetry on), raw arenas vs the
 #    delta/varint-compressed store (BM_CompactPaxos), and
 #  - the tiered-store scale row: the same Paxos/4 exploration spilling
 #    to the mmap'd cold tier under a memory budget derived from the
@@ -259,8 +259,8 @@ table("exploration: seed value-level BFS vs hash-consed engine",
       sorted(i for i in times.items() if i[0][0].startswith("BM_Engine")))
 symmetry_table("symmetry: unreduced engine vs orbit-canonical quotient",
                "BM_Symmetry", "interned_configs")
-symmetry_table("symmetry end-to-end: isq-verify --no-symmetry vs reduced",
-               "BM_VerifySymmetry", "configs")
+symmetry_table("symmetry end-to-end: isq-verify --engine symmetry=false "
+               "vs reduced", "BM_VerifySymmetry", "configs")
 table("checking: serial loops vs obligation scheduler "
       "(end-to-end isq-verify, cross-check off)",
       sorted(i for i in times.items() if i[0][0].startswith("BM_Checker")))
@@ -285,7 +285,7 @@ for (family, inst), by_mode in sorted(times.items()):
 rows = sorted(i for i in times.items() if i[0][0].startswith("BM_Compact"))
 if rows:
     print()
-    print("compact store: Paxos scale target (symmetry + work stealing on)")
+    print("compact store: Paxos scale target (symmetry on)")
     print(f"{'instance':<28} {'raw_ms':>11} {'compact_ms':>11} "
           f"{'configs':>10} {'compressed_bytes':>17}")
     for (family, inst), by_mode in rows:

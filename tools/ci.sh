@@ -6,24 +6,24 @@
 # smoke-test the verification service (isq-serve + isq-loadgen: verdict
 # cache hits across both manifest paxos instances, schema sanity,
 # per-entry bit-identity against one-shot isq-verify); exercise the
-# staged frontend under AddressSanitizer (golden diagnostics plus the
-# v1/v2 differential over the whole example corpus); run the
-# work-stealing vs level-sync engine differential over the same corpus
-# (verdicts must be bit-identical after timing/steal-count scrubbing);
-# run the incremental re-verification stage (cold run populating an
-# on-disk obligation verdict cache, a one-action edit whose warm run
-# must be bit-identical to the --engine incremental=false oracle with a
-# nonzero hit rate, and a corrupted cache that must degrade to a cold
-# run, never to different answers); run the tiered state-store spill
-# stage (paxos under a deliberately tiny memory budget must spill to
-# the cold tier and stay bit-identical to the unspilled oracle across
-# thread counts, and a rerun over a stale spill directory from an
-# "interrupted" run must succeed); finally run the threaded engine +
-# obligation-scheduler + symmetry + serve + spill + driver-re-entrancy
-# tests under ThreadSanitizer, including the --no-symmetry
-# differential, a tiny-steal-chunk run that forces cross-worker
-# stealing, a threaded warm run over a shared verdict cache, and a
-# threaded spilling run. All stages must pass.
+# frontend under AddressSanitizer (golden diagnostics plus every example
+# verifying with its documented flags); check the engine's determinism
+# contract over the same corpus (verdict JSON at one thread must be
+# bit-identical to four threads with a tiny steal chunk, after
+# timing/steal-count scrubbing); run the incremental re-verification
+# stage (cold run populating an on-disk obligation verdict cache, a
+# one-action edit whose warm run must be bit-identical to the --engine
+# incremental=false oracle with a nonzero hit rate, and a corrupted
+# cache that must degrade to a cold run, never to different answers);
+# run the tiered state-store spill stage (paxos under a deliberately
+# tiny memory budget must spill to the cold tier and stay bit-identical
+# to the unspilled oracle across thread counts, and a rerun over a stale
+# spill directory from an "interrupted" run must succeed); finally run
+# the threaded engine + obligation-scheduler + symmetry + serve + spill
+# + driver-re-entrancy tests under ThreadSanitizer, including the
+# symmetry=false differential, a tiny-steal-chunk run that forces
+# cross-worker stealing, a threaded warm run over a shared verdict
+# cache, and a threaded spilling run. All stages must pass.
 #
 # Usage: tools/ci.sh [JOBS]
 
@@ -58,21 +58,21 @@ example_flags() {
 
 # Runs isq-verify over one example in text and JSON format; the example
 # header documents its own invocation ("Verify with:"), so CI follows the
-# same command users see, plus --threads 2 to exercise the parallel
-# scheduler. The JSON report must parse and match the versioned schema
-# (v6: tiered state-store / spill observability).
+# same command users see, plus --engine threads=2 to exercise the
+# parallel scheduler. The JSON report must parse and match the versioned
+# schema (v7: one exploration frontier, no work_stealing flag).
 verify_example() {
   local bin="$1" file="$2" flags
   flags=$(example_flags "$file")
   echo "==== isq-verify $file ===="
   # shellcheck disable=SC2086
-  "$bin" "$file" $flags --threads 2 >/dev/null
+  "$bin" "$file" $flags --engine threads=2 >/dev/null
   # shellcheck disable=SC2086
-  "$bin" "$file" $flags --threads 2 --format json |
+  "$bin" "$file" $flags --engine threads=2 --format json |
     python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
-assert doc["schema_version"] == 6, doc["schema_version"]
+assert doc["schema_version"] == 7, doc["schema_version"]
 assert doc["tool"] == "isq-verify"
 assert doc["exit_code"] == 0 and doc["accepted"] is True
 assert doc["diagnostics"] == []
@@ -87,12 +87,12 @@ assert all("orbit_configs" in c and "orbit_states" in c
 assert doc["cross_check"]["ran"] and doc["cross_check"]["ok"]
 assert doc["scheduler"]["threads"] == 2 and doc["scheduler"]["jobs"] > 0
 for key in ("symmetry_reduced", "canon_calls", "canon_cache_hits",
-            "orbit_states_represented", "work_stealing", "steal_chunk",
-            "steals", "shards", "shard_occupancy", "compressed_bytes",
-            "spill_enabled", "mem_budget", "bytes_hot", "bytes_cold",
-            "blocks_evicted", "blocks_faulted", "fault_stall_ns"):
+            "orbit_states_represented", "steal_chunk", "steals", "shards",
+            "shard_occupancy", "compressed_bytes", "spill_enabled",
+            "mem_budget", "bytes_hot", "bytes_cold", "blocks_evicted",
+            "blocks_faulted", "fault_stall_ns"):
     assert key in doc["engine"], key
-assert doc["engine"]["work_stealing"] is True
+assert "work_stealing" not in doc["engine"]  # removed in schema 7
 assert doc["engine"]["steal_chunk"] > 0
 assert doc["engine"]["shards"] >= 1
 assert doc["engine"]["spill_enabled"] is False  # spilling is opt-in
@@ -102,7 +102,7 @@ for key in ("total", "cache_enabled", "cache_hits", "cache_misses",
             "disk_hits"):
     assert key in ob, key
 assert ob["total"] > 0
-assert ob["cache_enabled"] is True  # v2 frontend stamps fingerprints
+assert ob["cache_enabled"] is True  # the frontend stamps fingerprints
 assert ob["cache_hits"] + ob["cache_misses"] > 0
 for key in ("engine", "diagnostics", "total_seconds"):
     assert key in doc, key
@@ -195,8 +195,7 @@ for entry in (0, 1):
     assert scrub(served) == scrub(oneshot), \
         "entry %d: served verdict != one-shot isq-verify" % entry
     doc = json.loads(served)
-    assert doc["schema_version"] == 6 and doc["tool"] == "isq-verify"
-    assert doc["engine"]["work_stealing"] is True
+    assert doc["schema_version"] == 7 and doc["tool"] == "isq-verify"
     assert "shard_occupancy" in doc["engine"]
     assert doc["exit_code"] == 0 and doc["accepted"] is True
     assert doc["diagnostics"] == []
@@ -209,58 +208,53 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
 
-echo "==== frontend: golden diagnostics + v1/v2 differential (ASan) ===="
+echo "==== frontend: golden diagnostics + example sweep (ASan) ===="
 # The error corpus (tests/asl_errors/) through the sanitized binary's
 # test runner: every diagnostic must carry a source location and match
 # its golden rendering.
 build-asan/tests/cli_test --gtest_filter='CliTest.GoldenDiag*'
-# Differential oracle under ASan: every shipped example, with its
-# documented flags, must produce bit-identical verdict JSON under the
-# legacy v1 pipeline and the staged v2 pipeline (single-threaded, so all
-# engine counters are deterministic).
+# Every shipped example, with its documented flags, must compile and
+# verify (exit 0) under the sanitized binary.
 for f in examples/asl/*.asl; do
   flags=$(example_flags "$f")
-  for fe in v1 v2; do
-    # shellcheck disable=SC2086
-    build-asan/tools/isq-verify "$f" $flags --frontend "$fe" \
-      --format json > "$SERVE_TMP/frontend-$fe.json"
-  done
-  scrub_json() { sed -E 's/("[a-z_]*seconds":)[0-9.]+/\10/g' "$1"; }
-  if ! diff <(scrub_json "$SERVE_TMP/frontend-v1.json") \
-            <(scrub_json "$SERVE_TMP/frontend-v2.json") >/dev/null; then
-    echo "frontend differential mismatch: $f"; exit 1
-  fi
-  echo "  $f: v1 == v2"
+  # shellcheck disable=SC2086
+  build-asan/tools/isq-verify "$f" $flags >/dev/null
+  echo "  $f: ok"
 done
 
-echo "==== engine differential: work-stealing vs level-sync ===="
-# The level-sync frontier is kept as a differential oracle for the
-# work-stealing engine: over the whole example corpus, with each
-# example's documented flags, the two modes must produce bit-identical
-# verdict JSON once we scrub (a) timing fields, (b) the steal count
-# (schedule-dependent when threaded), and (c) the engine-config echoes
-# that legitimately differ between modes (work_stealing, steal_chunk).
-# Everything else -- verdicts, obligation counts, interned stores/configs,
-# frontier peak, shard occupancy -- must agree exactly.
+echo "==== engine determinism: threads=1 vs threads=4 with tiny chunks ===="
+# Verdicts, counts and diagnostics must not depend on the thread count
+# or the steal granularity: over the whole example corpus, with each
+# example's documented flags, one thread and four threads with 8-node
+# chunks (which forces cross-worker stealing) must produce bit-identical
+# verdict JSON once we scrub (a) timing fields, (b) schedule-dependent
+# telemetry (steals and the hit counters of the racy canonicalizer /
+# hash-cons / transition memos, which vary run-to-run when threaded),
+# and (c) the engine-config echoes that legitimately differ between the
+# two runs (threads, steal_chunk). Everything else -- verdicts,
+# obligation counts, interned stores/configs, frontier peak, shard
+# occupancy -- must agree exactly.
 scrub_engine() {
   sed -E -e 's/("[a-z_]*seconds":)[0-9.]+/\10/g' \
-         -e 's/("steals":)[0-9]+/\10/g' \
-         -e 's/("work_stealing":)(true|false)/\1X/g' \
+         -e 's/("(steals|canon_cache_hits)":)[0-9]+/\10/g' \
+         -e 's/("(hash_cons_lookups|hash_cons_hits)":)[0-9]+/\10/g' \
+         -e 's/("(transition_cache_lookups|transition_cache_hits)":)[0-9]+/\10/g' \
+         -e 's/("threads":)[0-9]+/\10/g' \
          -e 's/("steal_chunk":)[0-9]+/\10/g' "$1"
 }
 for f in examples/asl/*.asl; do
   flags=$(example_flags "$f")
-  for mode in "work-stealing=true,steal-chunk=8" "work-stealing=false"; do
-    # shellcheck disable=SC2086
-    build/tools/isq-verify "$f" $flags --threads 4 --engine "$mode" \
-      --format json > "$SERVE_TMP/engine-${mode%%,*}.json"
-  done
-  if ! diff <(scrub_engine "$SERVE_TMP/engine-work-stealing=true.json") \
-            <(scrub_engine "$SERVE_TMP/engine-work-stealing=false.json") \
-            >/dev/null; then
-    echo "engine differential mismatch: $f"; exit 1
+  # shellcheck disable=SC2086
+  build/tools/isq-verify "$f" $flags --engine threads=1 \
+    --format json > "$SERVE_TMP/engine-serial.json"
+  # shellcheck disable=SC2086
+  build/tools/isq-verify "$f" $flags --engine threads=4,steal-chunk=8 \
+    --format json > "$SERVE_TMP/engine-threaded.json"
+  if ! diff <(scrub_engine "$SERVE_TMP/engine-serial.json") \
+            <(scrub_engine "$SERVE_TMP/engine-threaded.json") >/dev/null; then
+    echo "engine determinism mismatch: $f"; exit 1
   fi
-  echo "  $f: work-stealing == level-sync"
+  echo "  $f: threads=1 == threads=4,steal-chunk=8"
 done
 
 echo "==== incremental re-verification: cache vs oracle ===="
@@ -399,16 +393,16 @@ scrub_spill() {
 for t in 1 4; do
   # shellcheck disable=SC2086
   build/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-    --threads "$t" --engine compress=true,shards=1 \
+    --engine "threads=$t,compress=true,shards=1" \
     --format json > "$SPILL_TMP/oracle$t.json"
   # shellcheck disable=SC2086
   build/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-    --threads "$t" --engine \
+    --engine "threads=$t" --engine \
     "compress=true,shards=1,spill=true,spill-dir=$SPILL_TMP/run$t,mem-budget=64K" \
     --format json > "$SPILL_TMP/spill$t.json"
   if ! diff <(scrub_spill "$SPILL_TMP/oracle$t.json") \
             <(scrub_spill "$SPILL_TMP/spill$t.json") >/dev/null; then
-    echo "spill differential mismatch at --threads $t"; exit 1
+    echo "spill differential mismatch at threads=$t"; exit 1
   fi
   python3 - "$SPILL_TMP/spill$t.json" <<'EOF'
 import json, sys
@@ -421,7 +415,7 @@ assert eng["blocks_evicted"] > 0, eng
 assert eng["bytes_cold"] > 0, eng
 assert eng["bytes_hot"] <= eng["mem_budget"], eng
 EOF
-  echo "  paxos --threads $t: spill == hot-only oracle"
+  echo "  paxos threads=$t: spill == hot-only oracle"
 done
 # Interrupted-run hygiene: a rerun pointed at a spill directory still
 # holding segment files from a previous (killed) run must clean the
@@ -431,7 +425,7 @@ head -c 4096 /dev/zero > "$SPILL_TMP/stale/arena-0/seg-0.isqseg"
 printf 'truncated-garbage' > "$SPILL_TMP/stale/arena-3/seg-7.isqseg"
 # shellcheck disable=SC2086
 build/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-  --threads 4 --engine \
+  --engine threads=4 --engine \
   "compress=true,shards=1,spill=true,spill-dir=$SPILL_TMP/stale,mem-budget=64K" \
   --format json > "$SPILL_TMP/stale.json"
 if ! diff <(scrub_spill "$SPILL_TMP/oracle4.json") \
@@ -448,14 +442,14 @@ cmake --build build-tsan -j "$JOBS" --target engine_test scheduler_test \
   -R 'Engine|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy|Spill|ColdStore')
 build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
   --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
-  --threads 4 >/dev/null
+  --engine threads=4 >/dev/null
 # Force heavy cross-worker stealing under TSan: a tiny steal chunk makes
-# every worker contend on every deque, so the work-stealing engine's
-# synchronization (deque locks, chunk Done flags, seen-bit publication)
-# is exercised far beyond what default chunking produces.
+# every worker contend on every deque, so the frontier's synchronization
+# (deque locks, chunk Done flags, seen-bit publication) is exercised far
+# beyond what default chunking produces.
 build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
   --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
-  --threads 4 --engine steal-chunk=4,shards=8 >/dev/null
+  --engine threads=4,steal-chunk=4,shards=8 >/dev/null
 # Obligation verdict cache under TSan: a cold threaded run racing
 # inserts into the shared cache, then a warm threaded run racing lazy
 # decodes out of the mmap'd image (serve_test separately covers many
@@ -463,7 +457,7 @@ build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
 for _ in 1 2; do
   build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
     --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
-    --threads 4 --engine cache-dir="$SERVE_TMP/tsan-cache" >/dev/null
+    --engine threads=4,cache-dir="$SERVE_TMP/tsan-cache" >/dev/null
 done
 # Tiered store under TSan: a threaded spilling run races readers
 # pinning sealed blocks against the evictor draining them to the cold
@@ -471,17 +465,16 @@ done
 # tiny budget forces continual eviction for the whole exploration.
 # shellcheck disable=SC2086
 build-tsan/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-  --threads 4 --engine \
+  --engine threads=4 --engine \
   "compress=true,shards=1,spill=true,spill-dir=$SERVE_TMP/tsan-spill,mem-budget=64K" \
   >/dev/null
 # Symmetry differential under TSan: the reduced and unreduced paths must
 # both accept the symmetric module with the racy-memo canonicalizer active.
-for sym_flag in "" "--no-symmetry"; do
-  # shellcheck disable=SC2086
+for symmetry in true false; do
   build-tsan/tools/isq-verify examples/asl/two_phase_commit.asl \
     --const n=2 --eliminate RequestVotes,Vote,Decide,Finalize \
     --abstract Decide=DecideAbs --weight RequestVotes=8 --weight Decide=4 \
-    --threads 4 $sym_flag >/dev/null
+    --engine threads=4,symmetry=$symmetry >/dev/null
 done
 
 echo "==== CI OK ===="

@@ -40,11 +40,6 @@ int main(int argc, char **argv) {
     std::fprintf(stdout, "%s\n", versionLine().c_str());
     return 0;
   }
-  // Deprecation warnings go to stderr so they never contaminate a piped
-  // JSON report; the parser deduplicated repeats.
-  for (const std::string &Warning : Parse.Warnings)
-    std::fprintf(stderr, "warning: %s\n", Warning.c_str());
-
   std::ifstream In(Parse.Options.InputPath);
   if (!In) {
     std::fprintf(stderr, "error: cannot open '%s'\n",
