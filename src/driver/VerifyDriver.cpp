@@ -60,34 +60,8 @@ std::vector<asl::Diagnostic> validateRequest(const VerifyOptions &Options,
 
 } // namespace
 
-VerifyResult driver::verifyModule(const VerifyOptions &Options) {
-  VerifyResult Result;
-  Timer Total;
-
-  // 1. Compile the module.
-  std::optional<asl::CompiledModule> Compiled = asl::frontend::compileSource(
-      Options.Source, Options.SourcePath, Options.Consts, Options.Frontend,
-      Result.Diags);
-  if (!Compiled) {
-    Result.TotalSeconds = Total.elapsed();
-    Result.Summary = renderText(Result);
-    return Result;
-  }
-  Result.CompileOk = true;
-
-  // 2. Validate the request against the module.
-  std::vector<asl::Diagnostic> InputDiags =
-      validateRequest(Options, Compiled->P);
-  if (!InputDiags.empty()) {
-    Result.Diags.insert(Result.Diags.end(), InputDiags.begin(),
-                        InputDiags.end());
-    Result.TotalSeconds = Total.elapsed();
-    Result.Summary = renderText(Result);
-    return Result;
-  }
-  Result.InputOk = true;
-
-  // 3. Derive the IS artifacts from the declared sequentialization order.
+ISApplication driver::deriveApplication(const VerifyOptions &Options,
+                                         const Program &P) {
   std::vector<Symbol> Order;
   for (const std::string &Name : Options.Eliminate)
     Order.push_back(Symbol::get(Name));
@@ -112,15 +86,14 @@ VerifyResult driver::verifyModule(const VerifyOptions &Options) {
   };
 
   ISApplication App;
-  App.P = Compiled->P;
+  App.P = P;
   App.M = Symbol::get(Options.RewriteAction);
   App.E = Order;
   App.Invariant = protocols::makeScheduleInvariant(
       Options.RewriteAction + "Inv", App.P, App.M, Rank);
   App.Choice = protocols::chooseMinRank(Rank);
   for (const auto &[Target, AbsName] : Options.Abstractions)
-    App.Abstractions.emplace(Symbol::get(Target),
-                             Compiled->P.action(AbsName));
+    App.Abstractions.emplace(Symbol::get(Target), P.action(AbsName));
   std::map<std::string, uint64_t> Weights = Options.Weights;
   // The cooperation measure must be orbit-invariant when the module
   // declares a symmetric sort: node IDs are interchangeable, so a rank
@@ -131,7 +104,7 @@ VerifyResult driver::verifyModule(const VerifyOptions &Options) {
   // verdicts by construction). The full rank is kept for the schedule
   // invariant and the choice function, which only order PAs within one
   // schedule.
-  std::shared_ptr<const SymmetrySpec> ModuleSym = Compiled->P.symmetry();
+  std::shared_ptr<const SymmetrySpec> ModuleSym = P.symmetry();
   protocols::RankFn MeasureRank =
       [Order, ArgMajor, ModuleSym](const PendingAsync &PA)
       -> std::optional<std::vector<int64_t>> {
@@ -243,6 +216,38 @@ VerifyResult driver::verifyModule(const VerifyOptions &Options) {
     }
     App.WfMeasure.setFp(HM.finish());
   }
+  return App;
+}
+
+VerifyResult driver::verifyModule(const VerifyOptions &Options) {
+  VerifyResult Result;
+  Timer Total;
+
+  // 1. Compile the module.
+  std::optional<asl::CompiledModule> Compiled = asl::frontend::compileSource(
+      Options.Source, Options.SourcePath, Options.Consts, Options.Frontend,
+      Result.Diags);
+  if (!Compiled) {
+    Result.TotalSeconds = Total.elapsed();
+    Result.Summary = renderText(Result);
+    return Result;
+  }
+  Result.CompileOk = true;
+
+  // 2. Validate the request against the module.
+  std::vector<asl::Diagnostic> InputDiags =
+      validateRequest(Options, Compiled->P);
+  if (!InputDiags.empty()) {
+    Result.Diags.insert(Result.Diags.end(), InputDiags.begin(),
+                        InputDiags.end());
+    Result.TotalSeconds = Total.elapsed();
+    Result.Summary = renderText(Result);
+    return Result;
+  }
+  Result.InputOk = true;
+
+  // 3. Derive the IS artifacts from the declared sequentialization order.
+  ISApplication App = deriveApplication(Options, Compiled->P);
 
   // 4. Discharge the IS conditions. The universe is built explicitly so
   // its engine statistics can be surfaced in the summary; obligations run
@@ -280,21 +285,27 @@ VerifyResult driver::verifyModule(const VerifyOptions &Options) {
                               0, asl::Severity::Warning});
   }
 
-  // 5. Cross-check the conclusion on the instance.
+  // 5. Cross-check the conclusion on the instance. P's side is the
+  // summary of the universe's P leg; only P' is explored here, like the
+  // universe's legs: on the interned engine, without parent links.
   if (Report.ok() && Options.CrossCheck) {
     Timer CrossTimer;
+    const ProgramSummary &SP = Universe.PSummaries.front();
     Program PPrime = applyIS(App);
-    ExploreResult RP =
-        exploreAll(Compiled->P, {initialConfiguration(Init.Global)}, Explore);
-    ExploreResult RS =
-        exploreAll(PPrime, {initialConfiguration(Init.Global)}, Explore);
-    Result.Engine.accumulate(RP.Engine);
-    Result.Engine.accumulate(RS.Engine);
+    engine::EngineOptions EO;
+    EO.MaxConfigurations = Explore.MaxConfigurations;
+    EO.RecordParents = false;
+    EO.Config = Options.Engine;
+    ProgramSummary SPPrime = summarizeGraph(
+        PPrime, engine::exploreGraph(
+                    PPrime, {initialConfiguration(Init.Global, Init.MainArgs)},
+                    nullptr, EO));
+    Result.Engine.accumulate(SPPrime.Engine);
     Result.CrossCheck.Ran = true;
-    Result.CrossCheck.ConfigsP = RP.Stats.NumConfigurations;
-    Result.CrossCheck.ConfigsPPrime = RS.Stats.NumConfigurations;
+    Result.CrossCheck.ConfigsP = SP.Engine.NumConfigurations;
+    Result.CrossCheck.ConfigsPPrime = SPPrime.Engine.NumConfigurations;
     Result.CrossCheck.Refines =
-        checkProgramRefinement(Compiled->P, PPrime, {Init}, Explore);
+        checkProgramRefinement(SP, SPPrime, Init.Global);
     Result.CrossCheck.Seconds = CrossTimer.elapsed();
     Result.Accepted = Result.Accepted && Result.CrossCheck.Refines.ok();
   }

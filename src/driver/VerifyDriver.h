@@ -97,7 +97,8 @@ struct CrossCheckInfo {
   /// Explored configuration counts of P and of the sequentialization P'.
   size_t ConfigsP = 0;
   size_t ConfigsPPrime = 0;
-  /// Wall-clock of the cross-check phase (explorations + comparison).
+  /// Wall-clock of the cross-check phase (exploring P' and comparing; P's
+  /// summary comes from the universe build).
   double Seconds = 0;
 };
 
@@ -122,7 +123,7 @@ struct VerifyResult {
   /// source locations; driver-input diagnostics use line 0.
   std::vector<asl::Diagnostic> Diags;
   /// Aggregated engine statistics across every exploration the run
-  /// performed (universe build plus cross-check explorations).
+  /// performed: P and P[M ↦ I] (the universe) plus P' (the cross-check).
   engine::EngineStats Engine;
   /// Empirical P ≼ P' cross-check outcome.
   CrossCheckInfo CrossCheck;
@@ -137,6 +138,13 @@ struct VerifyResult {
     return Accepted ? 0 : 1;
   }
 };
+
+/// Derives the IS application from \p Options over the compiled program
+/// \p P: the schedule invariant and minimum-rank choice function from the
+/// declared elimination order, the named abstractions, and the weighted
+/// cooperation measure. \p Options must have validated against \p P.
+ISApplication deriveApplication(const VerifyOptions &Options,
+                                const Program &P);
 
 /// Runs the pipeline.
 VerifyResult verifyModule(const VerifyOptions &Options);

@@ -185,25 +185,36 @@ ExploreResult isq::exploreAllLegacy(const Program &P,
   return std::move(B.Result);
 }
 
-std::pair<bool, std::vector<Store>>
-isq::summarize(const Program &P, const Store &Init,
-               std::vector<Value> MainArgs, const ExploreOptions &Opts) {
-  ExploreResult R =
-      explore(P, initialConfiguration(Init, std::move(MainArgs)), Opts);
-  // Definition 3.2's Trans set is a semantic object: when the exploration ran
-  // on the symmetry quotient, expand each canonical terminal store back to its
-  // full orbit. Orbits of distinct representatives are disjoint, so the
-  // concatenation is exactly the unreduced terminal-store set.
-  const std::shared_ptr<const SymmetrySpec> &Sym = P.symmetry();
-  if (Opts.Config.Symmetry && Sym && Sym->numPermutations() > 1) {
-    std::vector<Store> Expanded;
-    for (const Store &S : R.TerminalStores) {
-      std::vector<Store> Orbit = Sym->storeOrbit(S);
-      Expanded.insert(Expanded.end(), std::make_move_iterator(Orbit.begin()),
-                      std::make_move_iterator(Orbit.end()));
+ProgramSummary isq::summarizeGraph(const Program &P,
+                                   const engine::StateGraph &G) {
+  ProgramSummary S;
+  S.Good = !G.failureReachable();
+  S.Engine = G.stats();
+  const engine::StateArena &A = G.arena();
+  const SymmetrySpec *Sym = G.stats().SymmetryReduced ? P.symmetry().get()
+                                                      : nullptr;
+  for (engine::StoreId Id : G.terminalStores()) {
+    if (!Sym) {
+      S.Trans.push_back(A.store(Id));
+      continue;
     }
-    std::sort(Expanded.begin(), Expanded.end());
-    R.TerminalStores = std::move(Expanded);
+    std::vector<Store> Orbit = Sym->storeOrbit(A.store(Id));
+    S.Trans.insert(S.Trans.end(), std::make_move_iterator(Orbit.begin()),
+                   std::make_move_iterator(Orbit.end()));
   }
-  return {!R.FailureReachable, R.TerminalStores};
+  std::sort(S.Trans.begin(), S.Trans.end());
+  return S;
+}
+
+ProgramSummary isq::summarize(const Program &P, const Store &Init,
+                              std::vector<Value> MainArgs,
+                              const ExploreOptions &Opts) {
+  engine::EngineOptions EO;
+  EO.MaxConfigurations = Opts.MaxConfigurations;
+  EO.RecordParents = false; // a summary never reports a trace
+  EO.Config = Opts.Config;
+  return summarizeGraph(
+      P, engine::exploreGraph(
+             P, {initialConfiguration(Init, std::move(MainArgs))}, nullptr,
+             EO));
 }

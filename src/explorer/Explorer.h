@@ -85,14 +85,31 @@ ExploreResult exploreAllLegacy(const Program &P,
                                const std::vector<Configuration> &Inits,
                                const ExploreOptions &Opts = ExploreOptions());
 
-/// Computes the pair (Good, Trans) of Definition 3.2 restricted to the
-/// initialized configuration with global store \p Init and Main arguments
-/// \p MainArgs: .first is "cannot fail", .second the set of terminal
-/// stores.
-std::pair<bool, std::vector<Store>>
-summarize(const Program &P, const Store &Init,
-          std::vector<Value> MainArgs = {},
-          const ExploreOptions &Opts = ExploreOptions());
+/// Definition 3.2's pair (Good, Trans) restricted to one initialized
+/// configuration, plus the statistics of the exploration behind it.
+struct ProgramSummary {
+  /// "Cannot fail": the failure configuration is unreachable.
+  bool Good = true;
+  /// The distinct terminal stores, sorted. Trans is a semantic object, so
+  /// it is orbit-closed: when the exploration ran on the symmetry quotient,
+  /// each canonical terminal store is expanded back to its full orbit.
+  std::vector<Store> Trans;
+  /// Engine statistics of the exploration (NumConfigurations counts the
+  /// explored nodes, orbit representatives when reduced).
+  engine::EngineStats Engine;
+};
+
+/// Summarizes \p G, an exploration of \p P from one initialized
+/// configuration. Orbits of distinct representatives are disjoint, so the
+/// expanded Trans is exactly the unreduced terminal-store set.
+ProgramSummary summarizeGraph(const Program &P, const engine::StateGraph &G);
+
+/// Explores \p P from the initialized configuration with global store
+/// \p Init and Main arguments \p MainArgs, and summarizes it. Records no
+/// parents and builds no value-level configurations.
+ProgramSummary summarize(const Program &P, const Store &Init,
+                         std::vector<Value> MainArgs = {},
+                         const ExploreOptions &Opts = ExploreOptions());
 
 } // namespace isq
 

@@ -41,12 +41,14 @@ ISUniverse ISUniverse::build(const ISApplication &App,
   // is not equivariant). A configuration first seen reduced keeps its
   // orbit size; one first seen unreduced counts as a singleton.
   std::unordered_set<ConfigId> Seen;
-  auto Absorb = [&](const Program &P) {
+  auto Absorb = [&](const Program &P, std::vector<ProgramSummary> *Summaries) {
     for (const InitialCondition &Init : Inits) {
       StateGraph G = exploreGraph(
           P, {initialConfiguration(Init.Global, Init.MainArgs)}, U.Space.Arena,
           EO);
       U.Stats.accumulate(G.stats());
+      if (Summaries)
+        Summaries->push_back(summarizeGraph(P, G));
       const std::vector<uint32_t> &Orbits = G.orbitSizes();
       for (size_t I = 0; I < G.nodes().size(); ++I) {
         ConfigId Cid = G.nodes()[I];
@@ -57,9 +59,9 @@ ISUniverse ISUniverse::build(const ISApplication &App,
       }
     }
   };
-  Absorb(App.P);
+  Absorb(App.P, &U.PSummaries);
   // The partial sequentializations: P with M replaced by the invariant.
-  Absorb(App.P.withAction(App.Invariant.withName(App.M.str())));
+  Absorb(App.P.withAction(App.Invariant.withName(App.M.str())), nullptr);
   // M-call contexts straight off the interned space: materializing a
   // value mirror of a few hundred thousand configurations just to find
   // the handful of M contexts costs a measurable slice of every run.

@@ -52,6 +52,11 @@ struct ISUniverse {
   std::vector<uint64_t> OrbitSizes;
   /// Accumulated engine statistics of the universe explorations.
   engine::EngineStats Stats;
+  /// The summary of P's exploration from each initial condition,
+  /// index-aligned with build()'s Inits: Good, the orbit-closed Trans and
+  /// the explored-node count, so the P ≼ P' cross-check never explores P
+  /// again. Empty for hand-built universes.
+  std::vector<ProgramSummary> PSummaries;
 
   /// Builds the universe by exploring P and P[M ↦ I] from \p Inits.
   static ISUniverse build(const ISApplication &App,

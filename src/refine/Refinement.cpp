@@ -4,7 +4,6 @@
 
 #include "engine/ActionCaches.h"
 #include "engine/ArenaFingerprints.h"
-#include "semantics/Symmetry.h"
 #include "support/Hashing.h"
 
 #include <algorithm>
@@ -267,50 +266,39 @@ CheckResult isq::checkActionRefinement(const Action &A1, const Action &A2,
   return checkActionRefinement(A1, A2, Interned);
 }
 
+CheckResult isq::checkProgramRefinement(const ProgramSummary &S1,
+                                        const ProgramSummary &S2,
+                                        const Store &Init) {
+  CheckResult Result;
+  Result.countObligation();
+  if (!S2.Good)
+    return Result; // P2 fails from this initial store: both conditions vacuous
+  // (1) Good(P2) ⊆ Good(P1).
+  if (!S1.Good) {
+    Result.fail("P1 can fail where P2 cannot, from " + Init.str());
+    return Result;
+  }
+  // (2) Good(P2) ∘ Trans(P1) ⊆ Trans(P2). Trans(P2) is sorted.
+  for (const Store &Final : S1.Trans) {
+    Result.countObligation();
+    if (!std::binary_search(S2.Trans.begin(), S2.Trans.end(), Final))
+      Result.fail("terminal store of P1 unreachable in P2: " + Final.str() +
+                  " from " + Init.str());
+  }
+  return Result;
+}
+
 CheckResult
 isq::checkProgramRefinement(const Program &P1, const Program &P2,
                             const std::vector<InitialCondition> &Inits,
                             const ExploreOptions &Opts) {
   CheckResult Result;
-  // Symmetry: when P1 explores reduced but P2 does not (applyIS strips the
-  // symmetry spec, so the sequentialization always runs unreduced), P1's
-  // terminal stores are orbit representatives while P2's terminal set need
-  // not be orbit-closed. Soundness then requires expanding every
-  // representative back to its full orbit before the membership check —
-  // which also makes the obligation count match the unreduced run exactly.
-  // When both sides run reduced (or both unreduced), representatives
-  // compare directly.
-  const SymmetrySpec *Sym =
-      Opts.Config.Symmetry ? P1.symmetry().get() : nullptr;
-  bool Expand = Sym && !(Opts.Config.Symmetry && P2.symmetry());
   for (const InitialCondition &Init : Inits) {
-    auto [Good2, Trans2] = summarize(P2, Init.Global, Init.MainArgs, Opts);
-    Result.countObligation();
-    if (!Good2)
-      continue; // P2 fails from this initial store: both conditions vacuous
-    auto [Good1, Trans1] = summarize(P1, Init.Global, Init.MainArgs, Opts);
-    // (1) Good(P2) ⊆ Good(P1).
-    if (!Good1) {
-      Result.fail("P1 can fail where P2 cannot, from " + Init.Global.str());
-      continue;
-    }
-    // (2) Good(P2) ∘ Trans(P1) ⊆ Trans(P2).
-    std::unordered_set<Store> Allowed(Trans2.begin(), Trans2.end());
-    for (const Store &Final : Trans1) {
-      if (Expand) {
-        for (const Store &Image : Sym->storeOrbit(Final)) {
-          Result.countObligation();
-          if (!Allowed.count(Image))
-            Result.fail("terminal store of P1 unreachable in P2: " +
-                        Image.str() + " from " + Init.Global.str());
-        }
-        continue;
-      }
-      Result.countObligation();
-      if (!Allowed.count(Final))
-        Result.fail("terminal store of P1 unreachable in P2: " +
-                    Final.str() + " from " + Init.Global.str());
-    }
+    ProgramSummary S2 = summarize(P2, Init.Global, Init.MainArgs, Opts);
+    ProgramSummary S1;
+    if (S2.Good)
+      S1 = summarize(P1, Init.Global, Init.MainArgs, Opts);
+    Result.merge(checkProgramRefinement(S1, S2, Init.Global));
   }
   return Result;
 }

@@ -137,8 +137,20 @@ struct InitialCondition {
   std::vector<Value> MainArgs;
 };
 
-/// Checks Definition 3.2, P1 ≼ P2, over the given initial conditions:
+/// Checks Definition 3.2, P1 ≼ P2, from the initial store \p Init given
+/// the summaries \p S1 of P1 and \p S2 of P2 from that store:
 ///  (1) Good(P2) ⊆ Good(P1) and (2) Good(P2) ∘ Trans(P1) ⊆ Trans(P2).
+/// Both Trans sets are orbit-closed (see ProgramSummary), so stores compare
+/// directly: one obligation for the initial store, one per store of
+/// Trans(P1). When P2 can fail both conditions are vacuous and \p S1 is
+/// not read, so a caller may leave it default-constructed.
+CheckResult checkProgramRefinement(const ProgramSummary &S1,
+                                   const ProgramSummary &S2,
+                                   const Store &Init);
+
+/// Checks Definition 3.2, P1 ≼ P2, over the given initial conditions:
+/// explores each program once per initial condition (P1 only where P2
+/// cannot fail) and compares the summaries.
 CheckResult checkProgramRefinement(const Program &P1, const Program &P2,
                                    const std::vector<InitialCondition> &Inits,
                                    const ExploreOptions &Opts =

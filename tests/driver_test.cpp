@@ -7,7 +7,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/CliOptions.h"
 #include "driver/VerifyDriver.h"
+#include "is/Sequentialize.h"
 
 #include <gtest/gtest.h>
 
@@ -306,4 +308,111 @@ TEST(DriverTest, PaxosWithoutProposeAbstractionRejected) {
   VerifyResult Result = verifyModule(Options);
   EXPECT_FALSE(Result.Accepted);
   EXPECT_FALSE(Result.Report.LeftMovers.ok()) << Result.Summary;
+}
+
+// --- The P ≼ P' cross-check reuses the universe's P leg --------------------
+
+namespace {
+
+/// The jobs of examples/asl/serve_manifest.txt, parsed with the
+/// isq-verify command-line parser and loaded like isq-verify loads them.
+std::vector<VerifyOptions> serveManifestJobs() {
+  std::string Dir = std::string(ISQ_SOURCE_DIR) + "/examples/asl/";
+  std::ifstream In(Dir + "serve_manifest.txt");
+  EXPECT_TRUE(In.good()) << "missing serve_manifest.txt";
+  std::vector<VerifyOptions> Jobs;
+  for (std::string Line; std::getline(In, Line);) {
+    if (Line.empty() || Line[0] == '#')
+      continue;
+    std::istringstream Words(Line);
+    std::vector<std::string> Args;
+    for (std::string Word; Words >> Word;)
+      Args.push_back(Word);
+    CliParse Parse = parseCommandLine(Args);
+    EXPECT_TRUE(Parse.Ok) << Line << ": " << Parse.Error;
+    VerifyOptions Job = Parse.Options.Verify;
+    Job.Source = readExampleAsl(Parse.Options.InputPath);
+    Job.SourcePath = Dir + Parse.Options.InputPath;
+    Jobs.push_back(std::move(Job));
+  }
+  return Jobs;
+}
+
+/// The paxos R=2 N=2 job of driver_test's ShippedPaxosExampleVerifies.
+VerifyOptions paxosTwoByTwo() {
+  VerifyOptions Options;
+  Options.Source = readExampleAsl("paxos.asl");
+  Options.Consts = {{"R", 2}, {"N", 2}};
+  Options.Eliminate = {"StartRound", "Join", "Propose", "Vote",
+                       "Conclude"};
+  Options.Order = VerifyOptions::RankOrder::ArgMajor;
+  Options.Abstractions = {{"Join", "JoinAbs"},
+                          {"Propose", "ProposeAbs"},
+                          {"Vote", "VoteAbs"},
+                          {"Conclude", "ConcludeAbs"}};
+  Options.Weights = {{"StartRound", 9}, {"Propose", 5}, {"Conclude", 2}};
+  return Options;
+}
+
+} // namespace
+
+TEST(DriverCrossCheckTest, MatchesStandaloneReferenceOnServeManifest) {
+  // The reference: the program-level checkProgramRefinement run
+  // standalone and unreduced, exploring P and P' itself.
+  ExploreOptions Reference;
+  Reference.Config.Symmetry = false;
+  for (VerifyOptions &Job : serveManifestJobs()) {
+    Job.Engine.NumThreads = 2;
+    VerifyResult R = verifyModule(Job);
+    ASSERT_TRUE(R.Accepted) << Job.SourcePath << ":\n" << R.Summary;
+    ASSERT_TRUE(R.CrossCheck.Ran) << Job.SourcePath;
+    std::vector<asl::Diagnostic> Diags;
+    std::optional<asl::CompiledModule> C = asl::frontend::compileSource(
+        Job.Source, Job.SourcePath, Job.Consts, Job.Frontend, Diags);
+    ASSERT_TRUE(C) << Job.SourcePath;
+    Program PPrime = applyIS(deriveApplication(Job, C->P));
+    CheckResult Expected = checkProgramRefinement(
+        C->P, PPrime, {{C->InitialStore, {}}}, Reference);
+    const CheckResult &Got = R.CrossCheck.Refines;
+    EXPECT_EQ(Got.ok(), Expected.ok()) << Job.SourcePath;
+    EXPECT_EQ(Got.obligations(), Expected.obligations()) << Job.SourcePath;
+    EXPECT_EQ(Got.issues(), Expected.issues()) << Job.SourcePath;
+    EXPECT_EQ(R.CrossCheck.ConfigsPPrime,
+              summarize(PPrime, C->InitialStore, {}, Reference)
+                  .Engine.NumConfigurations)
+        << Job.SourcePath;
+  }
+}
+
+TEST(DriverCrossCheckTest, ExploresPOnceAndPPrimeOnce) {
+  VerifyOptions Broadcast;
+  Broadcast.Source = readExampleAsl("broadcast.asl");
+  Broadcast.Consts = {{"n", 3}};
+  Broadcast.Eliminate = {"Broadcast", "Collect"};
+  Broadcast.Abstractions = {{"Collect", "CollectAbs"}};
+  // Broadcast has no symmetric sort; paxos runs its P leg reduced.
+  for (VerifyOptions Options : {Broadcast, paxosTwoByTwo()}) {
+    Options.CrossCheck = false;
+    VerifyResult Universe = verifyModule(Options);
+    Options.CrossCheck = true;
+    VerifyResult R = verifyModule(Options);
+    ASSERT_TRUE(R.Accepted) << R.Summary;
+    ASSERT_TRUE(R.CrossCheck.Ran);
+    // Engine.NumConfigurations = P + P[M ↦ I] + P': the cross-check adds
+    // exactly one exploration, of P'.
+    EXPECT_EQ(R.Engine.NumConfigurations,
+              Universe.Engine.NumConfigurations + R.CrossCheck.ConfigsPPrime);
+    // ConfigsP is the universe's P leg, explored under the same engine
+    // configuration.
+    std::vector<asl::Diagnostic> Diags;
+    std::optional<asl::CompiledModule> C = asl::frontend::compileSource(
+        Options.Source, Options.SourcePath, Options.Consts, Options.Frontend,
+        Diags);
+    ASSERT_TRUE(C);
+    ExploreOptions Explore;
+    Explore.Config = Options.Engine;
+    EXPECT_EQ(R.CrossCheck.ConfigsP,
+              summarize(C->P, C->InitialStore, {}, Explore)
+                  .Engine.NumConfigurations);
+  }
 }

@@ -25,9 +25,9 @@ using namespace isq::protocols;
 namespace {
 
 std::unordered_set<Store> terminalsOf(const Program &P, const Store &Init) {
-  auto [Good, Trans] = summarize(P, Init);
-  EXPECT_TRUE(Good);
-  return std::unordered_set<Store>(Trans.begin(), Trans.end());
+  ProgramSummary S = summarize(P, Init);
+  EXPECT_TRUE(S.Good);
+  return std::unordered_set<Store>(S.Trans.begin(), S.Trans.end());
 }
 
 } // namespace

@@ -204,7 +204,7 @@ void expectAslMatchesNative(const Program &Native, const Store &NativeInit,
 
   auto Terminals = [&](const Program &P, const Store &Init) {
     std::vector<std::string> Rows;
-    for (const Store &S : summarize(P, Init).second) {
+    for (const Store &S : summarize(P, Init).Trans) {
       std::string Row;
       for (const char *Var : SharedVars)
         Row += std::string(Var) + " = " + S.get(Var).str() + "; ";

@@ -85,14 +85,14 @@ TEST(NBuyerTest, SequentializationPreservesEveryTerminalStore) {
   bool AllAccepted = false;
   Program Final = runAllStages(Params, AllAccepted);
   ASSERT_TRUE(AllAccepted);
-  auto [GoodP, TransP] =
+  ProgramSummary SP =
       summarize(makeNBuyerProgram(Params), makeNBuyerInitialStore(Params));
-  auto [GoodS, TransS] = summarize(Final, makeNBuyerInitialStore(Params));
-  EXPECT_TRUE(GoodP);
-  EXPECT_TRUE(GoodS);
+  ProgramSummary SS = summarize(Final, makeNBuyerInitialStore(Params));
+  EXPECT_TRUE(SP.Good);
+  EXPECT_TRUE(SS.Good);
   // Same set of outcomes in both directions (IS guarantees ⊆; equality
   // holds here because the sequentialization loses no nondeterminism).
-  EXPECT_EQ(TransP.size(), TransS.size());
+  EXPECT_EQ(SP.Trans.size(), SS.Trans.size());
 }
 
 TEST(NBuyerTest, ExactCoverPlacesOrder) {

@@ -155,21 +155,21 @@ TEST_P(ProtocolProperty, P2_ProgramRefinementHolds) {
 
 TEST_P(ProtocolProperty, P3_SequentializationLosesNoOutcome) {
   const Instance &I = instance();
-  auto [GoodP, TransP] = summarize(I.App.P, I.Init);
-  auto [GoodS, TransS] = summarize(applyIS(I.App), I.Init);
-  EXPECT_TRUE(GoodP) << I.Name;
-  EXPECT_TRUE(GoodS) << I.Name;
-  std::unordered_set<Store> SeqOutcomes(TransS.begin(), TransS.end());
-  std::unordered_set<Store> ConcOutcomes(TransP.begin(), TransP.end());
+  ProgramSummary SP = summarize(I.App.P, I.Init);
+  ProgramSummary SS = summarize(applyIS(I.App), I.Init);
+  EXPECT_TRUE(SP.Good) << I.Name;
+  EXPECT_TRUE(SS.Good) << I.Name;
+  std::unordered_set<Store> SeqOutcomes(SS.Trans.begin(), SS.Trans.end());
+  std::unordered_set<Store> ConcOutcomes(SP.Trans.begin(), SP.Trans.end());
   EXPECT_EQ(SeqOutcomes, ConcOutcomes) << I.Name;
 }
 
 TEST_P(ProtocolProperty, P3b_EveryOutcomeSatisfiesSpec) {
   const Instance &I = instance();
-  auto [Good, Trans] = summarize(applyIS(I.App), I.Init);
-  EXPECT_TRUE(Good) << I.Name;
-  ASSERT_FALSE(Trans.empty()) << I.Name;
-  for (const Store &Final : Trans)
+  ProgramSummary S = summarize(applyIS(I.App), I.Init);
+  EXPECT_TRUE(S.Good) << I.Name;
+  ASSERT_FALSE(S.Trans.empty()) << I.Name;
+  for (const Store &Final : S.Trans)
     EXPECT_TRUE(I.Spec(Final)) << I.Name << ": " << Final.str();
 }
 

@@ -190,11 +190,11 @@ TEST(FusionTest, FusedBlockRefinesFineGrainedProgram) {
   Coarse.addAction(Fused);
   Coarse.addAction(sendOp("SendAck", 99)); // unused but keeps dom equal
 
-  auto [GoodF, TransF] = summarize(Fine, chanStore({3, 4}, 0));
-  auto [GoodC, TransC] = summarize(Coarse, chanStore({3, 4}, 0));
-  EXPECT_TRUE(GoodF);
-  EXPECT_TRUE(GoodC);
-  EXPECT_EQ(TransF.size(), TransC.size());
+  ProgramSummary F = summarize(Fine, chanStore({3, 4}, 0));
+  ProgramSummary C = summarize(Coarse, chanStore({3, 4}, 0));
+  EXPECT_TRUE(F.Good);
+  EXPECT_TRUE(C.Good);
+  EXPECT_EQ(F.Trans.size(), C.Trans.size());
 }
 
 // --- Annotation verification -------------------------------------------------------

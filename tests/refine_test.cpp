@@ -130,6 +130,76 @@ TEST(ProgramRefinementTest, ConcreteFailureMustBePreserved) {
   EXPECT_NE(R.str().find("can fail"), std::string::npos) << R.str();
 }
 
+// --- The summary comparison behind the driver's cross-check -------------
+
+namespace {
+
+ProgramSummary summaryOf(bool Good, std::vector<Store> Trans) {
+  ProgramSummary S;
+  S.Good = Good;
+  S.Trans = std::move(Trans);
+  return S;
+}
+
+void expectSameResult(const CheckResult &A, const CheckResult &B) {
+  EXPECT_EQ(A.ok(), B.ok());
+  EXPECT_EQ(A.obligations(), B.obligations());
+  EXPECT_EQ(A.failures(), B.failures());
+  EXPECT_EQ(A.issues(), B.issues());
+}
+
+} // namespace
+
+TEST(SummaryRefinementTest, ConcreteFailureMustBePreserved) {
+  // P1 can fail where P2 cannot: the initial-store obligation fails and
+  // Trans(P1) is not compared.
+  CheckResult R = checkProgramRefinement(summaryOf(false, {xStore(2)}),
+                                         summaryOf(true, {xStore(1)}),
+                                         xStore(1));
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.obligations(), 1u);
+  EXPECT_EQ(R.issues(), std::vector<std::string>{
+                            "P1 can fail where P2 cannot, from " +
+                            xStore(1).str()});
+  // The program-level overload reports the identical result.
+  expectSameResult(R, checkProgramRefinement(makeConditionalFailProgram(),
+                                             makeIncrementProgram(0),
+                                             {{xStore(1), {}}}));
+}
+
+TEST(SummaryRefinementTest, MissingTerminalStoreIsReported) {
+  // Trans(P1) = {x=2} but Trans(P2) = {x=3}.
+  CheckResult R = checkProgramRefinement(summaryOf(true, {xStore(2)}),
+                                         summaryOf(true, {xStore(3)}),
+                                         xStore(0));
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.obligations(), 2u);
+  EXPECT_EQ(R.issues(),
+            std::vector<std::string>{"terminal store of P1 unreachable in P2: " +
+                                     xStore(2).str() + " from " +
+                                     xStore(0).str()});
+  expectSameResult(R, checkProgramRefinement(makeIncrementProgram(2),
+                                             makeIncrementProgram(3),
+                                             {{xStore(0), {}}}));
+}
+
+TEST(SummaryRefinementTest, OneObligationPerTerminalStore) {
+  CheckResult R = checkProgramRefinement(
+      summaryOf(true, {xStore(1), xStore(2)}),
+      summaryOf(true, {xStore(1), xStore(2), xStore(3)}), xStore(0));
+  EXPECT_TRUE(R.ok()) << R.str();
+  EXPECT_EQ(R.obligations(), 3u);
+}
+
+TEST(SummaryRefinementTest, FailingAbstractionLeavesP1Unread) {
+  // P2 fails: both conditions are vacuous, so a default (unexplored) P1
+  // summary is acceptable.
+  CheckResult R = checkProgramRefinement(ProgramSummary(),
+                                         summaryOf(false, {}), xStore(1));
+  EXPECT_TRUE(R.ok());
+  EXPECT_EQ(R.obligations(), 1u);
+}
+
 TEST(CheckResultTest, IssueCapAndMerge) {
   CheckResult R;
   for (int I = 0; I < 20; ++I)

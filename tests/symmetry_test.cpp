@@ -246,7 +246,10 @@ void expectQuotientLaws(const std::string &Name, const Program &P,
   // semantic object): both modes agree verbatim.
   ExploreOptions On, Off;
   Off.Config.Symmetry = false;
-  EXPECT_EQ(summarize(P, Init, {}, On), summarize(P, Init, {}, Off)) << Name;
+  ProgramSummary SOn = summarize(P, Init, {}, On);
+  ProgramSummary SOff = summarize(P, Init, {}, Off);
+  EXPECT_EQ(SOn.Good, SOff.Good) << Name;
+  EXPECT_EQ(SOn.Trans, SOff.Trans) << Name;
 }
 
 } // namespace
@@ -380,8 +383,8 @@ std::vector<std::string> diagMessages(const driver::VerifyResult &R) {
 }
 
 /// Runs \p Options with symmetry on and off at 1, 2 and 8 threads; every
-/// run must produce the same verdict, per-condition outcome, diagnostics
-/// and exit code.
+/// run must produce the same verdict, per-condition outcome, cross-check
+/// outcome and obligation count, diagnostics and exit code.
 void expectDriverDifferential(const std::string &Name,
                               driver::VerifyOptions Options) {
   Options.Engine.Symmetry = true;
@@ -412,7 +415,12 @@ void expectDriverDifferential(const std::string &Name,
       expectSameCondition(Mode, R.Report.Cooperation,
                           Baseline.Report.Cooperation);
       EXPECT_EQ(R.CrossCheck.Ran, Baseline.CrossCheck.Ran) << Mode;
-      EXPECT_EQ(R.CrossCheck.Refines.ok(), Baseline.CrossCheck.Refines.ok())
+      expectSameCondition(Mode, R.CrossCheck.Refines,
+                          Baseline.CrossCheck.Refines);
+      // Trans(P) is orbit-closed exactly once, in the summary, so the
+      // cross-check's obligations are those of the unreduced run.
+      EXPECT_EQ(R.CrossCheck.Refines.obligations(),
+                Baseline.CrossCheck.Refines.obligations())
           << Mode;
       // Explored-state counts are observability, not verdict: the reduced
       // mode legitimately visits fewer P-side configurations (the checker

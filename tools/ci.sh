@@ -10,7 +10,9 @@
 # verifying with its documented flags); check the engine's determinism
 # contract over the same corpus (verdict JSON at one thread must be
 # bit-identical to four threads with a tiny steal chunk, after
-# timing/steal-count scrubbing); run the incremental re-verification
+# timing/steal-count scrubbing); check that the P ≼ P' cross-check
+# reports the same outcome and obligation count with symmetry on and
+# off; run the incremental re-verification
 # stage (cold run populating an on-disk obligation verdict cache, a
 # one-action edit whose warm run must be bit-identical to the --engine
 # incremental=false oracle with a nonzero hit rate, and a corrupted
@@ -71,6 +73,7 @@ verify_example() {
   "$bin" "$file" $flags --engine threads=2 --format json |
     python3 -c '
 import json, sys
+flags = sys.argv[1].split()
 doc = json.load(sys.stdin)
 assert doc["schema_version"] == 7, doc["schema_version"]
 assert doc["tool"] == "isq-verify"
@@ -81,7 +84,13 @@ assert names == ["side_conditions", "abstraction_refinement", "base_case",
                  "conclusion", "inductive_step", "left_movers",
                  "cooperation"], names
 assert all(c["ok"] and c["failures"] == 0 for c in doc["conditions"])
-assert all(c["obligations"] > 0 for c in doc["conditions"])
+# P(A) ≼ α(A) has obligations exactly when the example declares an
+# abstraction; every other condition always has some.
+for c in doc["conditions"]:
+    if c["name"] == "abstraction_refinement" and "--abstract" not in flags:
+        assert c["obligations"] == 0, c
+    else:
+        assert c["obligations"] > 0, c
 assert all("orbit_configs" in c and "orbit_states" in c
            for c in doc["conditions"])
 assert doc["cross_check"]["ran"] and doc["cross_check"]["ok"]
@@ -107,7 +116,7 @@ assert ob["cache_hits"] + ob["cache_misses"] > 0
 for key in ("engine", "diagnostics", "total_seconds"):
     assert key in doc, key
 print("  json ok")
-'
+' "$flags"
 }
 
 run_config build
@@ -255,6 +264,30 @@ for f in examples/asl/*.asl; do
     echo "engine determinism mismatch: $f"; exit 1
   fi
   echo "  $f: threads=1 == threads=4,steal-chunk=8"
+done
+
+echo "==== cross-check: symmetry=true vs symmetry=false ===="
+# Trans(P) is orbit-closed once, in P's summary, so the P ≼ P' cross-check
+# must report the same outcome and obligation count whether or not P was
+# explored on the symmetry quotient.
+grep -E '^(broadcast|two_phase_commit)\.asl |^paxos\.asl .*N=2 ' \
+    examples/asl/serve_manifest.txt | while IFS= read -r line; do
+  file=examples/asl/${line%% *}
+  flags=${line#* }
+  for symmetry in true false; do
+    # shellcheck disable=SC2086
+    build/tools/isq-verify "$file" $flags --engine symmetry=$symmetry \
+      --format json < /dev/null > "$SERVE_TMP/cross-$symmetry.json"
+  done
+  python3 - "$SERVE_TMP" <<'EOF'
+import json, sys
+on, off = (json.load(open(sys.argv[1] + "/cross-%s.json" % s))["cross_check"]
+           for s in ("true", "false"))
+assert on["ran"] and on["ok"], on
+assert (on["ok"], on["obligations"]) == (off["ok"], off["obligations"]), \
+    (on, off)
+print("  cross_check ok, %d obligations" % on["obligations"])
+EOF
 done
 
 echo "==== incremental re-verification: cache vs oracle ===="
