@@ -144,7 +144,6 @@ std::string driver::renderJson(const VerifyResult &Result) {
   W.key("threads").value(Sched.Threads);
   W.key("jobs").value(T.Jobs);
   W.key("units").value(T.Units);
-  W.key("dedup_discarded").value(T.UnitsDeduped);
   W.key("cpu_seconds").value(T.JobSeconds);
   W.key("wall_seconds").value(Sched.WallSeconds);
   W.endObject();

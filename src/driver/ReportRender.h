@@ -7,9 +7,9 @@
 /// has always printed, the JSON form is the machine-readable report
 /// behind `isq-verify --format json`.
 ///
-/// JSON schema (version 7):
+/// JSON schema (version 8):
 ///   {
-///     "schema_version": 7,
+///     "schema_version": 8,
 ///     "tool": "isq-verify",
 ///     "exit_code": 0|1|2,
 ///     "compile_ok": bool, "input_ok": bool, "accepted": bool,
@@ -28,8 +28,8 @@
 ///                  "spill_enabled", "mem_budget", "bytes_hot",
 ///                  "bytes_cold", "blocks_evicted", "blocks_faulted",
 ///                  "fault_stall_ns" },
-///     "scheduler": { "threads", "jobs", "units", "dedup_discarded",
-///                    "cpu_seconds", "wall_seconds" },
+///     "scheduler": { "threads", "jobs", "units", "cpu_seconds",
+///                    "wall_seconds" },
 ///     "obligations": { "total", "cache_enabled", "cache_hits",
 ///                      "cache_misses", "disk_hits" },
 ///     "diagnostics": [ { "severity", "message", "file", "line", "col",
@@ -57,8 +57,8 @@
 /// counters "cache_hits"/"cache_misses"/"disk_hits" with "cache_enabled"
 /// saying whether a cache was attached (all zero when disabled or on the
 /// serial path). Counters are obligation-weighted, not slice-weighted,
-/// so hits+misses equals the obligations the scheduler would discharge
-/// before dedup. Verdict fields are unchanged; the bump marks that two
+/// so hits+misses equals the obligations the scheduler discharges.
+/// Verdict fields are unchanged; the bump marks that two
 /// reports differing only under "obligations" are the same verdict.
 /// Version 6 added the tiered-store observability to "engine":
 /// "spill_enabled" and "mem_budget" echo the resolved configuration;
@@ -75,6 +75,13 @@
 /// expansion time summed across threads, which can exceed
 /// "engine"."total_seconds" (wall time) when threaded. Every other field
 /// is unchanged.
+/// Version 8 removed the scheduler's count of discarded speculative
+/// units: the checkers slice their universes at store boundaries, so no
+/// obligation is checked twice and nothing is discarded.
+/// "scheduler"."units" now counts the points checked — each deduplicated
+/// point once, plus each run of keyless obligations within one point —
+/// and is identical for every thread count. Obligation counts and every
+/// verdict field are unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,7 +96,7 @@ namespace isq {
 namespace driver {
 
 /// The version of the JSON report schema emitted by renderJson.
-constexpr int JsonSchemaVersion = 7;
+constexpr int JsonSchemaVersion = 8;
 
 /// Renders the human-readable summary (the `--format text` output).
 std::string renderText(const VerifyResult &Result);

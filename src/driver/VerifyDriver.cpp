@@ -159,9 +159,21 @@ ISApplication driver::deriveApplication(const VerifyOptions &Options,
     App.ChoiceFp = HC.finish();
   }
 
+  // The weights resolved once to a Symbol-indexed table (unlisted actions
+  // weigh 1): the measure runs per configuration on the checker hot path,
+  // where a by-name lookup would pay Symbol::str() and a string probe per
+  // pending async.
+  std::vector<uint64_t> WeightOf;
+  for (const auto &[Name, W] : Weights) {
+    uint32_t Index = Symbol::get(Name).index();
+    if (WeightOf.size() <= Index)
+      WeightOf.resize(Index + 1, 1);
+    WeightOf[Index] = W;
+  }
   App.WfMeasure = Measure(
       "(Σ weighted |Ω|, Σ rank-remaining-work)",
-      [Weights, Rank = MeasureRank](const Configuration &C) {
+      [WeightOf = std::move(WeightOf),
+       Rank = MeasureRank](const Configuration &C) {
         if (C.isFailure())
           return std::vector<uint64_t>{0, 0};
         // First component: weighted PA count — strict decrease for
@@ -172,8 +184,8 @@ ISApplication driver::deriveApplication(const VerifyOptions &Options,
         constexpr size_t MaxComponents = 4;
         uint64_t Counts = 0, Work = 0;
         for (const auto &[PA, Count] : C.pendingAsyncs().entries()) {
-          auto It = Weights.find(PA.Action.str());
-          Counts += (It != Weights.end() ? It->second : 1) * Count;
+          uint32_t Index = PA.Action.index();
+          Counts += (Index < WeightOf.size() ? WeightOf[Index] : 1) * Count;
           std::optional<std::vector<int64_t>> R = Rank(PA);
           if (!R)
             continue;

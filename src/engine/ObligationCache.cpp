@@ -156,59 +156,50 @@ bool writeAll(int Fd, const char *Data, size_t Size) {
 
 } // namespace
 
-std::string engine::encodeObUnits(const std::vector<ObUnit> &Units) {
-  std::string Out;
-  putU32(Out, static_cast<uint32_t>(Units.size()));
-  for (const ObUnit &U : Units) {
-    putU32(Out, U.Key.Tag);
-    if (!U.Key.keyless()) {
-      putU64(Out, U.Key.A);
-      putU64(Out, U.Key.B);
-      putU64(Out, U.Key.C);
-    }
-    Out.push_back(static_cast<char>(U.Channel));
-    putU32(Out, U.Obligations);
-    putU32(Out, U.Failures);
-    Out.push_back(static_cast<char>(U.Issues.size()));
-    for (const std::string &Issue : U.Issues) {
-      putU32(Out, static_cast<uint32_t>(Issue.size()));
-      Out.append(Issue);
+std::string engine::encodeObAggregates(const std::vector<ObAggregate> &Out) {
+  std::string Blob;
+  putU32(Blob, static_cast<uint32_t>(Out.size()));
+  for (const ObAggregate &A : Out) {
+    putU64(Blob, A.Units);
+    putU64(Blob, A.Obligations);
+    putU64(Blob, A.Failures);
+    putU32(Blob, static_cast<uint32_t>(A.Issues.size()));
+    for (const ObIssue &Issue : A.Issues) {
+      putU32(Blob, Issue.Local);
+      putU32(Blob, Issue.Seq);
+      putU32(Blob, static_cast<uint32_t>(Issue.Message.size()));
+      Blob.append(Issue.Message);
     }
   }
-  return Out;
+  return Blob;
 }
 
-bool engine::decodeObUnits(const char *Data, size_t Size,
-                           std::vector<ObUnit> &Units) {
+bool engine::decodeObAggregates(const char *Data, size_t Size,
+                                std::vector<ObAggregate> &Out) {
   ByteReader R(Data, Size);
   uint32_t N = R.u32();
-  if (!R.ok() || N > Size) // a unit takes >1 byte: cheap sanity bound
+  // Channels are uint8_t; an issue takes more than one byte.
+  if (!R.ok() || N == 0 || N > 256)
     return false;
-  Units.clear();
-  Units.reserve(N);
-  for (uint32_t I = 0; I < N; ++I) {
-    ObUnit U;
-    U.Key.Tag = R.u32();
-    if (!U.Key.keyless()) {
-      U.Key.A = R.u64();
-      U.Key.B = R.u64();
-      U.Key.C = R.u64();
-    }
-    U.Channel = R.u8();
-    U.Obligations = R.u32();
-    U.Failures = R.u32();
-    uint8_t NumIssues = R.u8();
-    if (!R.ok() || NumIssues > ObUnit::MaxIssues)
+  Out.clear();
+  Out.resize(N);
+  for (ObAggregate &A : Out) {
+    A.Units = R.u64();
+    A.Obligations = R.u64();
+    A.Failures = R.u64();
+    uint32_t NumIssues = R.u32();
+    if (!R.ok() || NumIssues > Size || NumIssues > A.Failures)
       return false;
-    U.Issues.reserve(NumIssues);
-    for (uint8_t J = 0; J < NumIssues; ++J) {
+    A.Issues.reserve(NumIssues);
+    for (uint32_t J = 0; J < NumIssues; ++J) {
+      ObIssue Issue;
+      Issue.Local = R.u32();
+      Issue.Seq = R.u32();
       uint32_t Len = R.u32();
-      std::string Issue;
-      if (!R.bytes(Issue, Len))
+      if (!R.bytes(Issue.Message, Len))
         return false;
-      U.Issues.push_back(std::move(Issue));
+      A.Issues.push_back(std::move(Issue));
     }
-    Units.push_back(std::move(U));
   }
   return R.done();
 }
@@ -355,7 +346,7 @@ void ObligationCache::loadJournal() {
 }
 
 bool ObligationCache::lookup(const Fingerprint &Key,
-                             std::vector<ObUnit> &Units, bool &FromDisk) {
+                             std::vector<ObAggregate> &Out, bool &FromDisk) {
   const char *Blob = nullptr;
   size_t BlobSize = 0;
   Fingerprint DiskKey;
@@ -388,7 +379,7 @@ bool ObligationCache::lookup(const Fingerprint &Key,
   // destruction). Disk payloads are checksummed before decode — framing
   // alone can't catch interior corruption.
   if ((IsDisk && blobChecksum(Blob, BlobSize) != WantSum) ||
-      !decodeObUnits(Blob, BlobSize, Units)) {
+      !decodeObAggregates(Blob, BlobSize, Out)) {
     // A corrupt or structurally invalid payload that passed the header
     // checks: forget the entry and report a miss — cold, never wrong.
     std::lock_guard<std::mutex> Lock(M);
@@ -407,10 +398,10 @@ bool ObligationCache::lookup(const Fingerprint &Key,
 }
 
 void ObligationCache::insert(const Fingerprint &Key,
-                             const std::vector<ObUnit> &Units) {
+                             const std::vector<ObAggregate> &Out) {
   if (Key.isZero())
     return;
-  std::string Blob = encodeObUnits(Units); // encode outside the lock
+  std::string Blob = encodeObAggregates(Out); // encode outside the lock
   std::lock_guard<std::mutex> Lock(M);
   ++Stats.Inserts;
   Memory[Key] = MemEntry{std::move(Blob), ++Clock};

@@ -5,18 +5,18 @@
 /// that turns re-verification into an incremental build. Each scheduler
 /// job (one contiguous slice of a quantifier universe) is keyed by a
 /// stable 128-bit fingerprint of *exactly* the inputs its obligations
-/// depend on — the semantic content of the slice's configurations and the
-/// bodies of every action the slice executes (see semantics/Fingerprint.h
-/// and the key builders in is/ISCheck.cpp) — and its recorded value is the
-/// exact unit sequence the job emitted: obligation counts, failures, and
-/// diagnostics. Replaying cached units through the scheduler's ordered
-/// reconciliation is bit-identical to re-running the job, for every
-/// thread count, because unit dedup keys are themselves content
-/// fingerprints (run-independent).
+/// depend on — the semantic content of the slice's points in iteration
+/// order and the bodies of every action the slice executes (see
+/// semantics/Fingerprint.h and the key builders in is/ISCheck.cpp) — and
+/// its recorded value is the job's per-channel aggregate: obligation and
+/// failure counts plus the retained diagnostics with their slice-relative
+/// positions. Folding a cached aggregate is bit-identical to re-running
+/// the job, for every thread count, because nothing in it depends on the
+/// run that recorded it (see engine/ObligationScheduler.h).
 ///
 /// Two tiers share one mutex:
 ///
-///  - the in-memory tier: units inserted by this process, stored as
+///  - the in-memory tier: aggregates inserted by this process, stored as
 ///    serialized blobs (compact, and ready to persist);
 ///  - the on-disk tier: a compacted base image (`<dir>/obcache.bin`) plus
 ///    an append journal (`<dir>/obcache.jrnl`), both mmap'd, each with a
@@ -94,14 +94,14 @@ public:
   ObligationCache(const ObligationCache &) = delete;
   ObligationCache &operator=(const ObligationCache &) = delete;
 
-  /// Probes both tiers. On a hit, decodes the recorded unit sequence into
-  /// \p Units and sets \p FromDisk when the entry had not been touched
-  /// since the disk image was mapped.
-  bool lookup(const Fingerprint &Key, std::vector<ObUnit> &Units,
+  /// Probes both tiers. On a hit, decodes the recorded per-channel
+  /// aggregates into \p Out and sets \p FromDisk when the entry had not
+  /// been touched since the disk image was mapped.
+  bool lookup(const Fingerprint &Key, std::vector<ObAggregate> &Out,
               bool &FromDisk);
 
-  /// Records a job's emitted unit sequence under \p Key.
-  void insert(const Fingerprint &Key, const std::vector<ObUnit> &Units);
+  /// Records a job's per-channel aggregates under \p Key.
+  void insert(const Fingerprint &Key, const std::vector<ObAggregate> &Out);
 
   /// Persists this run's inserts: nothing when there were none, a journal
   /// append while the journal stays small, a full compaction otherwise
@@ -114,11 +114,11 @@ public:
 
   /// Serialization format of entry payloads and of the disk file. Bump on
   /// any layout change; old files are then treated as cold.
-  static constexpr uint32_t DiskFormatVersion = 1;
+  static constexpr uint32_t DiskFormatVersion = 2;
 
 private:
   struct MemEntry {
-    std::string Blob; ///< serialized unit sequence
+    std::string Blob; ///< serialized aggregates
     uint64_t LastUse = 0;
   };
   struct DiskEntry {
@@ -159,12 +159,13 @@ private:
   Counters Stats;
 };
 
-/// Serializes a unit sequence into the cache's blob form (exposed for the
-/// round-trip tests).
-std::string encodeObUnits(const std::vector<ObUnit> &Units);
-/// Decodes a blob; returns false (leaving \p Units unspecified) on any
+/// Serializes a job's per-channel aggregates into the cache's blob form
+/// (exposed for the round-trip tests).
+std::string encodeObAggregates(const std::vector<ObAggregate> &Out);
+/// Decodes a blob; returns false (leaving \p Out unspecified) on any
 /// malformed byte. Bounds-checked throughout — never reads past \p Size.
-bool decodeObUnits(const char *Data, size_t Size, std::vector<ObUnit> &Units);
+bool decodeObAggregates(const char *Data, size_t Size,
+                        std::vector<ObAggregate> &Out);
 
 } // namespace engine
 } // namespace isq

@@ -5,7 +5,6 @@
 #include "engine/ObligationCache.h"
 #include "refine/Refinement.h"
 #include "support/Format.h"
-#include "support/Hashing.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -14,13 +13,14 @@
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
+#include <tuple>
+#include <unordered_map>
 
 using namespace isq;
 using namespace isq::engine;
 
-static_assert(ObUnit::MaxIssues == CheckResult::MaxIssues,
-              "unit diagnostic cap must match CheckResult's");
+static_assert(ObAggregate::MaxIssues == CheckResult::MaxIssues,
+              "aggregate diagnostic cap must match CheckResult's");
 
 const char *engine::obConditionName(ObCondition C) {
   switch (C) {
@@ -71,7 +71,6 @@ ObligationStats::Bucket ObligationStats::totals() const {
   for (const Bucket &B : PerCondition) {
     T.Jobs += B.Jobs;
     T.Units += B.Units;
-    T.UnitsDeduped += B.UnitsDeduped;
     T.Obligations += B.Obligations;
     T.Failures += B.Failures;
     T.OrbitConfigs += B.OrbitConfigs;
@@ -85,7 +84,6 @@ void ObligationStats::accumulate(const ObligationStats &Other) {
   for (size_t I = 0; I < NumObConditions; ++I) {
     PerCondition[I].Jobs += Other.PerCondition[I].Jobs;
     PerCondition[I].Units += Other.PerCondition[I].Units;
-    PerCondition[I].UnitsDeduped += Other.PerCondition[I].UnitsDeduped;
     PerCondition[I].Obligations += Other.PerCondition[I].Obligations;
     PerCondition[I].Failures += Other.PerCondition[I].Failures;
     PerCondition[I].OrbitConfigs += Other.PerCondition[I].OrbitConfigs;
@@ -106,7 +104,7 @@ std::string ObligationStats::str() const {
   Out += "obligations=" + std::to_string(T.Obligations);
   Out += " failures=" + std::to_string(T.Failures);
   Out += " jobs=" + std::to_string(T.Jobs);
-  Out += " dedup-discarded=" + std::to_string(T.UnitsDeduped);
+  Out += " units=" + std::to_string(T.Units);
   if (T.OrbitStates > T.OrbitConfigs) {
     Out += " orbit-configs=" + std::to_string(T.OrbitConfigs);
     Out += " orbit-states=" + std::to_string(T.OrbitStates);
@@ -123,22 +121,68 @@ std::string ObligationStats::str() const {
   return Out;
 }
 
-namespace {
-
-struct ObKeyHash {
-  size_t operator()(const ObKey &K) const {
-    size_t Seed = K.Tag;
-    hashCombine(Seed, K.A);
-    hashCombine(Seed, K.B);
-    hashCombine(Seed, K.C);
-    return Seed;
+std::shared_ptr<const StoreGroupedOrder>
+engine::groupByStore(const StateArena &Arena,
+                     const std::vector<StoreId> &StoreOf, size_t ChunkSize) {
+  // Rank the distinct stores by content fingerprint: handles depend on
+  // interning order (racy across worker threads), and Store's own order
+  // compares variables by symbol index (process history). A fingerprint
+  // depends on the store's content alone, so the iteration order — and
+  // with it every slice's cache key — is the same in every run.
+  size_t N = StoreOf.size();
+  // Dense index per distinct store, in first-seen order.
+  std::unordered_map<StoreId, uint32_t> Dense;
+  std::vector<uint32_t> DenseOf(N);
+  std::vector<StoreId> Distinct;
+  for (size_t I = 0; I < N; ++I) {
+    auto [It, New] =
+        Dense.emplace(StoreOf[I], static_cast<uint32_t>(Distinct.size()));
+    if (New)
+      Distinct.push_back(StoreOf[I]);
+    DenseOf[I] = It->second;
   }
-};
+  std::vector<std::pair<Fingerprint, uint32_t>> ByContent;
+  ByContent.reserve(Distinct.size());
+  for (uint32_t D = 0; D < Distinct.size(); ++D)
+    ByContent.push_back({fingerprintStore(Arena.store(Distinct[D])), D});
+  std::sort(ByContent.begin(), ByContent.end());
+  // Stores with equal fingerprints share a rank: still grouped, only
+  // coarser — every store's points stay within one group.
+  std::vector<uint32_t> RankOf(Distinct.size());
+  uint32_t NumRanks = 0;
+  for (size_t I = 0; I < ByContent.size(); ++I) {
+    if (I == 0 || ByContent[I - 1].first < ByContent[I].first)
+      ++NumRanks;
+    RankOf[ByContent[I].second] = NumRanks - 1;
+  }
+  // Counting sort by rank: stable, so ties keep universe order.
+  std::vector<size_t> Start(NumRanks + 1, 0);
+  for (uint32_t D : DenseOf)
+    ++Start[RankOf[D] + 1];
+  for (uint32_t R = 0; R < NumRanks; ++R)
+    Start[R + 1] += Start[R];
+  auto Out = std::make_shared<StoreGroupedOrder>();
+  Out->Order.resize(N);
+  Out->Group.resize(N);
+  for (size_t I = 0; I < N; ++I) {
+    uint32_t R = RankOf[DenseOf[I]];
+    size_t Slot = Start[R]++;
+    Out->Order[Slot] = static_cast<uint32_t>(I);
+    Out->Group[Slot] = R;
+  }
+  Out->Cuts.push_back(0);
+  for (size_t Begin = 0; Begin < N;) {
+    size_t End = std::min(N, Begin + std::max<size_t>(ChunkSize, 1));
+    while (End < N && Out->Group[End] == Out->Group[End - 1])
+      ++End;
+    Out->Cuts.push_back(End);
+    Begin = End;
+  }
+  return Out;
+}
 
-} // namespace
-
-/// An ordered group of jobs sharing one dedup namespace. Channel I folds
-/// under Conditions[I].
+/// An ordered group of jobs over one universe. Channel I folds under
+/// Conditions[I].
 class ObligationScheduler::Group {
 public:
   explicit Group(std::vector<ObCondition> Conditions)
@@ -157,8 +201,11 @@ struct ObligationScheduler::JobSlot {
   /// Content fingerprint of the job's inputs; evaluated on the worker
   /// when a cache is attached. Null for uncacheable jobs.
   std::function<Fingerprint()> KeyFn;
+  ObSlice Slice;
   ObCondition Cond; // condition of channel 0, for timing attribution
-  ObSink Sink;
+  size_t NumChannels = 1;
+  /// The job's per-channel aggregates (from its sink or the cache).
+  std::vector<ObAggregate> Out;
   double Seconds = 0;
   bool CacheHit = false;
   bool FromDisk = false;
@@ -181,16 +228,47 @@ ObligationScheduler::group(std::vector<ObCondition> Conditions) {
 
 void ObligationScheduler::add(Group *G,
                               std::function<void(ObSink &)> Job) {
-  add(G, nullptr, std::move(Job));
+  add(G, ObSlice(), nullptr, std::move(Job));
 }
 
-void ObligationScheduler::add(Group *G, std::function<Fingerprint()> KeyFn,
+void ObligationScheduler::add(Group *G, ObSlice Slice,
+                              std::function<Fingerprint()> KeyFn,
                               std::function<void(ObSink &)> Job) {
   assert(!Ran && "cannot submit jobs after run()");
   G->JobIndices.push_back(Jobs.size());
-  Jobs.push_back(JobSlot{std::move(Job), std::move(KeyFn), G->Conditions[0],
-                         ObSink(), 0, false, false});
+  JobSlot J;
+  J.Fn = std::move(Job);
+  J.KeyFn = std::move(KeyFn);
+  J.Slice = std::move(Slice);
+  J.Cond = G->Conditions[0];
+  J.NumChannels = G->Conditions.size();
+  Jobs.push_back(std::move(J));
 }
+
+namespace {
+
+/// Whether aggregates recorded in the cache fit a job over \p Slice with
+/// \p NumChannels channels: every retained position inside the slice and
+/// no more diagnostics than failures. Blobs are checksummed, so this only
+/// guards against a fingerprint collision turning into an out-of-range
+/// position.
+bool fitsSlice(const std::vector<ObAggregate> &Out, const ObSlice &Slice,
+               size_t NumChannels) {
+  if (Out.empty() || Out.size() > NumChannels)
+    return false;
+  size_t Size = Slice.End - Slice.Begin;
+  for (const ObAggregate &A : Out) {
+    if (A.Issues.size() > A.Failures)
+      return false;
+    if (Slice.Universe)
+      for (const ObIssue &I : A.Issues)
+        if (I.Local >= Size)
+          return false;
+  }
+  return true;
+}
+
+} // namespace
 
 void ObligationScheduler::run() {
   assert(!Ran && "run() may be called once");
@@ -205,23 +283,25 @@ void ObligationScheduler::run() {
   // worker, so cache overhead parallelizes with the checking itself.
   auto RunOne = [this](JobSlot &J) {
     Timer T;
+    Fingerprint Key;
     if (Cache && J.KeyFn) {
-      Fingerprint Key = J.KeyFn();
+      Key = J.KeyFn();
       bool FromDisk = false;
-      if (Cache->lookup(Key, J.Sink.Units, FromDisk)) {
-        // Replay: the recorded units flow through reconciliation exactly
-        // as freshly emitted ones would — bit-identical fold.
+      // A hit folds exactly like a fresh run: aggregates carry
+      // slice-relative positions only.
+      if (Cache->lookup(Key, J.Out, FromDisk) &&
+          fitsSlice(J.Out, J.Slice, J.NumChannels)) {
         J.CacheHit = true;
         J.FromDisk = FromDisk;
         J.Seconds = T.elapsed();
         return;
       }
-      J.Fn(J.Sink);
-      Cache->insert(Key, J.Sink.Units);
-      J.Seconds = T.elapsed();
-      return;
     }
-    J.Fn(J.Sink);
+    ObSink Sink;
+    J.Fn(Sink);
+    J.Out = std::move(Sink.Channels);
+    if (Cache && J.KeyFn)
+      Cache->insert(Key, J.Out);
     J.Seconds = T.elapsed();
   };
   if (Workers <= 1) {
@@ -259,11 +339,10 @@ void ObligationScheduler::run() {
     ++Stats.PerCondition[CI].Jobs;
     Stats.PerCondition[CI].JobSeconds += J.Seconds;
     if (Cache && J.KeyFn) {
-      // Obligation-weighted cache accounting, before reconciliation
-      // (the sinks still hold every unit here; reconcile() drains them).
+      // Obligation-weighted cache accounting.
       uint64_t Obs = 0;
-      for (const ObUnit &U : J.Sink.Units)
-        Obs += U.Obligations;
+      for (const ObAggregate &A : J.Out)
+        Obs += A.Obligations;
       if (J.CacheHit) {
         Stats.Cache.Hits += Obs;
         if (J.FromDisk)
@@ -274,41 +353,54 @@ void ObligationScheduler::run() {
     }
   }
   for (Group &G : Groups)
-    reconcile(G);
+    fold(G);
   Stats.WallSeconds = Wall.elapsed();
 }
 
-void ObligationScheduler::reconcile(Group &G) {
-  // Replay every unit in (job submission, within-job emission) order
-  // against the group-wide dedup set: the surviving unit per key is
-  // exactly the serial loop's. See the header's determinism argument.
-  std::unordered_set<ObKey, ObKeyHash> Consumed;
-  for (size_t JobIdx : G.JobIndices) {
-    JobSlot &J = Jobs[JobIdx];
-    for (ObUnit &U : J.Sink.Units) {
-      assert(U.Channel < G.Results.size() && "unit channel out of range");
-      size_t CI = static_cast<size_t>(G.Conditions[U.Channel]);
-      ++Stats.PerCondition[CI].Units;
-      if (!U.Key.keyless() && !Consumed.insert(U.Key).second) {
-        ++Stats.PerCondition[CI].UnitsDeduped;
-        continue;
-      }
-      CheckResult &R = G.Results[U.Channel];
-      R.addObligations(U.Obligations);
-      uint32_t Reported = 0;
-      for (std::string &Issue : U.Issues) {
-        R.fail(std::move(Issue));
-        ++Reported;
-      }
-      // Failures beyond the retained diagnostics still count.
-      for (uint32_t I = Reported; I < U.Failures; ++I)
-        R.fail(std::string());
-      Stats.PerCondition[CI].Obligations += U.Obligations;
-      Stats.PerCondition[CI].Failures += U.Failures;
+void ObligationScheduler::fold(Group &G) {
+  // Sum the counts per channel and keep the MaxIssues diagnostics with
+  // the smallest universe positions — the serial loop's first MaxIssues
+  // (see the header's determinism argument). Sliceless jobs order by
+  // submission: the job ordinal breaks position ties.
+  struct Ranked {
+    uint64_t Position;
+    size_t Job;
+    uint32_t Seq;
+    std::string *Message;
+    bool operator<(const Ranked &O) const {
+      return std::tie(Position, Job, Seq) < std::tie(O.Position, O.Job, O.Seq);
     }
-    // Units are folded; release the memory before later groups reconcile.
-    J.Sink.Units.clear();
-    J.Sink.Units.shrink_to_fit();
+  };
+  std::vector<std::vector<Ranked>> Retained(G.Results.size());
+  std::vector<uint64_t> Failures(G.Results.size(), 0);
+  for (size_t Ordinal = 0; Ordinal < G.JobIndices.size(); ++Ordinal) {
+    JobSlot &J = Jobs[G.JobIndices[Ordinal]];
+    for (size_t Ch = 0; Ch < J.Out.size(); ++Ch) {
+      ObAggregate &A = J.Out[Ch];
+      assert(Ch < G.Results.size() && "channel out of range");
+      size_t CI = static_cast<size_t>(G.Conditions[Ch]);
+      Stats.PerCondition[CI].Units += A.Units;
+      Stats.PerCondition[CI].Obligations += A.Obligations;
+      Stats.PerCondition[CI].Failures += A.Failures;
+      G.Results[Ch].addObligations(A.Obligations);
+      Failures[Ch] += A.Failures;
+      for (ObIssue &I : A.Issues)
+        Retained[Ch].push_back(
+            {J.Slice.position(I.Local), Ordinal, I.Seq, &I.Message});
+    }
+  }
+  for (size_t Ch = 0; Ch < G.Results.size(); ++Ch) {
+    std::vector<Ranked> &R = Retained[Ch];
+    size_t Keep = std::min(R.size(), CheckResult::MaxIssues);
+    std::partial_sort(R.begin(), R.begin() + Keep, R.end());
+    for (size_t I = 0; I < Keep; ++I)
+      G.Results[Ch].fail(*R[I].Message);
+    G.Results[Ch].addFailures(Failures[Ch] - Keep);
+  }
+  // Aggregates are folded; release them before later groups fold.
+  for (size_t JobIdx : G.JobIndices) {
+    Jobs[JobIdx].Out.clear();
+    Jobs[JobIdx].Out.shrink_to_fit();
   }
 }
 

@@ -3,30 +3,34 @@
 /// \file
 /// The obligation scheduler: the parallel execution substrate for every
 /// checker pass (IS conditions, mover checks, refinement, cooperation).
-/// Checker passes enumerate their work as *jobs* — closures tagged with a
-/// condition that emit ordered *obligation units* into a sink — and the
-/// scheduler runs the jobs on a worker pool sharing the driver's thread
-/// budget, then folds the units back together in canonical submission
-/// order. Verdicts, obligation counts and counterexample diagnostics are
-/// bit-identical for any thread count (the same determinism contract as
-/// the frontier merge in engine/StateGraph.h).
+/// Checker passes enumerate their work as *jobs* — closures over one
+/// slice of a quantifier universe that emit obligations into a sink —
+/// and the scheduler runs the jobs on a worker pool sharing the driver's
+/// thread budget, then folds the per-job aggregates together. Verdicts,
+/// obligation counts and counterexample diagnostics are bit-identical for
+/// any thread count and equal to the serial checker loops (the same
+/// determinism contract as the frontier merge in engine/StateGraph.h).
 ///
-/// Determinism under deduplication. The serial checker loops deduplicate
-/// obligations whose outcome only depends on a store point (e.g. the
-/// commutation checks of the mover engine) by consuming a key at the
-/// first *gate-passing* occurrence in universe order. Whether a key is
-/// consumed at an occurrence can depend on that occurrence's Ω, so the
-/// consuming occurrence cannot be precomputed without evaluating gates —
-/// the very work we want to parallelize. The scheduler instead runs
-/// *speculative dedup with ordered reconciliation*: each job processes a
-/// contiguous slice of the universe with a job-local dedup set, emitting
-/// one unit per consumed key; the serial reconciliation then replays all
-/// units in (job submission, within-job emission) order against a
-/// group-wide dedup set and discards units whose key was already
-/// consumed. Because job slices are contiguous and ordered, the surviving
-/// unit for every key is exactly the one the serial loop would have
-/// produced — at the cost of some duplicated (discarded) work when a key
-/// spans slices.
+/// Determinism: store-grouped slices and retention by universe position.
+/// The serial loops decide each store-point obligation once (e.g. the
+/// commutation checks of the mover engine, keyed by (store, subject,
+/// other)) at its first *gate-passing* occurrence in universe order, and
+/// keep the first CheckResult::MaxIssues diagnostics in emission order.
+/// Every such key contains the store. The scheduled checkers therefore
+/// iterate the universe grouped by store (groupByStore: points ordered by
+/// a content rank of their store, ties in universe order) and cut slices
+/// only at store boundaries, so all occurrences of a key fall in one job,
+/// in universe order: a job-local dedup set consumes each key exactly
+/// where the serial loop does, and no work is duplicated or discarded.
+/// Each job folds its obligations into one aggregate per channel —
+/// counts, plus the first MaxIssues diagnostics of every store group,
+/// each tagged with its *position* (point index within the slice,
+/// emission order within the point). The fold maps positions through the
+/// current run's order to universe positions and keeps the MaxIssues
+/// smallest: exactly the serial loop's first MaxIssues, because within a
+/// store group iteration order is universe order. Positions are stored
+/// slice-relative, so an aggregate replayed from the verdict cache folds
+/// exactly like a fresh one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,11 +38,13 @@
 #define ISQ_ENGINE_OBLIGATIONSCHEDULER_H
 
 #include "engine/EngineConfig.h"
+#include "engine/StateArena.h"
 #include "semantics/Fingerprint.h"
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,79 +76,133 @@ const char *obConditionName(ObCondition C);
 /// Human-readable report label ("side conditions", "(I1) base case", ...).
 const char *obConditionLabel(ObCondition C);
 
-/// Dedup key of an obligation unit: a small tag naming the dedup namespace
-/// within the group (e.g. forward-preservation vs commutation) plus up to
-/// three 64-bit *content* fingerprints identifying the store point.
-/// Content — not interned handles — because units recorded by the
-/// obligation cache in one run are replayed through reconciliation in
-/// another: a cached unit and a freshly emitted one must dedup against
-/// each other exactly when they denote the same semantic point, which
-/// interning-order-dependent handles cannot guarantee across processes.
-/// Keyless units are always applied by the reconciliation.
-struct ObKey {
-  static constexpr uint32_t NoDedup = UINT32_MAX;
-  uint32_t Tag = NoDedup;
-  uint64_t A = 0;
-  uint64_t B = 0;
-  uint64_t C = 0;
-
-  bool keyless() const { return Tag == NoDedup; }
-  bool operator==(const ObKey &O) const {
-    return Tag == O.Tag && A == O.A && B == O.B && C == O.C;
-  }
+/// One retained diagnostic of a job: its position within the job's slice
+/// (the point's index in the slice, the emission order within the point)
+/// and its text.
+struct ObIssue {
+  uint32_t Local = 0;
+  uint32_t Seq = 0;
+  std::string Message;
 };
 
-/// One reconciliation-atomic group of obligations: every obligation that
-/// shares one dedup decision (or a keyless singleton). Jobs emit units in
-/// the exact order the serial checker loop evaluates them.
-struct ObUnit {
-  /// Cap on diagnostics carried per unit. Equals CheckResult::MaxIssues
-  /// (statically asserted in the .cpp): the reconciliation retains at
-  /// most that many per channel, so carrying more would be waste.
+/// Everything a job contributes to one result channel.
+struct ObAggregate {
+  /// Cap on diagnostics retained per store group. Equals
+  /// CheckResult::MaxIssues (statically asserted in the .cpp): the fold
+  /// keeps at most that many per channel, and within a store group the
+  /// first ones in emission order are the smallest positions.
   static constexpr size_t MaxIssues = 8;
 
-  ObKey Key;
-  /// Which result channel of the group this unit folds into (checker
-  /// passes whose loop feeds several conditions — e.g. (I3) also
-  /// discharging choice-function side conditions — use one channel per
-  /// condition).
-  uint8_t Channel = 0;
-  uint32_t Obligations = 0;
-  uint32_t Failures = 0;
-  /// Diagnostics for the failures, capped at MaxIssues.
-  std::vector<std::string> Issues;
+  /// Points checked: each deduplicated point once, plus each run of
+  /// consecutive keyless obligations within one point.
+  uint64_t Units = 0;
+  uint64_t Obligations = 0;
+  uint64_t Failures = 0;
+  /// In emission order; at most MaxIssues per store group.
+  std::vector<ObIssue> Issues;
 };
 
-/// The sink a job emits its units into. Not thread-safe; each job owns its
-/// sink for the duration of the call.
+/// The sink a job emits into. Not thread-safe; each job owns its sink for
+/// the duration of the call.
 class ObSink {
 public:
-  /// Opens a unit. Units are reconciliation-atomic: either every
-  /// obligation recorded until the next begin() counts, or none does.
-  void begin(ObKey Key = ObKey(), uint8_t Channel = 0) {
-    Units.push_back({Key, Channel, 0, 0, {}});
+  /// Moves to point \p Local of the job's slice (its index within the
+  /// slice, nondecreasing), which lies in store group \p Group (equal for
+  /// adjacent points sharing a store). Jobs that never call at() emit at
+  /// point 0 of group 0.
+  void at(uint32_t Local, uint64_t Group) {
+    if (Group != CurGroup)
+      for (uint32_t &N : GroupIssues)
+        N = 0;
+    CurGroup = Group;
+    if (Local != CurLocal)
+      Seq = 0;
+    CurLocal = Local;
+    OpenKeyless = false;
   }
-  /// Records one evaluated obligation in the current unit.
-  void countObligation() {
-    ensureOpen();
-    ++Units.back().Obligations;
+  /// Opens a keyless unit on \p Channel: consecutive keyless units within
+  /// one point form a single unit.
+  void begin(uint8_t Channel = 0) {
+    select(Channel);
+    if (!OpenKeyless || KeylessChannel != Channel)
+      ++Channels[Channel].Units;
+    OpenKeyless = true;
+    KeylessChannel = Channel;
   }
+  /// Opens a deduplicated point: one unit, decided once per universe.
+  void beginPoint(uint8_t Channel = 0) {
+    select(Channel);
+    ++Channels[Channel].Units;
+    OpenKeyless = false;
+  }
+  /// Records one evaluated obligation in the current channel.
+  void countObligation() { ++Channels[Cur].Obligations; }
   /// Records a failed obligation with a diagnostic.
   void fail(std::string Message) {
-    ensureOpen();
-    ObUnit &U = Units.back();
-    ++U.Failures;
-    if (U.Issues.size() < ObUnit::MaxIssues)
-      U.Issues.push_back(std::move(Message));
+    ObAggregate &A = Channels[Cur];
+    ++A.Failures;
+    uint32_t S = Seq++;
+    if (GroupIssues[Cur] < ObAggregate::MaxIssues) {
+      ++GroupIssues[Cur];
+      A.Issues.push_back({CurLocal, S, std::move(Message)});
+    }
   }
 
 private:
   friend class ObligationScheduler;
-  void ensureOpen() {
-    if (Units.empty())
-      Units.push_back({});
+  void select(uint8_t Channel) {
+    if (Channel >= Channels.size()) {
+      Channels.resize(Channel + 1);
+      GroupIssues.resize(Channel + 1, 0);
+    }
+    Cur = Channel;
   }
-  std::vector<ObUnit> Units;
+  /// One aggregate per channel; channel 0 always exists.
+  std::vector<ObAggregate> Channels = std::vector<ObAggregate>(1);
+  std::vector<uint32_t> GroupIssues = std::vector<uint32_t>(1, 0);
+  uint8_t Cur = 0;
+  uint8_t KeylessChannel = 0;
+  bool OpenKeyless = false;
+  uint32_t CurLocal = 0;
+  uint32_t Seq = 0;
+  uint64_t CurGroup = 0;
+};
+
+/// A scheduled checker's iteration order over a quantifier universe whose
+/// points (configurations or contexts) are given in universe (BFS) order:
+/// points grouped by the content of their store, cut into slices at store
+/// boundaries. See the file comment.
+struct StoreGroupedOrder {
+  /// Universe positions in iteration order.
+  std::vector<uint32_t> Order;
+  /// Store group of each iteration slot: a content rank of the store, so
+  /// equal ranks are adjacent and rank order does not depend on interning.
+  std::vector<uint32_t> Group;
+  /// Slice K covers iteration slots [Cuts[K], Cuts[K + 1]).
+  std::vector<size_t> Cuts;
+
+  size_t slices() const { return Cuts.empty() ? 0 : Cuts.size() - 1; }
+};
+
+/// Orders the points whose stores are \p StoreOf (in universe order) by
+/// the content fingerprint of their store, ties in universe order, and
+/// ends each slice at the first store boundary at or after \p ChunkSize
+/// points. Deterministic for any interning order and thread count.
+std::shared_ptr<const StoreGroupedOrder>
+groupByStore(const StateArena &Arena, const std::vector<StoreId> &StoreOf,
+             size_t ChunkSize);
+
+/// The universe positions of a job's points: slot Begin + Local of
+/// \p Universe's order, or position Begin + Local when the job iterates
+/// its universe in order (null Universe).
+struct ObSlice {
+  std::shared_ptr<const StoreGroupedOrder> Universe;
+  size_t Begin = 0;
+  size_t End = 0;
+
+  uint64_t position(uint32_t Local) const {
+    return Universe ? Universe->Order[Begin + Local] : Begin + Local;
+  }
 };
 
 /// Per-condition and aggregate observability of one scheduler run (or of
@@ -150,9 +210,8 @@ private:
 struct ObligationStats {
   struct Bucket {
     size_t Jobs = 0;
+    /// Points checked (see ObAggregate::Units).
     size_t Units = 0;
-    /// Units discarded by the dedup reconciliation (speculative work).
-    size_t UnitsDeduped = 0;
     size_t Obligations = 0;
     size_t Failures = 0;
     /// Orbit accounting under symmetry reduction: the condition's
@@ -167,10 +226,8 @@ struct ObligationStats {
   };
   Bucket PerCondition[NumObConditions];
   /// Verdict-cache accounting, obligation-weighted: every obligation a
-  /// keyed job would have evaluated counts as a hit (replayed from the
-  /// cache) or a miss (evaluated, then recorded). Weighed *before* dedup
-  /// reconciliation — the cache works at job granularity, so speculative
-  /// units replay like everything else. Zero when no cache is attached.
+  /// keyed job evaluates counts as a hit (replayed from the cache) or a
+  /// miss (evaluated, then recorded). Zero when no cache is attached.
   struct CacheStats {
     uint64_t Hits = 0;
     uint64_t Misses = 0;
@@ -194,18 +251,20 @@ struct ObligationStats {
 ///
 ///   ObligationScheduler Sched(Threads);
 ///   auto *G = Sched.group(ObCondition::LeftMovers);
-///   for (slice : universeSlices)
-///     Sched.add(G, [=](ObSink &S) { ... emit units for slice ... });
+///   auto Order = groupByStore(Arena, StoreOfEachPoint, ChunkSize);
+///   for (size_t K = 0; K < Order->slices(); ++K)
+///     Sched.add(G, {Order, Order->Cuts[K], Order->Cuts[K + 1]}, KeyFn,
+///               [=](ObSink &S) { ... S.at(Local, Group) ... });
 ///   ... more groups ...
 ///   Sched.run();
 ///   CheckResult R = Sched.result(G);
 ///
-/// Jobs across all groups share one pool; groups reconcile independently.
+/// Jobs across all groups share one pool; groups fold independently.
 /// run() may be called once per scheduler instance.
 class ObligationScheduler {
 public:
-  /// A group: an ordered sequence of jobs sharing one dedup namespace and
-  /// folding into per-channel CheckResults under one condition each.
+  /// A group: the jobs over one quantifier universe, folding into
+  /// per-channel CheckResults under one condition each.
   class Group;
 
   /// Takes its thread budget from \p Config.NumThreads (0 is treated as
@@ -225,25 +284,29 @@ public:
 
   /// Appends a job to \p G. Jobs must be safe to run concurrently with
   /// every other submitted job (shared arenas/caches are; job-local state
-  /// must not be shared).
+  /// must not be shared). A job without a slice emits at positions
+  /// ordered after every earlier-submitted job's.
   void add(Group *G, std::function<void(ObSink &)> Job);
 
-  /// Appends a cacheable job: \p KeyFn computes the job's content
+  /// Appends a job over \p Slice of its group's universe: the slice maps
+  /// the job's point indices (ObSink::at) to universe positions for the
+  /// fold. Slices of one group must not overlap. When \p KeyFn is
+  /// non-null the job is cacheable: KeyFn computes its content
   /// fingerprint — a pure function of every input the job's obligations
   /// depend on (see semantics/Fingerprint.h). When a cache is attached,
   /// the scheduler evaluates KeyFn on the worker (fingerprinting
   /// parallelizes with everything else), probes the cache, and on a hit
-  /// replays the recorded unit sequence instead of running \p Job; on a
-  /// miss it runs \p Job and records the emitted units. Without a cache,
-  /// KeyFn is never called.
-  void add(Group *G, std::function<Fingerprint()> KeyFn,
+  /// folds the recorded aggregates instead of running \p Job; on a miss
+  /// it runs \p Job and records them. Without a cache, KeyFn is never
+  /// called.
+  void add(Group *G, ObSlice Slice, std::function<Fingerprint()> KeyFn,
            std::function<void(ObSink &)> Job);
 
   /// Attaches the verdict cache consulted by run(). Must precede run();
   /// the cache must outlive the scheduler. Null detaches.
   void setCache(ObligationCache *C) { Cache = C; }
 
-  /// Runs every submitted job on the pool, then reconciles each group.
+  /// Runs every submitted job on the pool, then folds each group.
   void run();
 
   /// Annotates \p Condition's bucket with its quantifier universe under
@@ -262,7 +325,7 @@ public:
 
 private:
   struct JobSlot;
-  void reconcile(Group &G);
+  void fold(Group &G);
 
   unsigned Threads;
   std::deque<Group> Groups;

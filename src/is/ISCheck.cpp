@@ -463,8 +463,7 @@ namespace {
 /// Whether every behavior the IS obligations depend on carries a content
 /// fingerprint — the all-or-nothing gate for the obligation verdict
 /// cache. A single unknown (zero) fingerprint disables caching for the
-/// whole application: a partially keyed run would mix handle-based and
-/// content-based dedup keys, which must never coexist in one group.
+/// whole application.
 bool cacheEligible(const ISApplication &App) {
   for (Symbol Name : App.P.actionNames())
     if (App.P.action(Name).fp().isZero())
@@ -482,7 +481,7 @@ bool cacheEligible(const ISApplication &App) {
 
 /// The scheduled checker: submits every universe-quantified obligation of
 /// the IS rule into one ObligationScheduler and assembles the report from
-/// the reconciled group results. Deliberately separate from the serial
+/// the folded group results. Deliberately separate from the serial
 /// loops above, which survive as the parallel-check=false differential
 /// oracle. Transition caches are shared across all conditions; that only
 /// changes who computes an entry, never any obligation outcome.
@@ -529,8 +528,7 @@ ISCheckReport checkISScheduled(const ISApplication &App,
   ActionPaCache ActionPas(Arena);
 
   // The verdict cache attaches only when every dependent behavior is
-  // fingerprinted; a null Fps leaves every schedule call on the legacy
-  // handle-keyed, uncacheable path.
+  // fingerprinted; a null Fps leaves every slice uncacheable.
   std::optional<ArenaFingerprints> FpsStore;
   ArenaFingerprints *Fps = nullptr;
   if (VCache && cacheEligible(App)) {
@@ -645,10 +643,14 @@ ISCheckReport checkISScheduled(const ISApplication &App,
           return H.finish();
         };
       }
-      Sched.add(StepGroup, std::move(KeyFn), [=](ObSink &Sink) {
+      // No (I3) obligation is deduplicated, so the slices follow the
+      // universe order: positions are Begin + the point's index.
+      Sched.add(StepGroup, {nullptr, Begin, End}, std::move(KeyFn),
+                [=](ObSink &Sink) {
         StateArena &Arena = *ArenaP;
         for (size_t I = Begin; I < End; ++I) {
           const InternedActionContext &Call = MCallsP->Items[I];
+          Sink.at(static_cast<uint32_t>(I - Begin), 0);
           const Store &CallStore = Arena.store(Call.Global);
           const std::vector<Value> &CallArgs = Arena.pa(Call.ArgsPa).Args;
           const PaMultiset &CallOmega = Arena.paSet(Call.Omega);
@@ -662,7 +664,7 @@ ISCheckReport checkISScheduled(const ISApplication &App,
             if (ToE.empty())
               continue;
             PendingAsync Chosen = AppP->Choice(CallStore, CallArgs, T);
-            Sink.begin(ObKey(), ChanChoice);
+            Sink.begin(ChanChoice);
             Sink.countObligation();
             if (!ToE.contains(Chosen)) {
               Sink.fail("choice function selected " + Chosen.str() +
@@ -683,7 +685,7 @@ ISCheckReport checkISScheduled(const ISApplication &App,
             // Gate of the abstraction must hold right after I's
             // transition. Gates are pure, so the evaluation goes through
             // the shared caches keyed on the interned point.
-            Sink.begin(ObKey(), ChanStep);
+            Sink.begin(ChanStep);
             Sink.countObligation();
             bool AbsGateOk =
                 Abs.gateReadsOmega()
@@ -719,16 +721,19 @@ ISCheckReport checkISScheduled(const ISApplication &App,
   }
 
   // --- (LM) left movers --------------------------------------------------------
+  // One store-grouped order serves every (LM) and (CO) pass.
+  std::shared_ptr<const StoreGroupedOrder> ConfigOrder = moverSliceOrder(Space);
   std::vector<std::pair<Symbol, ObligationScheduler::Group *>> LMGroups;
   for (Symbol A : App.E)
     LMGroups.emplace_back(
         A, scheduleLeftMover(Sched, ObCondition::LeftMovers, A,
                              App.abstraction(A), P, Space, Cache, Gates,
-                             OmegaGates, SuccOmega, Fps));
+                             OmegaGates, SuccOmega, Fps, ConfigOrder));
 
   // --- (CO) cooperation ----------------------------------------------------------
-  ObligationScheduler::Group *CoGroup =
-      Sched.group(ObCondition::Cooperation);
+  // One group per A ∈ E, merged in E's order like the serial loop's
+  // A-major iteration.
+  std::vector<ObligationScheduler::Group *> CoGroups;
   {
     const StateSpace *SpaceP = &Space;
     InternedTransitionCache *CacheP = &Cache;
@@ -738,10 +743,13 @@ ISCheckReport checkISScheduled(const ISApplication &App,
     StateArena *ArenaP = &Arena;
     MeasureMemo *MeasuresP = &Measures;
     ActionPaCache *ActionPasP = &ActionPas;
-    // Thread-count independent slice over the reachable configurations.
-    constexpr size_t ChunkSize = 2048;
-    size_t N = Space.Configs.size();
+    // Thread-count independent slices over the reachable configurations,
+    // the mover passes' store-grouped order.
+    const StoreGroupedOrder *OrdP = ConfigOrder.get();
     for (Symbol A : App.E) {
+      ObligationScheduler::Group *CoGroup =
+          Sched.group(ObCondition::Cooperation);
+      CoGroups.push_back(CoGroup);
       const Action *AbsP = &App.abstraction(A);
       // A cooperation slice executes only α(A) and the measure over its
       // configurations — concrete-body edits never touch it.
@@ -753,8 +761,8 @@ ISCheckReport checkISScheduled(const ISApplication &App,
         HD.fp(App.WfMeasure.fp());
         CoDeps = HD.finish();
       }
-      for (size_t Begin = 0; Begin < N; Begin += ChunkSize) {
-        size_t End = std::min(N, Begin + ChunkSize);
+      for (size_t K = 0; K < OrdP->slices(); ++K) {
+        size_t Begin = OrdP->Cuts[K], End = OrdP->Cuts[K + 1];
         std::function<Fingerprint()> KeyFn;
         if (Fps) {
           ArenaFingerprints *FpsP = Fps;
@@ -762,16 +770,18 @@ ISCheckReport checkISScheduled(const ISApplication &App,
             FpHasher H("co-slice/v1");
             H.fp(CoDeps).u64(End - Begin);
             for (size_t CI = Begin; CI < End; ++CI)
-              H.fp(FpsP->config(SpaceP->Configs[CI]));
+              H.fp(FpsP->config(SpaceP->Configs[OrdP->Order[CI]]));
             return H.finish();
           };
         }
-        Sched.add(CoGroup, std::move(KeyFn), [=](ObSink &Sink) {
+        Sched.add(CoGroup, {ConfigOrder, Begin, End}, std::move(KeyFn),
+                  [=](ObSink &Sink) {
           StateArena &Arena = *ArenaP;
           const Action &Abs = *AbsP;
           for (size_t CI = Begin; CI < End; ++CI) {
-            ConfigId Cid = SpaceP->Configs[CI];
+            ConfigId Cid = SpaceP->Configs[OrdP->Order[CI]];
             auto [G, OmegaId] = Arena.config(Cid);
+            Sink.at(static_cast<uint32_t>(CI - Begin), OrdP->Group[CI]);
             for (PaId Pa : ActionPasP->get(OmegaId, A)) {
               bool GateOk =
                   Abs.gateReadsOmega()
@@ -842,7 +852,8 @@ ISCheckReport checkISScheduled(const ISApplication &App,
       Report.LeftMovers.fail("α(" + A.str() + ") is not a left mover");
     Report.LeftMovers.merge(R);
   }
-  Report.Cooperation = Sched.result(CoGroup);
+  for (ObligationScheduler::Group *CoGroup : CoGroups)
+    Report.Cooperation.merge(Sched.result(CoGroup));
   Report.Scheduler = Sched.stats();
   return Report;
 }

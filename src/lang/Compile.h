@@ -12,22 +12,27 @@
 #ifndef ISQ_LANG_COMPILE_H
 #define ISQ_LANG_COMPILE_H
 
+#include "lang/Hir.h"
 #include "lang/Lexer.h"
 #include "lang/Parser.h"
 #include "semantics/Program.h"
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
 namespace isq {
 namespace asl {
 
-/// A compiled module: the program and its initial store.
+/// A compiled module: the program, its initial store and its HIR.
 struct CompiledModule {
   Program P;
   Store InitialStore;
+  /// The lowered HIR, shared with the compiled actions (which evaluate
+  /// it); null for modules not built by the frontend.
+  std::shared_ptr<const hir::Module> Hir;
 };
 
 /// Resolves every constant of \p M to a concrete value, in declaration

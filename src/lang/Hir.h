@@ -102,6 +102,10 @@ struct Expr {
   std::string Callee; ///< pending builtins: target action name
   std::string Op;     ///< unary/binary operator spelling
   std::vector<ExprPtr> Children;
+  /// Pending builtins: Callee resolved to its symbol index by
+  /// annotateForEvaluation (lang/HirEval.h); NoSlot until then, when the
+  /// evaluator resolves the name per call.
+  uint32_t CalleeIndex = NoSlot;
 };
 
 enum class StmtKind : uint8_t {
@@ -126,6 +130,12 @@ struct Stmt {
   std::vector<ExprPtr> Exprs;
   std::vector<StmtPtr> Body;
   std::vector<StmtPtr> ElseBody;
+  /// An assert is reachable from this statement to the end of its block,
+  /// this statement's nested blocks included. Set once per statement by
+  /// annotateForEvaluation (lang/HirEval.h); the gate-only evaluator ends
+  /// a path where neither this bit nor any enclosing continuation's holds.
+  /// True until annotated, so unannotated HIR is never pruned.
+  bool RestMayAssert = true;
 };
 
 struct Param {

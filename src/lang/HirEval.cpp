@@ -4,6 +4,7 @@
 
 #include "support/Symbol.h"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -45,24 +46,28 @@ Value evalCall(const hir::Expr &E, const Store &G, HirEnv &Env) {
       E.Name == "pending_le_at") {
     if (!Env.Pending)
       return Value::integer(0);
-    int64_t WantIdx =
-        static_cast<int64_t>(Symbol::get(E.Callee).index());
+    Symbol Want = E.CalleeIndex != hir::NoSlot
+                      ? Symbol::fromIndex(E.CalleeIndex)
+                      : Symbol::get(E.Callee);
     std::optional<int64_t> MaxFirst, ExactSecond;
     if (E.Children.size() >= 1)
       MaxFirst = Arg(0).getInt();
     if (E.Children.size() >= 2)
       ExactSecond = Arg(1).getInt();
+    // Entries are sorted by action symbol first: count the PAs to Want.
+    const auto &Entries = Env.Pending->entries();
+    auto It = std::lower_bound(Entries.begin(), Entries.end(), Want,
+                               [](const PaMultiset::Entry &En, Symbol S) {
+                                 return En.first.Action < S;
+                               });
     int64_t Total = 0;
-    for (const auto &[PaTuple, Count] : Env.Pending->bagEntries()) {
-      if (PaTuple.elem(0).getInt() != WantIdx)
+    for (; It != Entries.end() && It->first.Action == Want; ++It) {
+      const std::vector<Value> &Args = It->first.Args;
+      if (MaxFirst && (Args.empty() || Args[0].getInt() > *MaxFirst))
         continue;
-      if (MaxFirst &&
-          (PaTuple.size() < 2 || PaTuple.elem(1).getInt() > *MaxFirst))
+      if (ExactSecond && (Args.size() < 2 || Args[1].getInt() != *ExactSecond))
         continue;
-      if (ExactSecond &&
-          (PaTuple.size() < 3 || PaTuple.elem(2).getInt() != *ExactSecond))
-        continue;
-      Total += Count.getInt();
+      Total += static_cast<int64_t>(It->second);
     }
     return Value::integer(Total);
   }
@@ -257,6 +262,37 @@ Value asl::evalHirExpr(const hir::Expr &E, const Store &G, HirEnv &Env) {
 
 namespace {
 
+/// The alternatives of `choose x in C`, in enumeration order: the members
+/// of a set or sequence, the distinct members of a bag.
+std::vector<Value> chooseElems(const Value &C) {
+  switch (C.kind()) {
+  case ValueKind::Set:
+  case ValueKind::Seq:
+    return C.elems();
+  case ValueKind::Bag: {
+    std::vector<Value> Elems;
+    for (const auto &[Elem, Count] : C.bagEntries()) {
+      (void)Count;
+      Elems.push_back(Elem);
+    }
+    return Elems;
+  }
+  default:
+    assert(false && "choose over non-collection");
+    return {};
+  }
+}
+
+/// Updates the nested map entry Base[Indices[Depth]]...[Indices.back()].
+Value updateNested(const Value &Base, const std::vector<Value> &Indices,
+                   size_t Depth, const Value &Rhs) {
+  if (Depth == Indices.size())
+    return Rhs;
+  return Base.mapSet(
+      Indices[Depth],
+      updateNested(Base.mapAt(Indices[Depth]), Indices, Depth + 1, Rhs));
+}
+
 /// One control path being executed, with a slot vector for locals.
 struct PathState {
   Store G;
@@ -270,17 +306,7 @@ struct PathState {
 struct Runner {
   BodyOutcome Outcome;
   const hir::TypeTable *Types = nullptr;
-  const Value *Pending = nullptr;
-
-  static Value updateNested(const Value &Base,
-                            const std::vector<Value> &Indices, size_t Depth,
-                            const Value &Rhs) {
-    if (Depth == Indices.size())
-      return Rhs;
-    return Base.mapSet(
-        Indices[Depth],
-        updateNested(Base.mapAt(Indices[Depth]), Indices, Depth + 1, Rhs));
-  }
+  const PaMultiset *Pending = nullptr;
 
   Value eval(const hir::Expr &E, PathState &State) {
     HirEnv Env;
@@ -351,24 +377,8 @@ struct Runner {
       return;
     }
     case hir::StmtKind::Choose: {
-      Value C = eval(*S.Exprs[0], State);
-      std::vector<Value> Elems;
-      switch (C.kind()) {
-      case ValueKind::Set:
-      case ValueKind::Seq:
-        Elems = C.elems();
-        break;
-      case ValueKind::Bag:
-        for (const auto &[Elem, Count] : C.bagEntries()) {
-          (void)Count;
-          Elems.push_back(Elem);
-        }
-        break;
-      default:
-        assert(false && "choose over non-collection");
-      }
       // An empty collection blocks the path (no choice possible).
-      for (const Value &Elem : Elems) {
+      for (const Value &Elem : chooseElems(eval(*S.Exprs[0], State))) {
         PathState Branch = State;
         if (S.Slot != hir::NoSlot)
           Branch.Slots[S.Slot] = Elem;
@@ -437,4 +447,186 @@ BodyOutcome asl::runHirBody(const std::vector<hir::StmtPtr> &Body,
   R.Pending = Env.Pending;
   R.runList(Body, 0, PathState{G, Env.Slots, {}});
   return std::move(R.Outcome);
+}
+
+namespace {
+
+/// The gate-only evaluator: a depth-first walk over the same paths as
+/// Runner, in the same order, that stops at the first violated assert.
+/// Paths carry no created PAs. A nested block or loop body runs under an
+/// explicit continuation instead of being run to completion first, so a
+/// path can be cut as soon as no assert is reachable from it.
+struct GateRunner {
+  const hir::TypeTable *Types = nullptr;
+  const PaMultiset *Pending = nullptr;
+
+  /// Gate paths need no created PAs.
+  struct State {
+    Store G;
+    std::vector<Value> Slots;
+  };
+
+  /// Where a path resumes when its current block ends: at (Stmts, Index)
+  /// with the block-scoped slots restored to *Slots — or, for a loop
+  /// (Loop non-null), at iteration Next of Loop, proceeding to
+  /// (Stmts, Index) after iteration Hi.
+  struct Cont {
+    const std::vector<hir::StmtPtr> *Stmts;
+    size_t Index;
+    const std::vector<Value> *Slots;
+    const Cont *Up;
+    const hir::Stmt *Loop;
+    int64_t Next;
+    int64_t Hi;
+    /// An assert is reachable from this continuation (Up included).
+    bool MayAssert;
+  };
+
+  static bool restMayAssert(const std::vector<hir::StmtPtr> &Stmts,
+                            size_t Index) {
+    return Index < Stmts.size() && Stmts[Index]->RestMayAssert;
+  }
+
+  Value eval(const hir::Expr &E, State &St) {
+    HirEnv Env;
+    Env.Slots = std::move(St.Slots);
+    Env.Types = Types;
+    Env.Pending = Pending;
+    Value V = evalHirExpr(E, St.G, Env);
+    St.Slots = std::move(Env.Slots);
+    return V;
+  }
+
+  /// Whether some path from (Stmts, Index) under \p K violates an assert.
+  bool fails(const std::vector<hir::StmtPtr> &Stmts, size_t Index, State St,
+             const Cont *K) {
+    for (;; ++Index) {
+      if (!restMayAssert(Stmts, Index) && !(K && K->MayAssert))
+        return false; // no assert reachable: the path cannot fail
+      if (Index == Stmts.size())
+        return resume(K, std::move(St));
+      const hir::Stmt &S = *Stmts[Index];
+      switch (S.Kind) {
+      case hir::StmtKind::Skip:
+      case hir::StmtKind::Async: // created PAs never reach a gate
+        continue;
+      case hir::StmtKind::Assert:
+        if (!eval(*S.Exprs[0], St).getBool())
+          return true;
+        continue;
+      case hir::StmtKind::Await:
+        if (!eval(*S.Exprs[0], St).getBool())
+          return false; // the path blocks: no failure
+        continue;
+      case hir::StmtKind::Assign: {
+        std::vector<Value> Indices;
+        for (size_t I = 0; I + 1 < S.Exprs.size(); ++I)
+          Indices.push_back(eval(*S.Exprs[I], St));
+        Value Rhs = eval(*S.Exprs.back(), St);
+        Value NewValue =
+            Indices.empty() ? Rhs
+                            : updateNested(St.G.get(S.Name), Indices, 0, Rhs);
+        St.G = St.G.set(S.Name, std::move(NewValue));
+        continue;
+      }
+      case hir::StmtKind::If: {
+        bool Cond = eval(*S.Exprs[0], St).getBool();
+        std::vector<Value> Outer = St.Slots;
+        Cont After{&Stmts, Index + 1, &Outer, K, nullptr, 0, 0,
+                   restMayAssert(Stmts, Index + 1) || (K && K->MayAssert)};
+        return fails(Cond ? S.Body : S.ElseBody, 0, std::move(St), &After);
+      }
+      case hir::StmtKind::For: {
+        int64_t Lo = eval(*S.Exprs[0], St).getInt();
+        int64_t Hi = eval(*S.Exprs[1], St).getInt();
+        std::vector<Value> Saved = St.Slots;
+        return iterate(S, Lo, Hi, &Saved, std::move(St), Stmts, Index + 1, K);
+      }
+      case hir::StmtKind::Choose: {
+        std::vector<Value> Elems = chooseElems(eval(*S.Exprs[0], St));
+        for (size_t I = 0; I < Elems.size(); ++I) {
+          State Branch = I + 1 == Elems.size() ? std::move(St) : St;
+          if (S.Slot != hir::NoSlot)
+            Branch.Slots[S.Slot] = std::move(Elems[I]);
+          if (fails(Stmts, Index + 1, std::move(Branch), K))
+            return true;
+        }
+        return false; // every branch completed (or none: blocked)
+      }
+      }
+    }
+  }
+
+  /// Runs iteration \p I of loop \p S (slots before binding: \p Saved),
+  /// then the remaining ones, then (Outer, OuterIndex) under \p Up.
+  bool iterate(const hir::Stmt &S, int64_t I, int64_t Hi,
+               const std::vector<Value> *Saved, State St,
+               const std::vector<hir::StmtPtr> &Outer, size_t OuterIndex,
+               const Cont *Up) {
+    if (I > Hi)
+      return fails(Outer, OuterIndex, std::move(St), Up);
+    if (S.Slot != hir::NoSlot)
+      St.Slots[S.Slot] = Value::integer(I);
+    Cont Next{&Outer, OuterIndex, Saved, Up, &S, I + 1, Hi,
+              (I < Hi && restMayAssert(S.Body, 0)) ||
+                  restMayAssert(Outer, OuterIndex) || (Up && Up->MayAssert)};
+    return fails(S.Body, 0, std::move(St), &Next);
+  }
+
+  bool resume(const Cont *K, State St) {
+    if (!K)
+      return false; // the path completed
+    St.Slots = *K->Slots;
+    if (K->Loop)
+      return iterate(*K->Loop, K->Next, K->Hi, K->Slots, std::move(St),
+                     *K->Stmts, K->Index, K->Up);
+    return fails(*K->Stmts, K->Index, std::move(St), K->Up);
+  }
+};
+
+/// Sets RestMayAssert over \p Body (nested blocks included); returns
+/// whether an assert is reachable from the start of \p Body.
+bool markAssertReach(std::vector<hir::StmtPtr> &Body) {
+  bool Rest = false;
+  for (size_t I = Body.size(); I-- > 0;) {
+    hir::Stmt &S = *Body[I];
+    bool InBody = markAssertReach(S.Body);
+    bool InElse = markAssertReach(S.ElseBody);
+    Rest = Rest || S.Kind == hir::StmtKind::Assert || InBody || InElse;
+    S.RestMayAssert = Rest;
+  }
+  return Rest;
+}
+
+void resolveCallees(hir::Expr &E) {
+  if (!E.Callee.empty())
+    E.CalleeIndex = Symbol::get(E.Callee).index();
+  for (hir::ExprPtr &C : E.Children)
+    resolveCallees(*C);
+}
+
+void resolveCallees(std::vector<hir::StmtPtr> &Body) {
+  for (hir::StmtPtr &S : Body) {
+    for (hir::ExprPtr &E : S->Exprs)
+      resolveCallees(*E);
+    resolveCallees(S->Body);
+    resolveCallees(S->ElseBody);
+  }
+}
+
+} // namespace
+
+bool asl::runHirGate(const std::vector<hir::StmtPtr> &Body, const Store &G,
+                     const HirEnv &Env) {
+  GateRunner R;
+  R.Types = Env.Types;
+  R.Pending = Env.Pending;
+  return !R.fails(Body, 0, GateRunner::State{G, Env.Slots}, nullptr);
+}
+
+void asl::annotateForEvaluation(hir::Module &M) {
+  for (hir::Action &A : M.Actions) {
+    markAssertReach(A.Body);
+    resolveCallees(A.Body);
+  }
 }

@@ -11,8 +11,21 @@
 ///  - Transitions: the (store, created PAs) endpoint of every complete
 ///    path, one per path — the transition relation τ.
 ///
-/// Locals live in a flat slot vector, and the pending-async mirror is a
-/// dedicated environment field.
+/// Locals live in a flat slot vector; the pending builtins read Ω in
+/// place through a dedicated environment field.
+///
+/// Gates are decided by a separate gate-only evaluator, runHirGate: the
+/// same paths in the same order, but it only answers "can some path
+/// violate an assert?". It returns at the first violated assert, never
+/// materializes transitions or created PAs, and ends a path as soon as no
+/// assert is reachable from it — neither in the rest of its block nor in
+/// any enclosing continuation (outer blocks, remaining loop iterations).
+/// That reachability is a per-statement bit (hir::Stmt::RestMayAssert)
+/// computed once by annotateForEvaluation, never rescanned per step.
+/// runHirBody's CanFail stays the reference the gate evaluator is tested
+/// against. Expressions cannot fault an action today, so skipping an
+/// assert-free suffix cannot change a verdict; once runtime faults fail
+/// an action, the bit must also cover fallible expressions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,9 +47,9 @@ struct HirEnv {
   std::vector<Value> Slots;
   /// Type table of the owning module (EmptyLit materialization).
   const hir::TypeTable *Types = nullptr;
-  /// The pending-async mirror: a bag of (action-symbol index, args...)
-  /// tuples, or nullptr outside gate evaluation (all counts read 0).
-  const Value *Pending = nullptr;
+  /// Ω as seen by the pending builtins, read in place; nullptr outside
+  /// gate evaluation (all counts read 0).
+  const PaMultiset *Pending = nullptr;
 };
 
 /// The result of running an action body from one (store, locals) point.
@@ -56,6 +69,18 @@ Value evalHirExpr(const hir::Expr &E, const Store &G, HirEnv &Env);
 /// paths.
 BodyOutcome runHirBody(const std::vector<hir::StmtPtr> &Body,
                        const Store &G, const HirEnv &Env);
+
+/// Decides the gate of an action body at (\p G, \p Env): equal to
+/// !runHirBody(Body, G, Env).CanFail, computed without building any
+/// transition (see the file comment).
+bool runHirGate(const std::vector<hir::StmtPtr> &Body, const Store &G,
+                const HirEnv &Env);
+
+/// Prepares \p M for evaluation: sets every statement's RestMayAssert bit
+/// and resolves the pending builtins' target actions to symbols. Called
+/// once by the lowering; evaluation of unannotated HIR stays correct,
+/// only slower.
+void annotateForEvaluation(hir::Module &M);
 
 } // namespace asl
 } // namespace isq

@@ -170,6 +170,7 @@ std::optional<CompiledModule> asl::lowerHir(hir::Module &&M,
   // Lower the actions.
   CompiledModule Result;
   Result.InitialStore = Init;
+  Result.Hir = Shared;
   for (const hir::Action &A : Shared->Actions) {
     size_t Arity = A.Params.size();
     const hir::Action *Decl = &A;
@@ -183,23 +184,9 @@ std::optional<CompiledModule> asl::lowerHir(hir::Module &&M,
       HirEnv Env;
       Env.Slots = BindSlots(Ctx.Args);
       Env.Types = &Shared->Types;
-      Value Mirror = Value::unit();
-      if (Decl->UsesPending) {
-        // Expose Ω to the pending builtins: a bag of
-        // (action-symbol index, args...) tuples.
-        Mirror = Value::bag({});
-        for (const auto &[PA, Count] : Ctx.Omega.entries()) {
-          std::vector<Value> Tuple;
-          Tuple.push_back(
-              Value::integer(static_cast<int64_t>(PA.Action.index())));
-          for (const Value &Arg : PA.Args)
-            Tuple.push_back(Arg);
-          Mirror = Mirror.bagInsert(Value::tuple(std::move(Tuple)), Count);
-        }
-        Env.Pending = &Mirror;
-      }
-      // The gate is false iff some path can violate an assert.
-      return !runHirBody(Decl->Body, Ctx.Global, Env).CanFail;
+      // The pending builtins read Ω in place.
+      Env.Pending = &Ctx.Omega;
+      return runHirGate(Decl->Body, Ctx.Global, Env);
     };
     Action::TransitionsFn Transitions =
         [Shared, Decl, BindSlots](const Store &G,
@@ -217,6 +204,11 @@ std::optional<CompiledModule> asl::lowerHir(hir::Module &&M,
     Lowered.setFp(fingerprintHirAction(A, Shared->Types));
     Result.P.addAction(std::move(Lowered));
   }
+  // Annotate last: every name a pending builtin can target is an action
+  // interned above, so resolving the callees interns nothing new —
+  // interning order fixes symbol order, which Ω's canonical order and
+  // with it exploration order rest on.
+  annotateForEvaluation(*Shared);
   if (Sym)
     Result.P.setSymmetry(std::move(Sym));
   return Result;

@@ -261,35 +261,45 @@ CheckResult checkMover(Symbol Subject, const Action &SubjectAction,
   return Result;
 }
 
-/// Dedup namespaces of the mover obligation units. Keys mirror the serial
-/// Key3 sets: (tag, StoreId, SubjectPa, OtherPa).
-constexpr uint32_t TagNonBlock = 1;
-constexpr uint32_t TagForward = 2;
-constexpr uint32_t TagBackward = 3;
-constexpr uint32_t TagCommute = 4;
+} // namespace
+
+std::shared_ptr<const StoreGroupedOrder>
+isq::moverSliceOrder(const StateSpace &Universe) {
+  // Slice size is thread-count independent so unit statistics are
+  // identical for any thread count, not just the verdicts. Mover
+  // obligations are cheap individually; a large slice keeps scheduler
+  // dispatch off the profile on big universes (Paxos/3+).
+  constexpr size_t ChunkSize = 2048;
+  std::vector<StoreId> StoreOf;
+  StoreOf.reserve(Universe.Configs.size());
+  for (ConfigId Cid : Universe.Configs)
+    StoreOf.push_back(Universe.Arena->config(Cid).first);
+  return groupByStore(*Universe.Arena, StoreOf, ChunkSize);
+}
+
+namespace {
 
 /// Obligation-scheduler form of checkMover. Deliberately a separate copy
 /// of the serial loop (not a shared template): the serial path survives
 /// as an independent differential oracle behind parallel-check=false, so
-/// the two implementations must not share obligation-emission code. Each
-/// job processes a contiguous slice of the universe with job-local dedup
-/// sets; the reconciliation replays units in order so the surviving unit
-/// per key is the serial loop's (see engine/ObligationScheduler.h).
+/// the two implementations must not share obligation-emission code. The
+/// jobs iterate the universe grouped by store and slice only at store
+/// boundaries; every dedup key contains the store, so each job-local
+/// dedup set is exact — it consumes each key at the serial loop's
+/// occurrence (see engine/ObligationScheduler.h).
 ObligationScheduler::Group *
 scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
               const Action &SubjectAction, const Program &P,
               const StateSpace &Universe, bool LeftDirection,
               bool RequireNonBlocking, InternedTransitionCache &Cache,
               GateCache &Gates, OmegaGateCache &OmegaGates,
-              SuccessorOmegaCache &SuccOmega, ArenaFingerprints *Fps) {
+              SuccessorOmegaCache &SuccOmega, ArenaFingerprints *Fps,
+              std::shared_ptr<const StoreGroupedOrder> Ord) {
   assert((!Fps || !SubjectAction.fp().isZero()) &&
          "cacheable mover check requires a stamped subject fingerprint");
   ObligationScheduler::Group *Group = Sched.group(Cond);
-  // Slice size is thread-count independent so unit/dedup statistics are
-  // identical for any thread count, not just the verdicts. Mover
-  // obligations are cheap individually; a large slice keeps scheduler
-  // dispatch off the profile on big universes (Paxos/3+).
-  constexpr size_t ChunkSize = 2048;
+  if (!Ord)
+    Ord = moverSliceOrder(Universe);
   // Jobs run after this function returns: capture the referents as
   // pointers by value, never the reference parameters themselves.
   const Action *SubjectActionP = &SubjectAction;
@@ -299,15 +309,15 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
   GateCache *GatesP = &Gates;
   OmegaGateCache *OmegaGatesP = &OmegaGates;
   SuccessorOmegaCache *SuccOmegaP = &SuccOmega;
-  size_t N = Universe.Configs.size();
-  for (size_t Begin = 0; Begin < N; Begin += ChunkSize) {
-    size_t End = std::min(N, Begin + ChunkSize);
+  const StoreGroupedOrder *OrdP = Ord.get();
+  for (size_t K = 0; K < Ord->slices(); ++K) {
+    size_t Begin = Ord->Cuts[K], End = Ord->Cuts[K + 1];
     // With a fingerprint memo the slice is cacheable. The key covers the
     // check parameters, the subject behavior, and every configuration in
-    // the slice; configurations holding at least one subject PA
-    // additionally absorb the concrete behavior of every co-pending
-    // action (the pair enumeration executes those behaviors), while
-    // subject-free configurations contribute no pairs and so stay
+    // the slice (in iteration order); configurations holding at least one
+    // subject PA additionally absorb the concrete behavior of every
+    // co-pending action (the pair enumeration executes those behaviors),
+    // while subject-free configurations contribute no pairs and so stay
     // insensitive to partner-action edits — the precision that keeps a
     // one-action edit from invalidating every mover slice.
     std::function<Fingerprint()> KeyFn;
@@ -319,7 +329,7 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
         H.boolean(LeftDirection).boolean(RequireNonBlocking);
         H.str(Subject.str()).fp(SubjectFp).u64(End - Begin);
         for (size_t CI = Begin; CI < End; ++CI) {
-          ConfigId Cid = UniverseP->Configs[CI];
+          ConfigId Cid = UniverseP->Configs[OrdP->Order[CI]];
           H.fp(Fps->config(Cid));
           PaSetId OmegaId = Arena.config(Cid).second;
           const std::vector<PaId> &Order = Arena.paOrder(OmegaId);
@@ -339,7 +349,7 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
         return H.finish();
       };
     }
-    Sched.add(Group, std::move(KeyFn), [=](ObSink &Sink) {
+    Sched.add(Group, {Ord, Begin, End}, std::move(KeyFn), [=](ObSink &Sink) {
       const Action &SubjectAction = *SubjectActionP;
       const Program &P = *ProgP;
       const StateSpace &Universe = *UniverseP;
@@ -352,16 +362,6 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
       std::unordered_set<Key3, Key3Hash> NonBlockDone;
       std::unordered_set<Key3, Key3Hash> ForwardDone;
       std::unordered_set<Key3, Key3Hash> BackwardDone;
-
-      // Reconciliation dedup keys: content fingerprints under the verdict
-      // cache (cross-run stable), interned handles otherwise (see ObKey).
-      // The job-local Done sets above always use handles — they never
-      // leave this job.
-      auto obKey = [=](uint32_t Tag, StoreId G, PaId A, PaId B) {
-        return Fps ? ObKey{Tag, fp64(Fps->store(G)), fp64(Fps->pa(A)),
-                           fp64(Fps->pa(B))}
-                   : ObKey{Tag, G, A, B};
-      };
 
       // Gate results are pure functions of the interned point, so every
       // evaluation goes through the shared caches: Ω-observing gates key
@@ -393,8 +393,9 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
       std::vector<PaLocal> Locals;
 
       for (size_t CI = Begin; CI < End; ++CI) {
-        ConfigId Cid = Universe.Configs[CI];
+        ConfigId Cid = Universe.Configs[OrdP->Order[CI]];
         auto [G, OmegaId] = Arena.config(Cid);
+        Sink.at(static_cast<uint32_t>(CI - Begin), OrdP->Group[CI]);
         Locals.clear();
         // Each PA contributes at most two entries (its own action as the
         // other role, the checked action as the subject role); reserving
@@ -439,7 +440,7 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
               continue;
             if (!NonBlockDone.insert({G, SubjectPa, SubjectPa}).second)
               continue;
-            Sink.begin(obKey(TagNonBlock, G, SubjectPa, SubjectPa));
+            Sink.beginPoint();
             Sink.countObligation();
             if (transOf(SubjL).empty())
               Sink.fail("non-blocking violated: " + Arena.pa(SubjectPa).str() +
@@ -469,7 +470,7 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
             if (SubjectAction.gateReadsOmega())
               Sink.begin();
             else
-              Sink.begin(obKey(TagForward, G, SubjectPa, OtherPa));
+              Sink.beginPoint();
             const std::vector<InternedTransition> &TOs = transOf(OtherL);
             const std::vector<PaSetId> *AfterO =
                 SubjectAction.gateReadsOmega() ? &afterOf(OtherL) : nullptr;
@@ -494,7 +495,7 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
             if (Other.gateReadsOmega())
               Sink.begin();
             else
-              Sink.begin(obKey(TagBackward, G, SubjectPa, OtherPa));
+              Sink.beginPoint();
             const std::vector<InternedTransition> &TSs = transOf(SubjL);
             const std::vector<PaSetId> *AfterS =
                 Other.gateReadsOmega() ? &afterOf(SubjL) : nullptr;
@@ -512,7 +513,7 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
 
           // (3) Commutation (Ω-independent: deduplicated across Ω's).
           if (OtherGate && CommuteDone.insert({G, SubjectPa, OtherPa}).second) {
-            Sink.begin(obKey(TagCommute, G, SubjectPa, OtherPa));
+            Sink.beginPoint();
             if (LeftDirection) {
               // other;subject must be reorderable to subject;other.
               for (const InternedTransition &TO : transOf(OtherL)) {
@@ -611,10 +612,12 @@ isq::scheduleLeftMover(ObligationScheduler &Sched, ObCondition Cond,
                        const StateSpace &Universe,
                        InternedTransitionCache &Cache, GateCache &Gates,
                        OmegaGateCache &OmegaGates,
-                       SuccessorOmegaCache &SuccOmega, ArenaFingerprints *Fps) {
+                       SuccessorOmegaCache &SuccOmega, ArenaFingerprints *Fps,
+                       std::shared_ptr<const StoreGroupedOrder> Order) {
   return scheduleMover(Sched, Cond, Subject, LAction, P, Universe,
                        /*LeftDirection=*/true, /*RequireNonBlocking=*/true,
-                       Cache, Gates, OmegaGates, SuccOmega, Fps);
+                       Cache, Gates, OmegaGates, SuccOmega, Fps,
+                       std::move(Order));
 }
 
 ObligationScheduler::Group *
@@ -623,10 +626,12 @@ isq::scheduleRightMover(ObligationScheduler &Sched, ObCondition Cond,
                         const StateSpace &Universe,
                         InternedTransitionCache &Cache, GateCache &Gates,
                         OmegaGateCache &OmegaGates,
-                        SuccessorOmegaCache &SuccOmega, ArenaFingerprints *Fps) {
+                        SuccessorOmegaCache &SuccOmega, ArenaFingerprints *Fps,
+                        std::shared_ptr<const StoreGroupedOrder> Order) {
   return scheduleMover(Sched, Cond, Subject, RAction, P, Universe,
                        /*LeftDirection=*/false, /*RequireNonBlocking=*/false,
-                       Cache, Gates, OmegaGates, SuccOmega, Fps);
+                       Cache, Gates, OmegaGates, SuccOmega, Fps,
+                       std::move(Order));
 }
 
 MoverType isq::classifyMover(Symbol Subject, const Program &P,

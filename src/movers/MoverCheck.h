@@ -66,15 +66,19 @@ CheckResult checkRightMover(Symbol Subject, const Action &RAction,
 /// Obligation-scheduler form of checkLeftMover: submits the same
 /// obligations as sliced jobs under \p Cond and returns the group handle;
 /// after Sched.run(), Sched.result(group) is bit-identical to the serial
-/// check for any thread count. \p LAction, \p P, \p Universe and the
+/// check for any thread count. The jobs iterate the universe grouped by
+/// store and slice only at store boundaries, so each Ω-independent
+/// (store, subject, other) obligation is decided once, in one job (see
+/// engine/ObligationScheduler.h). \p LAction, \p P, \p Universe and the
 /// caches must outlive the run. The caches may be shared across groups —
 /// gates and transition relations are pure, so sharing only changes who
 /// computes an entry, never any obligation outcome.
 ///
+/// \p Order, when given, must be moverSliceOrder(Universe).
+///
 /// When \p Fps is non-null the slices become verdict-cacheable: each job
-/// gets a content-fingerprint KeyFn and the dedup keys switch from
-/// interned handles to content fingerprints (see ObKey). A slice's key
-/// covers the subject behavior, every configuration in the slice, and —
+/// gets a content-fingerprint KeyFn. A slice's key covers the subject
+/// behavior, every configuration in the slice, and —
 /// for configurations actually holding a subject PA — the concrete
 /// behavior of every co-pending partner action, so editing one action
 /// only invalidates the slices whose pair enumeration executes it.
@@ -85,7 +89,9 @@ scheduleLeftMover(engine::ObligationScheduler &Sched, engine::ObCondition Cond,
                   engine::InternedTransitionCache &Cache,
                   engine::GateCache &Gates, engine::OmegaGateCache &OmegaGates,
                   engine::SuccessorOmegaCache &SuccOmega,
-                  engine::ArenaFingerprints *Fps = nullptr);
+                  engine::ArenaFingerprints *Fps = nullptr,
+                  std::shared_ptr<const engine::StoreGroupedOrder> Order =
+                      nullptr);
 
 /// Obligation-scheduler form of checkRightMover (see scheduleLeftMover).
 engine::ObligationScheduler::Group *
@@ -96,7 +102,17 @@ scheduleRightMover(engine::ObligationScheduler &Sched, engine::ObCondition Cond,
                    engine::GateCache &Gates,
                    engine::OmegaGateCache &OmegaGates,
                    engine::SuccessorOmegaCache &SuccOmega,
-                   engine::ArenaFingerprints *Fps = nullptr);
+                   engine::ArenaFingerprints *Fps = nullptr,
+                   std::shared_ptr<const engine::StoreGroupedOrder> Order =
+                       nullptr);
+
+/// The iteration order of the scheduled mover checks over \p Universe:
+/// configurations grouped by store, slices of about 2048 configurations
+/// cut at store boundaries. The schedule calls above compute it when
+/// passed none; a caller running several passes over one universe
+/// computes it once and passes it to each.
+std::shared_ptr<const engine::StoreGroupedOrder>
+moverSliceOrder(const engine::StateSpace &Universe);
 
 /// Classifies \p Subject (executed with its own program action) over
 /// \p Universe as Both/Left/Right/None by running both directed checks.

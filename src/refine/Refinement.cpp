@@ -4,7 +4,6 @@
 
 #include "engine/ActionCaches.h"
 #include "engine/ArenaFingerprints.h"
-#include "support/Hashing.h"
 
 #include <algorithm>
 #include <unordered_set>
@@ -150,13 +149,19 @@ isq::scheduleActionRefinement(ObligationScheduler &Sched, ObCondition Cond,
   assert((!Fps || (!A1.fp().isZero() && !A2.fp().isZero())) &&
          "cacheable refinement requires stamped behavior fingerprints");
   ObligationScheduler::Group *Group = Sched.group(Cond);
-  // Slice size is thread-count independent so unit/dedup statistics are
+  // Slice size is thread-count independent so unit statistics are
   // identical for any thread count, not just the verdicts. 4096 keeps
   // job dispatch well under 1% of refinement work on the large
   // context universes (Paxos/3 has hundreds of thousands of contexts).
+  // Slices end at store boundaries: every (store, args) point of
+  // condition (2) is decided within one job (see ObligationScheduler.h).
   constexpr size_t ChunkSize = 4096;
-  // Dedup namespace of the condition-(2) simulation units.
-  constexpr uint32_t TagSim = 1;
+  std::vector<StoreId> StoreOf;
+  StoreOf.reserve(Universe.Items.size());
+  for (const InternedActionContext &Ctx : Universe.Items)
+    StoreOf.push_back(Ctx.Global);
+  std::shared_ptr<const StoreGroupedOrder> Ord =
+      groupByStore(*Universe.Arena, StoreOf, ChunkSize);
   // Jobs run after this function returns: capture the referents as
   // pointers by value, never the reference parameters themselves.
   const Action *A1P = &A1;
@@ -165,9 +170,9 @@ isq::scheduleActionRefinement(ObligationScheduler &Sched, ObCondition Cond,
   InternedTransitionCache *CacheP = &Cache;
   GateCache *GatesP = &Gates;
   OmegaGateCache *OmegaGatesP = &OmegaGates;
-  size_t N = Universe.Items.size();
-  for (size_t Begin = 0; Begin < N; Begin += ChunkSize) {
-    size_t End = std::min(N, Begin + ChunkSize);
+  const StoreGroupedOrder *OrdP = Ord.get();
+  for (size_t K = 0; K < Ord->slices(); ++K) {
+    size_t Begin = Ord->Cuts[K], End = Ord->Cuts[K + 1];
     // With a fingerprint memo the slice is cacheable: its verdict depends
     // on the two behaviors and on the slice's contexts, nothing else.
     std::function<Fingerprint()> KeyFn;
@@ -177,7 +182,7 @@ isq::scheduleActionRefinement(ObligationScheduler &Sched, ObCondition Cond,
         FpHasher H("refine-slice/v1");
         H.fp(F1).fp(F2).u64(End - Begin);
         for (size_t I = Begin; I < End; ++I) {
-          const InternedActionContext &Ctx = UniP->Items[I];
+          const InternedActionContext &Ctx = UniP->Items[OrdP->Order[I]];
           H.fp(Fps->store(Ctx.Global));
           H.fp(Fps->pa(Ctx.ArgsPa));
           H.fp(Fps->paSet(Ctx.Omega));
@@ -185,7 +190,7 @@ isq::scheduleActionRefinement(ObligationScheduler &Sched, ObCondition Cond,
         return H.finish();
       };
     }
-    Sched.add(Group, std::move(KeyFn), [=](ObSink &Sink) {
+    Sched.add(Group, {Ord, Begin, End}, std::move(KeyFn), [=](ObSink &Sink) {
       StateArena &Arena = *UniP->Arena;
       std::unordered_set<uint64_t> SimulationDone;
       // Gate results are pure functions of the interned point, so every
@@ -203,7 +208,8 @@ isq::scheduleActionRefinement(ObligationScheduler &Sched, ObCondition Cond,
                                 Arena.paSet(Ctx.Omega)});
       };
       for (size_t I = Begin; I < End; ++I) {
-        const InternedActionContext &Ctx = UniP->Items[I];
+        const InternedActionContext &Ctx = UniP->Items[OrdP->Order[I]];
+        Sink.at(static_cast<uint32_t>(I - Begin), OrdP->Group[I]);
         bool Gate2 = gateAt(*A2P, Ctx);
         // (1) ρ2 ⊆ ρ1 — evaluated at every context, never deduplicated.
         Sink.begin();
@@ -213,17 +219,13 @@ isq::scheduleActionRefinement(ObligationScheduler &Sched, ObCondition Cond,
           Sink.fail("gate inclusion violated (ρ2 ⊄ ρ1) at " + describe(Ctx));
         if (!Gate2)
           continue; // (2) only constrains stores in ρ2
+        // (2) ρ2 ∘ τ1 ⊆ τ2 — once per (store, args) point, at its first
+        // gate-passing context: the slice holds every context of the
+        // point's store, in universe order.
         uint64_t Point = (static_cast<uint64_t>(Ctx.Global) << 32) | Ctx.ArgsPa;
         if (!SimulationDone.insert(Point).second)
           continue;
-        // (2) ρ2 ∘ τ1 ⊆ τ2 — one unit per (store, args) point; the
-        // reconciliation keeps the first gate-passing occurrence. Under
-        // the verdict cache the key is the point's *content* (see ObKey).
-        ObKey SimKey =
-            Fps ? ObKey{TagSim, fp64(Fps->store(Ctx.Global)),
-                        fp64(Fps->pa(Ctx.ArgsPa)), 0}
-                : ObKey{TagSim, Ctx.Global, Ctx.ArgsPa, 0};
-        Sink.begin(SimKey);
+        Sink.beginPoint();
         const std::vector<InternedTransition> &Abstract =
             CacheP->get(*A2P, Ctx.Global, Ctx.ArgsPa);
         for (const InternedTransition &T :

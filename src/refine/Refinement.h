@@ -40,8 +40,11 @@ public:
 
   /// Records one evaluated obligation.
   void countObligation() { ++NumObligations; }
-  /// Records \p N evaluated obligations at once (scheduler reconciliation).
+  /// Records \p N evaluated obligations at once (scheduler fold).
   void addObligations(size_t N) { NumObligations += N; }
+  /// Records \p N failed obligations whose diagnostics were not retained
+  /// (scheduler fold).
+  void addFailures(size_t N) { NumFailures += N; }
   /// Records a failed obligation with a diagnostic.
   void fail(const std::string &Message);
   /// Merges \p Other into this result.
@@ -109,17 +112,19 @@ CheckResult checkActionRefinement(const Action &A1, const Action &A2,
 /// Obligation-scheduler form: submits the same obligations as sliced jobs
 /// into \p Sched under \p Cond and returns the group handle; after
 /// Sched.run(), Sched.result(group) is bit-identical to the serial
-/// checkActionRefinement above for any thread count. \p A1, \p A2,
-/// \p Universe and the caches must outlive the run. The caches may be
-/// shared across groups — gates and transition relations are pure, so
-/// sharing only changes who computes an entry, never any outcome.
+/// checkActionRefinement above for any thread count. The jobs iterate
+/// the contexts grouped by store and slice only at store boundaries, so
+/// each job decides every (store, args) point of condition (2) it meets
+/// exactly once, where the serial loop does (see
+/// engine/ObligationScheduler.h). \p A1, \p A2, \p Universe and the
+/// caches must outlive the run. The caches may be shared across groups —
+/// gates and transition relations are pure, so sharing only changes who
+/// computes an entry, never any outcome.
 ///
 /// When \p Fps is non-null the slices become verdict-cacheable: each job
-/// gets a content-fingerprint KeyFn (over both action behaviors and every
-/// context in the slice) and the dedup keys switch from interned handles
-/// to content fingerprints so cached units from other runs reconcile
-/// correctly. Requires A1.fp() and A2.fp() to be stamped; with a null
-/// \p Fps the legacy handle keys are used and nothing is cacheable.
+/// gets a content-fingerprint KeyFn over both action behaviors and every
+/// context in the slice, in iteration order. Requires A1.fp() and A2.fp()
+/// to be stamped; with a null \p Fps nothing is cacheable.
 engine::ObligationScheduler::Group *
 scheduleActionRefinement(engine::ObligationScheduler &Sched,
                          engine::ObCondition Cond, const Action &A1,

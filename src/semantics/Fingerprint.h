@@ -112,13 +112,6 @@ private:
   uint64_t Len = 0;
 };
 
-/// Folds a 128-bit fingerprint into one 64-bit word, for the three-word
-/// ObKey dedup keys (engine/ObligationScheduler.h). Not a new hash — just
-/// a mix of the two already-avalanched halves.
-inline uint64_t fp64(const Fingerprint &F) {
-  return F.Hi ^ (F.Lo * 0x9e3779b97f4a7c15ULL);
-}
-
 /// Commutative, associative fold of item fingerprints: the accumulator for
 /// collections whose iteration order is interning-dependent (stores, PA
 /// multisets, symbol-keyed maps). Items must themselves be finished

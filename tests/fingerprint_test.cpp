@@ -12,12 +12,15 @@
 ///    optimizer-removed statements don't move fingerprints;
 ///  - dependency precision: editing one action's gate changes exactly
 ///    that action's fingerprint;
-///  - unit-sequence encode/decode round-trips, and corrupted or
+///  - aggregate encode/decode round-trips, and corrupted or
 ///    truncated cache images degrade to cold lookups, never to wrong
-///    decodes.
+///    decodes — end to end, a stale-format or truncated image verifies
+///    exactly like a cold run.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ShippedExamples.h"
+#include "driver/VerifyDriver.h"
 #include "engine/ObligationCache.h"
 #include "lang/Frontend.h"
 #include "semantics/Action.h"
@@ -221,58 +224,56 @@ TEST(FingerprintTest, GateEditMovesExactlyTheEditedAction) {
       << "an edit to Inc must not move Main";
 }
 
-// --- Unit-sequence serialization ----------------------------------------
+// --- Aggregate serialization --------------------------------------------
 
 namespace {
 
-std::vector<engine::ObUnit> sampleUnits() {
-  using engine::ObKey;
-  using engine::ObUnit;
-  std::vector<ObUnit> Units;
-  ObUnit Keyed;
-  Keyed.Key = ObKey{7, 0x1111222233334444ULL, 0x5555666677778888ULL, 42};
-  Keyed.Channel = 1;
-  Keyed.Obligations = 19;
-  Keyed.Failures = 2;
-  Keyed.Issues = {"first issue", "second issue with ünïcode"};
-  Units.push_back(Keyed);
-  ObUnit Keyless; // Tag == NoDedup: the key words are not serialized
-  Keyless.Obligations = 3;
-  Units.push_back(Keyless);
-  ObUnit Empty;
-  Empty.Key = ObKey{0, 1, 2, 3};
-  Units.push_back(Empty);
-  return Units;
+std::vector<engine::ObAggregate> sampleUnits() {
+  using engine::ObAggregate;
+  std::vector<ObAggregate> Out(3);
+  Out[0].Units = 4;
+  Out[0].Obligations = 3;
+  Out[1].Units = 11;
+  Out[1].Obligations = 19;
+  Out[1].Failures = 5;
+  Out[1].Issues = {{0, 0, "first issue"},
+                   {4097, 2, "second issue with ünïcode"}};
+  // Channel 2 stays empty: a job that never selected it.
+  return Out;
 }
 
-void expectSameUnits(const std::vector<engine::ObUnit> &A,
-                     const std::vector<engine::ObUnit> &B) {
+void expectSameUnits(const std::vector<engine::ObAggregate> &A,
+                     const std::vector<engine::ObAggregate> &B) {
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_TRUE(A[I].Key == B[I].Key) << I;
-    EXPECT_EQ(A[I].Channel, B[I].Channel) << I;
+    EXPECT_EQ(A[I].Units, B[I].Units) << I;
     EXPECT_EQ(A[I].Obligations, B[I].Obligations) << I;
     EXPECT_EQ(A[I].Failures, B[I].Failures) << I;
-    EXPECT_EQ(A[I].Issues, B[I].Issues) << I;
+    ASSERT_EQ(A[I].Issues.size(), B[I].Issues.size()) << I;
+    for (size_t J = 0; J < A[I].Issues.size(); ++J) {
+      EXPECT_EQ(A[I].Issues[J].Local, B[I].Issues[J].Local) << I;
+      EXPECT_EQ(A[I].Issues[J].Seq, B[I].Issues[J].Seq) << I;
+      EXPECT_EQ(A[I].Issues[J].Message, B[I].Issues[J].Message) << I;
+    }
   }
 }
 
 } // namespace
 
-TEST(ObligationCacheTest, UnitSequenceRoundTrips) {
-  std::vector<engine::ObUnit> Units = sampleUnits();
-  std::string Blob = engine::encodeObUnits(Units);
-  std::vector<engine::ObUnit> Decoded;
-  ASSERT_TRUE(engine::decodeObUnits(Blob.data(), Blob.size(), Decoded));
+TEST(ObligationCacheTest, AggregateRoundTrips) {
+  std::vector<engine::ObAggregate> Units = sampleUnits();
+  std::string Blob = engine::encodeObAggregates(Units);
+  std::vector<engine::ObAggregate> Decoded;
+  ASSERT_TRUE(engine::decodeObAggregates(Blob.data(), Blob.size(), Decoded));
   expectSameUnits(Units, Decoded);
 }
 
 TEST(ObligationCacheTest, TruncatedBlobIsRejectedAtEveryLength) {
-  std::vector<engine::ObUnit> Units = sampleUnits();
-  std::string Blob = engine::encodeObUnits(Units);
-  std::vector<engine::ObUnit> Decoded;
+  std::vector<engine::ObAggregate> Units = sampleUnits();
+  std::string Blob = engine::encodeObAggregates(Units);
+  std::vector<engine::ObAggregate> Decoded;
   for (size_t Len = 0; Len < Blob.size(); ++Len)
-    EXPECT_FALSE(engine::decodeObUnits(Blob.data(), Len, Decoded))
+    EXPECT_FALSE(engine::decodeObAggregates(Blob.data(), Len, Decoded))
         << "truncation to " << Len << " bytes must not decode";
 }
 
@@ -321,7 +322,7 @@ long fileSize(const std::string &Path) {
 
 TEST(ObligationCacheTest, DiskRoundTripServesEveryEntry) {
   TempCacheDir Dir;
-  std::vector<engine::ObUnit> Units = sampleUnits();
+  std::vector<engine::ObAggregate> Units = sampleUnits();
   {
     engine::ObligationCache Cache(dirOptions(Dir));
     for (uint64_t I = 1; I <= 10; ++I)
@@ -333,7 +334,7 @@ TEST(ObligationCacheTest, DiskRoundTripServesEveryEntry) {
   EXPECT_EQ(Reloaded.counters().DiskEntries, 10u);
   EXPECT_FALSE(Reloaded.counters().DiskRejected);
   for (uint64_t I = 1; I <= 10; ++I) {
-    std::vector<engine::ObUnit> Out;
+    std::vector<engine::ObAggregate> Out;
     bool FromDisk = false;
     ASSERT_TRUE(Reloaded.lookup(key(I), Out, FromDisk)) << I;
     EXPECT_TRUE(FromDisk) << I;
@@ -354,7 +355,7 @@ TEST(ObligationCacheTest, AllHitRunSkipsWriteback) {
   ASSERT_EQ(::stat(Dir.base().c_str(), &Before), 0);
   {
     engine::ObligationCache Cache(dirOptions(Dir));
-    std::vector<engine::ObUnit> Out;
+    std::vector<engine::ObAggregate> Out;
     bool FromDisk = false;
     ASSERT_TRUE(Cache.lookup(key(1), Out, FromDisk));
     std::string Error;
@@ -389,7 +390,7 @@ TEST(ObligationCacheTest, SmallInsertAppendsJournalInsteadOfRewriting) {
   ASSERT_GT(fileSize(Dir.journal()), 0);
   engine::ObligationCache Reloaded(dirOptions(Dir));
   EXPECT_EQ(Reloaded.counters().DiskEntries, 201u);
-  std::vector<engine::ObUnit> Out;
+  std::vector<engine::ObAggregate> Out;
   bool FromDisk = false;
   EXPECT_TRUE(Reloaded.lookup(key(1000), Out, FromDisk));
   EXPECT_TRUE(Reloaded.lookup(key(7), Out, FromDisk));
@@ -408,7 +409,7 @@ TEST(ObligationCacheTest, CorruptedHeaderRejectsImageAndSelfHeals) {
     engine::ObligationCache Cache(dirOptions(Dir));
     EXPECT_TRUE(Cache.counters().DiskRejected);
     EXPECT_EQ(Cache.counters().DiskEntries, 0u);
-    std::vector<engine::ObUnit> Out;
+    std::vector<engine::ObAggregate> Out;
     bool FromDisk = false;
     EXPECT_FALSE(Cache.lookup(key(1), Out, FromDisk));
     // The run proceeds cold and save() rewrites a clean image.
@@ -433,7 +434,7 @@ TEST(ObligationCacheTest, TruncatedImageIsRejected) {
   ASSERT_EQ(::truncate(Dir.base().c_str(), 60), 0);
   engine::ObligationCache Cache(dirOptions(Dir));
   EXPECT_TRUE(Cache.counters().DiskRejected);
-  std::vector<engine::ObUnit> Out;
+  std::vector<engine::ObAggregate> Out;
   bool FromDisk = false;
   EXPECT_FALSE(Cache.lookup(key(1), Out, FromDisk));
 }
@@ -457,7 +458,7 @@ TEST(ObligationCacheTest, InteriorCorruptionFailsChecksumNotVerdict) {
   EXPECT_EQ(Cache.counters().DiskEntries, 20u);
   size_t Hits = 0, Misses = 0;
   for (uint64_t I = 1; I <= 20; ++I) {
-    std::vector<engine::ObUnit> Out;
+    std::vector<engine::ObAggregate> Out;
     bool FromDisk = false;
     if (Cache.lookup(key(I), Out, FromDisk)) {
       expectSameUnits(sampleUnits(), Out); // a hit is never garbage
@@ -491,7 +492,7 @@ TEST(ObligationCacheTest, TornJournalTailCostsOnlyTheTail) {
   ASSERT_EQ(::truncate(Dir.journal().c_str(), JSize - 10), 0);
   engine::ObligationCache Cache(dirOptions(Dir));
   EXPECT_FALSE(Cache.counters().DiskRejected);
-  std::vector<engine::ObUnit> Out;
+  std::vector<engine::ObAggregate> Out;
   bool FromDisk = false;
   EXPECT_TRUE(Cache.lookup(key(1), Out, FromDisk)) << "base entry survives";
   // Journal append order is unordered across keys, so the clipped record
@@ -504,4 +505,59 @@ TEST(ObligationCacheTest, TornJournalTailCostsOnlyTheTail) {
     }
   EXPECT_EQ(JournalHits, 2u)
       << "whole records before the tear survive; the torn tail misses";
+}
+
+TEST(ObligationCacheTest, StaleOrTruncatedImageVerifiesLikeCold) {
+  // A rejecting instance (more (CO) failures than retained diagnostics),
+  // so replayed diagnostics are part of what must not change.
+  TempCacheDir Dir;
+  driver::VerifyOptions Opts;
+  {
+    std::ifstream In(isq::testing::examplePath("two_phase_commit.asl"));
+    std::stringstream Buffer;
+    Buffer << In.rdbuf();
+    Opts.Source = Buffer.str();
+  }
+  Opts.Consts = {{"n", 4}};
+  Opts.Eliminate = {"RequestVotes", "Vote", "Decide", "Finalize"};
+  Opts.Abstractions = {{"Decide", "DecideAbs"}};
+  Opts.Weights = {{"RequestVotes", 8}, {"Decide", 4}};
+  Opts.Engine.Incremental = true;
+  Opts.Engine.CacheDir = Dir.Path;
+  auto ExpectSameVerdict = [](const driver::VerifyResult &A,
+                              const driver::VerifyResult &B,
+                              const std::string &What) {
+    EXPECT_EQ(A.Accepted, B.Accepted) << What;
+    EXPECT_EQ(A.exitCode(), B.exitCode()) << What;
+    EXPECT_EQ(A.Report.str(), B.Report.str()) << What;
+  };
+
+  driver::VerifyResult Cold = driver::verifyModule(Opts);
+  ASSERT_FALSE(Cold.Accepted);
+  ASSERT_GT(Cold.Report.Cooperation.failures(), CheckResult::MaxIssues);
+  ASSERT_GT(fileSize(Dir.base()), 0) << "the cold run persists its image";
+  driver::VerifyResult Warm = driver::verifyModule(Opts);
+  ExpectSameVerdict(Cold, Warm, "warm");
+  EXPECT_GT(Warm.Report.Scheduler.Cache.Hits, 0u);
+
+  // The same image stamped with the previous serialization format.
+  {
+    std::fstream F(Dir.base(), std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(F.good());
+    F.seekp(8); // after the magic: the format version, little-endian
+    uint32_t Old = engine::ObligationCache::DiskFormatVersion - 1;
+    for (int I = 0; I < 4; ++I)
+      F.put(static_cast<char>((Old >> (8 * I)) & 0xff));
+  }
+  driver::VerifyResult Stale = driver::verifyModule(Opts);
+  ExpectSameVerdict(Cold, Stale, "stale format");
+  EXPECT_EQ(Stale.Report.Scheduler.Cache.Hits, 0u) << "the image is ignored";
+
+  // The stale run rewrote a current image; cut it inside its last entry.
+  long Size = fileSize(Dir.base());
+  ASSERT_GT(Size, 16);
+  ASSERT_EQ(::truncate(Dir.base().c_str(), Size - 7), 0);
+  driver::VerifyResult Truncated = driver::verifyModule(Opts);
+  ExpectSameVerdict(Cold, Truncated, "truncated entry");
+  EXPECT_EQ(Truncated.Report.Scheduler.Cache.Hits, 0u);
 }

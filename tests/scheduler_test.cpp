@@ -1,13 +1,15 @@
 //===- tests/scheduler_test.cpp - Obligation scheduler tests ---------------------===//
 //
-// Unit tests for the ObligationScheduler (ordered reconciliation,
-// speculative dedup, channels, caps) plus the determinism contract of the
-// scheduled checkers: verdicts, obligation counts, diagnostics, and
-// reconciliation statistics are bit-identical for any thread count, and
-// equal to the serial reference loops.
+// Unit tests for the ObligationScheduler (store-grouped slicing, the fold
+// and its retention by universe position, channels, caps) plus the
+// determinism contract of the scheduled checkers: verdicts, obligation
+// counts, diagnostics, and scheduler statistics are bit-identical for any
+// thread count, and equal to the serial reference loops — including on
+// universes spanning many slices.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ShippedExamples.h"
 #include "TestPrograms.h"
 #include "engine/ObligationScheduler.h"
 #include "is/ISCheck.h"
@@ -60,8 +62,6 @@ void expectSameCounters(const ObligationStats &A, const ObligationStats &B) {
   for (size_t I = 0; I < NumObConditions; ++I) {
     EXPECT_EQ(A.PerCondition[I].Jobs, B.PerCondition[I].Jobs) << I;
     EXPECT_EQ(A.PerCondition[I].Units, B.PerCondition[I].Units) << I;
-    EXPECT_EQ(A.PerCondition[I].UnitsDeduped, B.PerCondition[I].UnitsDeduped)
-        << I;
     EXPECT_EQ(A.PerCondition[I].Obligations, B.PerCondition[I].Obligations)
         << I;
     EXPECT_EQ(A.PerCondition[I].Failures, B.PerCondition[I].Failures) << I;
@@ -118,50 +118,106 @@ TEST(ObligationSchedulerTest, MergesUnitsInSubmissionOrder) {
   EXPECT_EQ(R.issues()[1], "second");
 }
 
-TEST(ObligationSchedulerTest, DedupKeepsFirstSubmittedUnit) {
-  // Both jobs claim the same key with different payloads; regardless of
-  // which worker runs first, reconciliation must keep the unit of the
-  // earlier-submitted job.
+TEST(ObligationSchedulerTest, RetainsIssuesBySmallestUniversePosition) {
+  // Two slices of a permuted universe. Iteration order is not universe
+  // order, so the fold must map each retained diagnostic back to its
+  // universe position and keep the MaxIssues smallest — whatever the
+  // order the jobs ran or emitted in.
+  auto Order = std::make_shared<StoreGroupedOrder>();
+  Order->Order = {5, 9, 1, 7, 0, 3}; // universe positions per slot
+  Order->Group = {0, 0, 1, 1, 2, 2};
+  Order->Cuts = {0, 2, 6};
   for (unsigned Threads : {1u, 2u, 8u}) {
     ObligationScheduler Sched(threadConfig(Threads));
     auto *G = Sched.group(ObCondition::Cooperation);
-    Sched.add(G, [](ObSink &S) {
-      S.begin(ObKey{7, 1, 2, 3});
-      S.countObligation();
-      S.fail("winner");
-    });
-    Sched.add(G, [](ObSink &S) {
-      S.begin(ObKey{7, 1, 2, 3});
-      S.countObligation();
-      S.countObligation();
-      S.fail("loser");
-    });
+    for (size_t K = 0; K < Order->slices(); ++K) {
+      size_t Begin = Order->Cuts[K], End = Order->Cuts[K + 1];
+      Sched.add(G, {Order, Begin, End}, nullptr,
+                [Order, Begin, End](ObSink &S) {
+        for (size_t I = Begin; I < End; ++I) {
+          S.at(static_cast<uint32_t>(I - Begin), Order->Group[I]);
+          for (int F = 0; F < 2; ++F) {
+            S.begin();
+            S.countObligation();
+            S.fail("pos " + std::to_string(Order->Order[I]) + "." +
+                   std::to_string(F));
+          }
+        }
+      });
+    }
     Sched.run();
     const CheckResult &R = Sched.result(G);
-    EXPECT_EQ(R.obligations(), 1u) << Threads;
-    EXPECT_EQ(R.failures(), 1u) << Threads;
-    ASSERT_EQ(R.issues().size(), 1u) << Threads;
-    EXPECT_EQ(R.issues()[0], "winner") << Threads;
-    EXPECT_EQ(Sched.stats()
-                  .PerCondition[size_t(ObCondition::Cooperation)]
-                  .UnitsDeduped,
-              1u);
+    EXPECT_EQ(R.obligations(), 12u) << Threads;
+    EXPECT_EQ(R.failures(), 12u) << Threads;
+    std::vector<std::string> Want = {"pos 0.0", "pos 0.1", "pos 1.0",
+                                     "pos 1.1", "pos 3.0", "pos 3.1",
+                                     "pos 5.0", "pos 5.1"};
+    EXPECT_EQ(R.issues(), Want) << Threads;
   }
 }
 
-TEST(ObligationSchedulerTest, KeylessUnitsNeverDedup) {
+TEST(ObligationSchedulerTest, KeylessRunsCountOncePerPoint) {
+  // Units count the points checked: consecutive keyless obligations of
+  // one point form one unit, a deduplicated point is one unit of its own.
   ObligationScheduler Sched(threadConfig(2));
   auto *G = Sched.group(ObCondition::BaseCase);
   for (int I = 0; I < 4; ++I)
     Sched.add(G, [](ObSink &S) {
-      S.begin(); // keyless
-      S.countObligation();
+      for (uint32_t Point = 0; Point < 3; ++Point) {
+        S.at(Point, 0);
+        S.begin();
+        S.countObligation();
+        S.begin(); // same run
+        S.countObligation();
+        S.beginPoint();
+        S.countObligation();
+        S.begin(); // a new run after the point
+        S.countObligation();
+      }
     });
   Sched.run();
-  EXPECT_EQ(Sched.result(G).obligations(), 4u);
-  EXPECT_EQ(
-      Sched.stats().PerCondition[size_t(ObCondition::BaseCase)].UnitsDeduped,
-      0u);
+  EXPECT_EQ(Sched.result(G).obligations(), 4u * 3u * 4u);
+  EXPECT_EQ(Sched.stats().PerCondition[size_t(ObCondition::BaseCase)].Units,
+            4u * 3u * 3u);
+}
+
+TEST(ObligationSchedulerTest, GroupByStoreSlicesAtStoreBoundaries) {
+  // Points 0..11 over three stores, interleaved. Every store's points end
+  // up adjacent and in universe order, and no slice splits a store group.
+  StateArena Arena;
+  StoreId S[3] = {Arena.internStore(xStore(0)), Arena.internStore(xStore(1)),
+                  Arena.internStore(xStore(2))};
+  std::vector<StoreId> StoreOf;
+  for (size_t I = 0; I < 12; ++I)
+    StoreOf.push_back(S[(I * 7) % 3]);
+  std::shared_ptr<const StoreGroupedOrder> Ord =
+      groupByStore(Arena, StoreOf, /*ChunkSize=*/3);
+  ASSERT_EQ(Ord->Order.size(), 12u);
+  std::vector<bool> Seen(12, false);
+  for (size_t I = 0; I < 12; ++I) {
+    Seen[Ord->Order[I]] = true;
+    if (I == 0)
+      continue;
+    if (Ord->Group[I] == Ord->Group[I - 1]) {
+      EXPECT_EQ(StoreOf[Ord->Order[I]], StoreOf[Ord->Order[I - 1]]);
+      EXPECT_LT(Ord->Order[I - 1], Ord->Order[I]) << "ties keep order";
+    } else {
+      EXPECT_NE(StoreOf[Ord->Order[I]], StoreOf[Ord->Order[I - 1]]);
+    }
+  }
+  EXPECT_EQ(std::count(Seen.begin(), Seen.end(), true), 12);
+  // Four points per store and a chunk of three: every cut lands on the
+  // next store boundary.
+  EXPECT_EQ(Ord->Cuts, (std::vector<size_t>{0, 4, 8, 12}));
+  // The order depends on store content only: interning the stores in
+  // another order yields the same grouping.
+  StateArena Other;
+  StoreId T[3] = {Other.internStore(xStore(2)), Other.internStore(xStore(0)),
+                  Other.internStore(xStore(1))};
+  std::vector<StoreId> OtherOf;
+  for (size_t I = 0; I < 12; ++I)
+    OtherOf.push_back(T[((I * 7) % 3 + 1) % 3]);
+  EXPECT_EQ(groupByStore(Other, OtherOf, 3)->Order, Ord->Order);
 }
 
 TEST(ObligationSchedulerTest, ChannelsFoldIntoSeparateResults) {
@@ -169,10 +225,10 @@ TEST(ObligationSchedulerTest, ChannelsFoldIntoSeparateResults) {
   auto *G = Sched.group(
       {ObCondition::InductiveStep, ObCondition::SideConditions});
   Sched.add(G, [](ObSink &S) {
-    S.begin(ObKey(), 1); // side-condition channel
+    S.begin(1); // side-condition channel
     S.countObligation();
     S.fail("bad choice");
-    S.begin(ObKey(), 0); // inductive-step channel
+    S.begin(0); // inductive-step channel
     S.countObligation();
   });
   Sched.run();
@@ -202,18 +258,23 @@ TEST(ObligationSchedulerTest, FailureCountsSurviveIssueCap) {
 }
 
 TEST(ObligationSchedulerTest, IdenticalAcrossThreadCountsUnderContention) {
-  // Many jobs racing on overlapping keys: results and counter statistics
-  // must not depend on the worker count.
+  // Many jobs over many slices, finishing in any order: results and
+  // counter statistics must not depend on the worker count.
   auto Run = [](unsigned Threads) {
     ObligationScheduler Sched(threadConfig(Threads));
     auto *G = Sched.group(ObCondition::LeftMovers);
     for (uint32_t J = 0; J < 64; ++J)
-      Sched.add(G, [J](ObSink &S) {
+      Sched.add(G, {nullptr, J * 16u, J * 16u + 16u}, nullptr,
+                [J](ObSink &S) {
         for (uint32_t K = 0; K < 16; ++K) {
-          S.begin(ObKey{1, (J + K) % 8, 0, 0});
+          S.at(K, (J * 16 + K) / 4);
+          if (K % 3)
+            S.beginPoint();
+          else
+            S.begin();
           S.countObligation();
           if ((J + K) % 8 == 3)
-            S.fail("key3 from job " + std::to_string(J));
+            S.fail("point " + std::to_string(J * 16 + K));
         }
       });
     Sched.run();
@@ -228,6 +289,9 @@ TEST(ObligationSchedulerTest, IdenticalAcrossThreadCountsUnderContention) {
   expectSameResult(R1, R8, "threads 1 vs 8");
   expectSameCounters(S1, S2);
   expectSameCounters(S1, S8);
+  ASSERT_EQ(R1.issues().size(), CheckResult::MaxIssues);
+  EXPECT_EQ(R1.issues()[0], "point 3");
+  EXPECT_EQ(R1.failures(), 128u);
 }
 
 // --- Scheduled refinement vs serial ------------------------------------
@@ -377,4 +441,61 @@ TEST(ScheduledISCheckTest, MatchesSerialOnNonInductiveInvariant) {
   ISCheckReport Serial = checkIS(App, Universe);
   ASSERT_FALSE(Serial.InductiveStep.ok());
   expectParallelMatchesSerial(App, Universe);
+}
+
+// --- Universes spanning many slices ------------------------------------
+
+namespace {
+
+/// The serial report against the scheduled one at 1 and 4 threads, on a
+/// universe large enough that every store-grouped order has several
+/// slices: the keys of one store must never straddle a slice boundary.
+void expectMatchesSerialAcrossSlices(const isq::testing::ShippedExample &Ex) {
+  ASSERT_GT(moverSliceOrder(Ex.Universe.Space)->slices(), 2u);
+  ISCheckOptions SerialOpts;
+  SerialOpts.Config.ParallelCheck = false;
+  ISCheckReport Serial = checkIS(Ex.App, Ex.Universe, SerialOpts);
+  ISCheckReport Reports[2];
+  const unsigned Threads[2] = {1, 4};
+  for (size_t I = 0; I < 2; ++I) {
+    ISCheckOptions Opts;
+    Opts.Config.NumThreads = Threads[I];
+    Reports[I] = checkIS(Ex.App, Ex.Universe, Opts);
+    expectSameReport(Serial, Reports[I]);
+  }
+  expectSameCounters(Reports[0].Scheduler, Reports[1].Scheduler);
+}
+
+std::vector<std::string> paxosFlags(const char *R, const char *N) {
+  return {"--param", std::string("R=") + R, "--param", std::string("N=") + N,
+          "--arg-major", "--eliminate", "StartRound,Join,Propose,Vote,Conclude",
+          "--abstract", "Join=JoinAbs", "--abstract", "Propose=ProposeAbs",
+          "--abstract", "Vote=VoteAbs", "--abstract", "Conclude=ConcludeAbs",
+          "--weight", "StartRound=9", "--weight", "Propose=5", "--weight",
+          "Conclude=2"};
+}
+
+} // namespace
+
+TEST(ScheduledISCheckTest, MatchesSerialAcrossSlicesOnPaxosR3N2) {
+  isq::testing::ShippedExample Ex =
+      isq::testing::loadShippedExample("paxos.asl", paxosFlags("3", "2"));
+  expectMatchesSerialAcrossSlices(Ex);
+}
+
+TEST(ScheduledISCheckTest, RetainsSerialDiagnosticsAcrossSlices) {
+  // Two-phase commit with five participants under the three-participant
+  // weights: (CO) fails more often than CheckResult::MaxIssues, across
+  // several slices (n=4 is REJECTED too, but its universe fits one
+  // slice), so the retained diagnostics are the serial loop's first ones
+  // only if the fold keeps the smallest universe positions.
+  isq::testing::ShippedExample Ex = isq::testing::loadShippedExample(
+      "two_phase_commit.asl",
+      {"--param", "n=5", "--eliminate", "RequestVotes,Vote,Decide,Finalize",
+       "--abstract", "Decide=DecideAbs", "--weight", "RequestVotes=8",
+       "--weight", "Decide=4"});
+  ISCheckReport Serial = checkIS(Ex.App, Ex.Universe);
+  ASSERT_FALSE(Serial.Cooperation.ok());
+  ASSERT_GT(Serial.Cooperation.failures(), CheckResult::MaxIssues);
+  expectMatchesSerialAcrossSlices(Ex);
 }

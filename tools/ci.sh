@@ -10,7 +10,10 @@
 # verifying with its documented flags); check the engine's determinism
 # contract over the same corpus (verdict JSON at one thread must be
 # bit-identical to four threads with a tiny steal chunk, after
-# timing/steal-count scrubbing); check that the P ≼ P' cross-check
+# timing/steal-count scrubbing); check the scheduled checkers against
+# the serial parallel-check=false oracle over the same corpus plus paxos
+# R=3 N=2 (after scrubbing timings and scheduler telemetry); check that
+# the P ≼ P' cross-check
 # reports the same outcome and obligation count with symmetry on and
 # off; run the incremental re-verification
 # stage (cold run populating an on-disk obligation verdict cache, a
@@ -62,7 +65,7 @@ example_flags() {
 # header documents its own invocation ("Verify with:"), so CI follows the
 # same command users see, plus --engine threads=2 to exercise the
 # parallel scheduler. The JSON report must parse and match the versioned
-# schema (v7: one exploration frontier, no work_stealing flag).
+# schema (v8: no scheduler dedup_discarded field).
 verify_example() {
   local bin="$1" file="$2" flags
   flags=$(example_flags "$file")
@@ -75,7 +78,7 @@ verify_example() {
 import json, sys
 flags = sys.argv[1].split()
 doc = json.load(sys.stdin)
-assert doc["schema_version"] == 7, doc["schema_version"]
+assert doc["schema_version"] == 8, doc["schema_version"]
 assert doc["tool"] == "isq-verify"
 assert doc["exit_code"] == 0 and doc["accepted"] is True
 assert doc["diagnostics"] == []
@@ -204,7 +207,7 @@ for entry in (0, 1):
     assert scrub(served) == scrub(oneshot), \
         "entry %d: served verdict != one-shot isq-verify" % entry
     doc = json.loads(served)
-    assert doc["schema_version"] == 7 and doc["tool"] == "isq-verify"
+    assert doc["schema_version"] == 8 and doc["tool"] == "isq-verify"
     assert "shard_occupancy" in doc["engine"]
     assert doc["exit_code"] == 0 and doc["accepted"] is True
     assert doc["diagnostics"] == []
@@ -265,6 +268,51 @@ for f in examples/asl/*.asl; do
   fi
   echo "  $f: threads=1 == threads=4,steal-chunk=8"
 done
+
+echo "==== serial oracle: scheduled checkers vs parallel-check=false ===="
+# The serial Fig. 3 loops behind --engine parallel-check=false are the
+# reference the obligation scheduler must match: over the corpus at the
+# documented flags, plus paxos R=3 N=2 (a universe spanning many
+# store-grouped slices), the scheduled run at four threads must report
+# the same JSON as the serial oracle once timings and scheduler
+# telemetry are scrubbed: the "scheduler" block, and the per-condition
+# "jobs"/"orbit_*" fields and obligation-cache counters it feeds, which
+# the serial path does not collect. Exploration telemetry ("engine") is
+# dropped too: the checkers run after exploration and never change it.
+scrub_oracle() {
+  python3 -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+for key in ("scheduler", "total_seconds", "engine"):
+    doc.pop(key)
+doc["cross_check"].pop("seconds")
+for c in doc["conditions"]:
+    for key in ("jobs", "orbit_configs", "orbit_states", "seconds"):
+        c.pop(key)
+for key in ("cache_enabled", "cache_hits", "cache_misses", "disk_hits"):
+    doc["obligations"].pop(key)
+print(json.dumps(doc, sort_keys=True, indent=1))
+' "$1"
+}
+check_oracle() {
+  local f="$1"; shift
+  "build/tools/isq-verify" "$f" "$@" --engine threads=4 \
+    --format json > "$SERVE_TMP/sched.json"
+  "build/tools/isq-verify" "$f" "$@" --engine parallel-check=false \
+    --format json > "$SERVE_TMP/oracle.json"
+  if ! diff <(scrub_oracle "$SERVE_TMP/sched.json") \
+            <(scrub_oracle "$SERVE_TMP/oracle.json") >/dev/null; then
+    echo "scheduled checkers differ from the serial oracle: $f $*"; exit 1
+  fi
+  echo "  $f $*: scheduled == serial oracle"
+}
+for f in examples/asl/*.asl; do
+  # shellcheck disable=SC2046
+  check_oracle "$f" $(example_flags "$f")
+done
+# shellcheck disable=SC2046
+check_oracle examples/asl/paxos.asl \
+  $(example_flags examples/asl/paxos.asl | sed 's/R=2/R=3/')
 
 echo "==== cross-check: symmetry=true vs symmetry=false ===="
 # Trans(P) is orbit-closed once, in P's summary, so the P ≼ P' cross-check
