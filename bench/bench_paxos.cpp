@@ -4,8 +4,9 @@
 /// The Paxos row of Table 1 in depth (the paper's most significant case
 /// study): runs the full IS verification pipeline across instance sizes
 /// (rounds × acceptors) and reports per-condition obligation counts,
-/// universe sizes, and the state-count contrast between the asynchronous
-/// protocol and its sequential reduction Paxos'.
+/// universe sizes (orbit representatives of P ∪ P[M ↦ I]), and the
+/// state-count contrast between the asynchronous protocol and its
+/// sequential reduction Paxos'.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +30,7 @@ void BM_PaxosPipeline(benchmark::State &State) {
   for (auto _ : State) {
     ISApplication App = makePaxosIS(Params);
     ISUniverse U = ISUniverse::build(App, {{Init, {}}});
-    UniverseSize = U.Configs.size();
+    UniverseSize = U.Space.Configs.size();
     Report = checkIS(App, U);
   }
   State.counters["universe_configs"] = static_cast<double>(UniverseSize);

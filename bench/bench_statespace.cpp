@@ -101,68 +101,9 @@ BENCHMARK(BM_Paxos)
     ->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//
-// Engine comparison: seed value-level BFS vs the hash-consed engine,
-// serial and parallel. Consumed by tools/bench_engine.sh, which emits
-// BENCH_engine.json and computes the speedups.
-//===----------------------------------------------------------------------===//
-
-/// Explores P once per iteration; Mode 0 = legacy value-level BFS (the
-/// seed explorer), Mode ≥ 1 = engine with that many worker threads.
-void reportEngineExplore(benchmark::State &State, const Program &P,
-                         const Store &Init, int64_t Mode) {
-  ExploreOptions Opts;
-  // The legacy BFS is always unreduced; keep the engine on the same state
-  // space so the speedup isolates hash-consing and parallelism. Symmetry
-  // reduction is measured separately by BM_Symmetry*.
-  Opts.Config.Symmetry = false;
-  if (Mode >= 1)
-    Opts.Config.NumThreads = static_cast<unsigned>(Mode);
-  size_t Configs = 0, Transitions = 0;
-  double HitRate = 0;
-  for (auto _ : State) {
-    ExploreResult R =
-        Mode == 0 ? exploreAllLegacy(P, {initialConfiguration(Init)}, Opts)
-                  : exploreAll(P, {initialConfiguration(Init)}, Opts);
-    Configs = R.Stats.NumConfigurations;
-    Transitions = R.Stats.NumTransitions;
-    HitRate = R.Engine.hashConsHitRate();
-    benchmark::DoNotOptimize(R);
-  }
-  State.counters["configs"] = static_cast<double>(Configs);
-  State.counters["transitions"] = static_cast<double>(Transitions);
-  State.counters["hashcons_hit"] = HitRate;
-}
-
-/// Largest Table 1 instance: Paxos with 2 proposers, 3 acceptors.
-void BM_EnginePaxos(benchmark::State &State) {
-  PaxosParams Params{State.range(0), State.range(1)};
-  ISApplication App = makePaxosIS(Params);
-  reportEngineExplore(State, App.P, makePaxosInitialStore(Params),
-                      State.range(2));
-}
-BENCHMARK(BM_EnginePaxos)
-    ->Args({2, 3, 0}) // seed value-level BFS
-    ->Args({2, 3, 1}) // engine, serial
-    ->Args({2, 3, 4}) // engine, 4 worker threads
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EngineTwoPhaseCommit(benchmark::State &State) {
-  TwoPhaseCommitParams Params{State.range(0)};
-  reportEngineExplore(State, makeTwoPhaseCommitProgram(Params),
-                      makeTwoPhaseCommitInitialStore(Params),
-                      State.range(1));
-}
-BENCHMARK(BM_EngineTwoPhaseCommit)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({4, 4})
-    ->Unit(benchmark::kMillisecond);
-
-//===----------------------------------------------------------------------===//
 // Symmetry reduction: unreduced engine vs the orbit-canonical quotient on
 // the protocols that declare a symmetric node sort. Mode 0 = unreduced,
 // Mode 1 = reduced (both serial, so the ratio isolates the reduction).
-// Consumed by tools/bench_engine.sh.
 //===----------------------------------------------------------------------===//
 
 void reportSymmetryExplore(benchmark::State &State, const Program &P,
@@ -198,8 +139,8 @@ BENCHMARK(BM_SymmetryPaxos)
 // shipped default); Mode
 // selects the store encoding: 0 = raw interning arenas, 1 = the
 // delta/varint-compressed compact store. Counters record the quotient
-// size and the compressed footprint so BENCH_engine.json documents what
-// "fits on one machine" means. Consumed by tools/bench_engine.sh.
+// size and the compressed footprint, i.e. what "fits on one machine"
+// means.
 //===----------------------------------------------------------------------===//
 
 void reportCompactExplore(benchmark::State &State, const Program &P,
@@ -244,19 +185,18 @@ BENCHMARK(BM_CompactPaxos)
 // BM_CompactPaxos mode 1, but with the compact store spilling sealed
 // blocks to the mmap'd cold tier under a memory budget. The budget and
 // spill directory come from the environment because the interesting
-// budget is computed at runtime by tools/bench_engine.sh (half the
-// unspilled run's peak RSS, capped to half the compact footprint so
-// eviction provably happens). Counts must match the unspilled run
-// exactly; the script asserts that and the <= 2.5x wall-time bound.
+// budget depends on the host: below the unspilled run's compressed_bytes
+// counter, so eviction provably happens. Counts must match the unspilled
+// run exactly.
 //===----------------------------------------------------------------------===//
 
 void BM_SpillPaxos(benchmark::State &State) {
   const char *Budget = std::getenv("ISQ_SPILL_MEM_BUDGET");
   const char *Dir = std::getenv("ISQ_SPILL_DIR");
   if (!Budget || !Dir) {
-    State.SkipWithError("set ISQ_SPILL_MEM_BUDGET (bytes) and ISQ_SPILL_DIR; "
-                        "tools/bench_engine.sh derives them from the "
-                        "unspilled run");
+    State.SkipWithError("set ISQ_SPILL_MEM_BUDGET (bytes, below "
+                        "BM_CompactPaxos/2/4/1's compressed_bytes) and "
+                        "ISQ_SPILL_DIR");
     return;
   }
   PaxosParams Params{State.range(0), State.range(1)};

@@ -17,7 +17,7 @@
 #include "is/ISCheck.h"
 #include "is/Rewriter.h"
 #include "is/Sequentialize.h"
-#include "protocols/ScheduleInvariant.h"
+#include "is/ScheduleInvariant.h"
 
 #include <cstdio>
 
@@ -70,7 +70,7 @@ int main() {
 
   // IS context: rewrite M, eliminating E = {A, B} with A before B — the
   // order Fig. 2 uses.
-  protocols::RankFn Rank =
+  RankFn Rank =
       [](const PendingAsync &PA) -> std::optional<std::vector<int64_t>> {
     if (PA.Action == Symbol::get("A"))
       return std::vector<int64_t>{0};
@@ -83,8 +83,8 @@ int main() {
   App.M = Symbol::get("M");
   App.E = {Symbol::get("A"), Symbol::get("B")};
   App.Invariant =
-      protocols::makeScheduleInvariant("Fig2Inv", P, App.M, Rank);
-  App.Choice = protocols::chooseMinRank(Rank);
+      makeScheduleInvariant("Fig2Inv", P, App.M, Rank);
+  App.Choice = chooseMinRank(Rank);
   App.WfMeasure = Measure::pendingAsyncCount();
 
   ISCheckReport Report = checkIS(App, {{Init, {}}});

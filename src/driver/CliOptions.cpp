@@ -84,10 +84,6 @@ const char *driver::usageText() {
          "                                               of two <= 16 (default 16)\n"
          "                          compress=BOOL        delta/varint-compressed\n"
          "                                               state store (default false)\n"
-         "                          parallel-check=BOOL  scheduled obligation\n"
-         "                                               checking (default true;\n"
-         "                                               false runs the serial\n"
-         "                                               reference loops)\n"
          "                          symmetry=BOOL        orbit-canonical symmetry\n"
          "                                               reduction (default true)\n"
          "                          incremental=BOOL     content-addressed obligation\n"

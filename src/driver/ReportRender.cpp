@@ -30,8 +30,8 @@ std::string driver::renderText(const VerifyResult &Result) {
     Out += "P ≼ P' (empirical): " + Result.CrossCheck.Refines.str() + "\n";
   }
   Out += "engine: " + Result.Engine.str() + "\n";
-  // The serial reference path never runs the scheduler; suppress the
-  // all-zero line so the two modes render their own shapes.
+  // A run stopped by the static side conditions never reaches the
+  // scheduler; suppress its all-zero line.
   if (Result.Report.Scheduler.totals().Jobs)
     Out += "checker: " + Result.Report.Scheduler.str() + "\n";
   Out += "total time: " + std::to_string(Result.TotalSeconds) + "s\n";

@@ -55,9 +55,9 @@
 /// re-verification observability: "total" (discharged obligations across
 /// all conditions, always), and the obligation-weighted verdict-cache
 /// counters "cache_hits"/"cache_misses"/"disk_hits" with "cache_enabled"
-/// saying whether a cache was attached (all zero when disabled or on the
-/// serial path). Counters are obligation-weighted, not slice-weighted,
-/// so hits+misses equals the obligations the scheduler discharges.
+/// saying whether a cache was attached (all zero when disabled). Counters
+/// are obligation-weighted, not slice-weighted, so hits+misses equals the
+/// obligations the scheduler discharges.
 /// Verdict fields are unchanged; the bump marks that two
 /// reports differing only under "obligations" are the same verdict.
 /// Version 6 added the tiered-store observability to "engine":

@@ -5,7 +5,7 @@
 #include "driver/ReportRender.h"
 #include "explorer/Explorer.h"
 #include "is/Sequentialize.h"
-#include "protocols/ScheduleInvariant.h"
+#include "is/ScheduleInvariant.h"
 #include "refine/Refinement.h"
 #include "semantics/Symmetry.h"
 #include "support/Timer.h"
@@ -66,7 +66,7 @@ ISApplication driver::deriveApplication(const VerifyOptions &Options,
   for (const std::string &Name : Options.Eliminate)
     Order.push_back(Symbol::get(Name));
   bool ArgMajor = Options.Order == VerifyOptions::RankOrder::ArgMajor;
-  protocols::RankFn Rank =
+  RankFn Rank =
       [Order, ArgMajor](const PendingAsync &PA)
       -> std::optional<std::vector<int64_t>> {
     for (size_t I = 0; I < Order.size(); ++I) {
@@ -89,9 +89,9 @@ ISApplication driver::deriveApplication(const VerifyOptions &Options,
   App.P = P;
   App.M = Symbol::get(Options.RewriteAction);
   App.E = Order;
-  App.Invariant = protocols::makeScheduleInvariant(
+  App.Invariant = makeScheduleInvariant(
       Options.RewriteAction + "Inv", App.P, App.M, Rank);
-  App.Choice = protocols::chooseMinRank(Rank);
+  App.Choice = chooseMinRank(Rank);
   for (const auto &[Target, AbsName] : Options.Abstractions)
     App.Abstractions.emplace(Symbol::get(Target), P.action(AbsName));
   std::map<std::string, uint64_t> Weights = Options.Weights;
@@ -105,7 +105,7 @@ ISApplication driver::deriveApplication(const VerifyOptions &Options,
   // invariant and the choice function, which only order PAs within one
   // schedule.
   std::shared_ptr<const SymmetrySpec> ModuleSym = P.symmetry();
-  protocols::RankFn MeasureRank =
+  RankFn MeasureRank =
       [Order, ArgMajor, ModuleSym](const PendingAsync &PA)
       -> std::optional<std::vector<int64_t>> {
     for (size_t I = 0; I < Order.size(); ++I) {
@@ -262,8 +262,7 @@ VerifyResult driver::verifyModule(const VerifyOptions &Options) {
   ISApplication App = deriveApplication(Options, Compiled->P);
 
   // 4. Discharge the IS conditions. The universe is built explicitly so
-  // its engine statistics can be surfaced in the summary; obligations run
-  // on the scheduler unless the serial reference path was requested.
+  // its engine statistics can be surfaced in the summary.
   ExploreOptions Explore;
   Explore.Config = Options.Engine;
   InitialCondition Init{Compiled->InitialStore, {}};

@@ -71,9 +71,8 @@ struct VerifyOptions {
   /// Also explore P' and cross-check refinement when the proof is
   /// accepted.
   bool CrossCheck = true;
-  /// The unified engine configuration: thread budget, checker
-  /// parallelism, symmetry reduction, frontier steal granularity, and
-  /// store shape. Every engine knob flows through here — the
+  /// The unified engine configuration: thread budget, symmetry
+  /// reduction, frontier steal granularity, and store shape. Every engine knob flows through here — the
   /// explorations, the obligation scheduler, and the IS checker read no
   /// thread/symmetry/steal settings from anywhere else. Results are
   /// bit-identical for every setting (see engine/EngineConfig.h).

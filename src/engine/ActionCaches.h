@@ -1,21 +1,19 @@
 //===- engine/ActionCaches.h - Interned transition/gate caches ---*- C++ -*-===//
 ///
 /// \file
-/// Memoization layers over interned state, replacing the value-keyed
-/// semantics/ActionCache.h in every engine consumer. Keys are (action
-/// identity, StoreId, PaId-of-args) triples — three integer-width values —
-/// so lookups cost a small hash of machine words instead of deep structural
+/// Memoization layers over interned state. Keys are (action identity,
+/// StoreId, PaId-of-args) triples — three integer-width values — so
+/// lookups cost a small hash of machine words instead of deep structural
 /// hashing of stores and argument tuples. Cached transitions are interned:
 /// the successor store and created-PA multiset are handles, which makes
 /// transition-set membership (the inner loop of the mover and IS checks)
 /// an integer compare.
 ///
 /// Transition relations never observe Ω and are pure functions of
-/// (g, args), which is what makes both caches sound (the same contract
-/// semantics/ActionCache.h relies on). User-supplied transition enumerators
-/// are not required to be thread-safe: cache misses serialize the
-/// underlying calls behind a single compute mutex, unless the action
-/// declares Action::transitionsThreadSafe().
+/// (g, args), which is what makes both caches sound. User-supplied
+/// transition enumerators are not required to be thread-safe: cache misses
+/// serialize the underlying calls behind a single compute mutex, unless
+/// the action declares Action::transitionsThreadSafe().
 ///
 //===----------------------------------------------------------------------===//
 

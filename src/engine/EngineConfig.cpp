@@ -133,9 +133,7 @@ bool EngineConfig::set(const std::string &Key, const std::string &Value,
     return true;
   }
   bool *Flag = nullptr;
-  if (Key == "parallel-check")
-    Flag = &ParallelCheck;
-  else if (Key == "symmetry")
+  if (Key == "symmetry")
     Flag = &Symmetry;
   else if (Key == "compress")
     Flag = &Compress;
@@ -155,9 +153,8 @@ bool EngineConfig::set(const std::string &Key, const std::string &Value,
     return true;
   }
   Error = "unknown engine option '" + Key +
-          "' (valid: threads, parallel-check, symmetry, steal-chunk, "
-          "shards, compress, incremental, cache-dir, spill, spill-dir, "
-          "mem-budget)";
+          "' (valid: threads, symmetry, steal-chunk, shards, compress, "
+          "incremental, cache-dir, spill, spill-dir, mem-budget)";
   return false;
 }
 
@@ -231,8 +228,6 @@ std::map<std::string, std::string> EngineConfig::toKeyValues() const {
   // `threads`, `incremental`, `cache-dir` and the spill knobs are
   // deliberately absent: verdicts are independent of all of them, so
   // they never travel with a request (see serve/VerdictCache.h).
-  if (ParallelCheck != Defaults.ParallelCheck)
-    Out["parallel-check"] = ParallelCheck ? "true" : "false";
   if (Symmetry != Defaults.Symmetry)
     Out["symmetry"] = Symmetry ? "true" : "false";
   if (StealChunk != Defaults.StealChunk)

@@ -2,13 +2,12 @@
 ///
 /// \file
 /// The single configuration surface for every engine knob: thread budget,
-/// checker parallelism, symmetry reduction, the frontier's steal
-/// granularity, and the compact state store (shard count, compressed
-/// encodings). One EngineConfig is threaded from the CLI (or
-/// the serve wire protocol) through driver::VerifyOptions into the
-/// explorer, the frontier engine, the obligation scheduler, and the IS
-/// checker — no component reads thread/symmetry/steal settings from
-/// anywhere else.
+/// symmetry reduction, the frontier's steal granularity, and the compact
+/// state store (shard count, compressed encodings). One EngineConfig is
+/// threaded from the CLI (or the serve wire protocol) through
+/// driver::VerifyOptions into the explorer, the frontier engine, the
+/// obligation scheduler, and the IS checker — no component reads
+/// thread/symmetry/steal settings from anywhere else.
 ///
 /// The textual form is a comma-separated key=value list (the `--engine`
 /// flag): `threads=4,steal-chunk=64,shards=8,compress=true`. The same
@@ -19,9 +18,7 @@
 ///
 /// Every knob preserves the engine's determinism contract: verdicts,
 /// counts, and diagnostics are bit-identical for every value of every
-/// knob (timing fields and the steal/telemetry counters excepted); the
-/// serial checker loops (`parallel-check=false`) stay alive as the
-/// checkers' differential oracle.
+/// knob (timing fields and the steal/telemetry counters excepted).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +37,6 @@ struct EngineConfig {
   /// Worker threads for exploration and obligation checking. Results are
   /// identical for any value.
   unsigned NumThreads = 1;
-  /// Discharge obligations on the scheduler (true) or with the serial
-  /// reference loops (false; the differential oracle).
-  bool ParallelCheck = true;
   /// Orbit-canonical symmetry reduction when the module declares a
   /// symmetric sort. False explores the full state space (differential
   /// oracle; same verdicts).
@@ -80,9 +74,9 @@ struct EngineConfig {
   static constexpr unsigned MaxShards = 16;
 
   bool operator==(const EngineConfig &O) const {
-    return NumThreads == O.NumThreads && ParallelCheck == O.ParallelCheck &&
-           Symmetry == O.Symmetry && StealChunk == O.StealChunk &&
-           Shards == O.Shards && Compress == O.Compress &&
+    return NumThreads == O.NumThreads && Symmetry == O.Symmetry &&
+           StealChunk == O.StealChunk && Shards == O.Shards &&
+           Compress == O.Compress &&
            Incremental == O.Incremental && CacheDir == O.CacheDir &&
            Spill == O.Spill && SpillDir == O.SpillDir &&
            MemBudget == O.MemBudget;
@@ -90,9 +84,9 @@ struct EngineConfig {
   bool operator!=(const EngineConfig &O) const { return !(*this == O); }
 
   /// Applies one `key=value` setting. Returns false with \p Error set on
-  /// an unknown key or malformed value. Valid keys: threads,
-  /// parallel-check, symmetry, steal-chunk, shards, compress,
-  /// incremental, cache-dir, spill, spill-dir, mem-budget.
+  /// an unknown key or malformed value. Valid keys: threads, symmetry,
+  /// steal-chunk, shards, compress, incremental, cache-dir, spill,
+  /// spill-dir, mem-budget.
   /// Booleans accept true/false/on/off/1/0; mem-budget accepts a byte
   /// count with an optional K/M/G suffix.
   bool set(const std::string &Key, const std::string &Value,

@@ -8,7 +8,7 @@
 /// and the scheduler runs the jobs on a worker pool sharing the driver's
 /// thread budget, then folds the per-job aggregates together. Verdicts,
 /// obligation counts and counterexample diagnostics are bit-identical for
-/// any thread count and equal to the serial checker loops (the same
+/// any thread count and equal to the serial reference loops (the same
 /// determinism contract as the frontier merge in engine/StateGraph.h).
 ///
 /// Determinism: store-grouped slices and retention by universe position.

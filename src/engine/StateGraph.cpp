@@ -11,8 +11,8 @@
 // partial chunk only when it has nothing left to merge (so no chunk ever
 // waits on nodes that cannot arrive), and helps expand while the next
 // chunk in merge order is still in flight. The value-level
-// exploreAllLegacy (explorer/Explorer.h) is the reference it is tested
-// against.
+// reference::exploreAll (reference/Explorer.h) is the reference it is
+// tested against.
 //
 // Workers never touch the node list; duplicate-pruning during expansion
 // reads a lazily-allocated atomic seen-bitmap that the merger writes

@@ -6,9 +6,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace isq;
 
@@ -21,7 +18,7 @@ void sortResults(ExploreResult &R) {
 }
 
 /// Reconstructs the failing execution ending at \p NodeIdx + \p FailVia
-/// from the graph's parent links (the engine-side mirror of Bfs::traceTo).
+/// from the graph's parent links.
 Execution traceFromLinks(engine::StateGraph &G,
                          const std::vector<Configuration> &Reachable,
                          uint32_t NodeIdx, engine::PaId FailVia) {
@@ -64,96 +61,6 @@ ExploreResult fromGraph(engine::StateGraph G, const ExploreOptions &Opts) {
   return R;
 }
 
-/// Internal BFS state of the legacy value-level exploration.
-struct Bfs {
-  const Program &P;
-  const ExploreOptions &Opts;
-  ExploreResult Result;
-
-  // Configuration -> index into Result.Reachable.
-  std::unordered_map<Configuration, size_t> Seen;
-  // Parent index and executed PA per reachable configuration (index-aligned
-  // with Result.Reachable); parent == SIZE_MAX for roots.
-  std::vector<std::pair<size_t, PendingAsync>> Parents;
-  std::unordered_set<Store> TerminalSeen;
-  std::deque<size_t> Worklist;
-
-  Bfs(const Program &P, const ExploreOptions &Opts) : P(P), Opts(Opts) {}
-
-  /// Registers \p C if new; returns its index or SIZE_MAX when capped.
-  size_t add(const Configuration &C, size_t Parent, const PendingAsync &Via) {
-    auto It = Seen.find(C);
-    if (It != Seen.end())
-      return It->second;
-    if (Result.Reachable.size() >= Opts.MaxConfigurations) {
-      Result.Stats.Truncated = true;
-      return SIZE_MAX;
-    }
-    size_t Index = Result.Reachable.size();
-    Seen.emplace(C, Index);
-    Result.Reachable.push_back(C);
-    if (Opts.RecordParents)
-      Parents.emplace_back(Parent, Via);
-    Worklist.push_back(Index);
-    if (C.isTerminating() && TerminalSeen.insert(C.global()).second)
-      Result.TerminalStores.push_back(C.global());
-    return Index;
-  }
-
-  /// Reconstructs the execution ending at reachable index \p Index,
-  /// optionally appending a final failing step via \p FailVia.
-  Execution traceTo(size_t Index, const PendingAsync *FailVia) {
-    std::vector<size_t> Chain;
-    for (size_t I = Index; I != SIZE_MAX; I = Parents[I].first)
-      Chain.push_back(I);
-    Execution E;
-    E.Initial = Result.Reachable[Chain.back()];
-    for (size_t I = Chain.size() - 1; I > 0; --I) {
-      size_t Node = Chain[I - 1];
-      E.Steps.push_back({Parents[Node].second, Result.Reachable[Node]});
-    }
-    if (FailVia)
-      E.Steps.push_back({*FailVia, Configuration::failure()});
-    return E;
-  }
-
-  void run() {
-    while (!Worklist.empty()) {
-      size_t Index = Worklist.front();
-      Worklist.pop_front();
-      // Copy: Result.Reachable may reallocate while expanding.
-      Configuration C = Result.Reachable[Index];
-      bool AnyMove = false;
-      for (const auto &[PA, Count] : C.pendingAsyncs().entries()) {
-        (void)Count;
-        const Action &A = P.action(PA.Action);
-        if (!A.evalGate(C.global(), PA.Args, C.pendingAsyncs())) {
-          Result.Stats.NumTransitions++;
-          AnyMove = true;
-          if (!Result.FailureReachable) {
-            Result.FailureReachable = true;
-            if (Opts.RecordParents)
-              Result.FailureTrace = traceTo(Index, &PA);
-          }
-          continue;
-        }
-        PaMultiset Rest = C.pendingAsyncs();
-        Rest.erase(PA);
-        for (const Transition &T : A.transitions(C.global(), PA.Args)) {
-          Result.Stats.NumTransitions++;
-          AnyMove = true;
-          PaMultiset Omega = Rest;
-          for (const PendingAsync &New : T.Created)
-            Omega.insert(New);
-          add(Configuration(T.Global, std::move(Omega)), Index, PA);
-        }
-      }
-      if (!AnyMove && !C.isTerminating())
-        Result.Deadlocks.push_back(C);
-    }
-  }
-};
-
 } // namespace
 
 ExploreResult isq::explore(const Program &P, const Configuration &Init,
@@ -169,20 +76,6 @@ ExploreResult isq::exploreAll(const Program &P,
   EO.RecordParents = Opts.RecordParents;
   EO.Config = Opts.Config;
   return fromGraph(engine::exploreGraph(P, Inits, nullptr, EO), Opts);
-}
-
-ExploreResult isq::exploreAllLegacy(const Program &P,
-                                    const std::vector<Configuration> &Inits,
-                                    const ExploreOptions &Opts) {
-  Bfs B(P, Opts);
-  for (const Configuration &Init : Inits) {
-    assert(!Init.isFailure() && "initial configuration cannot be failure");
-    B.add(Init, SIZE_MAX, PendingAsync());
-  }
-  B.run();
-  B.Result.Stats.NumConfigurations = B.Result.Reachable.size();
-  sortResults(B.Result);
-  return std::move(B.Result);
 }
 
 ProgramSummary isq::summarizeGraph(const Program &P,

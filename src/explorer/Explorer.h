@@ -78,13 +78,6 @@ ExploreResult exploreAll(const Program &P,
                          const std::vector<Configuration> &Inits,
                          const ExploreOptions &Opts = ExploreOptions());
 
-/// The pre-engine value-level BFS, kept as a differential-testing oracle
-/// and benchmark baseline for the interned engine. Semantically identical
-/// to exploreAll().
-ExploreResult exploreAllLegacy(const Program &P,
-                               const std::vector<Configuration> &Inits,
-                               const ExploreOptions &Opts = ExploreOptions());
-
 /// Definition 3.2's pair (Good, Trans) restricted to one initialized
 /// configuration, plus the statistics of the exploration behind it.
 struct ProgramSummary {

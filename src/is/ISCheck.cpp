@@ -6,6 +6,7 @@
 #include "engine/ArenaFingerprints.h"
 #include "engine/ObligationCache.h"
 #include "engine/StateGraph.h"
+#include "is/ISCheckShared.h"
 #include "is/Sequentialize.h"
 #include "movers/MoverCheck.h"
 
@@ -62,24 +63,12 @@ ISUniverse ISUniverse::build(const ISApplication &App,
   Absorb(App.P, &U.PSummaries);
   // The partial sequentializations: P with M replaced by the invariant.
   Absorb(App.P.withAction(App.Invariant.withName(App.M.str())), nullptr);
-  // M-call contexts straight off the interned space: materializing a
-  // value mirror of a few hundred thousand configurations just to find
-  // the handful of M contexts costs a measurable slice of every run.
-  // Configs stays empty for built universes — the checkers run over
-  // Space (see the field comments); hand-built universes populate the
-  // value fields instead and have no Arena.
-  InternedContextUniverse Interned = collectContexts(U.Space, App.M);
-  StateArena &Arena = *U.Space.Arena;
-  U.MCalls.reserve(Interned.Items.size());
-  for (const InternedActionContext &Ctx : Interned.Items)
-    U.MCalls.push_back({Arena.store(Ctx.Global), Arena.pa(Ctx.ArgsPa).Args,
-                        Arena.paSet(Ctx.Omega)});
+  U.MCalls = collectContexts(U.Space, App.M);
   return U;
 }
 
-namespace {
-
-std::string describeCall(const Store &Global, const std::vector<Value> &Args) {
+std::string isq::describeCall(const Store &Global,
+                              const std::vector<Value> &Args) {
   std::string Out = "store=" + Global.str() + " args=(";
   for (size_t I = 0; I < Args.size(); ++I) {
     if (I)
@@ -89,28 +78,7 @@ std::string describeCall(const Store &Global, const std::vector<Value> &Args) {
   return Out + ")";
 }
 
-/// The invariant's transition relation at one (store, args) point, with
-/// value-level transitions (preserving the user's created-PA enumeration
-/// order for the choice function) alongside their interned images and an
-/// integer-keyed membership index. Shared across every Ω-variant of the
-/// same call point.
-struct InvPoint {
-  std::vector<Transition> Trans;
-  std::vector<StoreId> TGlobal;
-  std::vector<PaCountVec> TCreated;
-  /// (Global << 32) | CreatedSet per transition of I.
-  std::unordered_set<uint64_t> Index;
-};
-
-uint64_t packIds(uint32_t Hi, uint32_t Lo) {
-  return (static_cast<uint64_t>(Hi) << 32) | Lo;
-}
-
-/// The structural side conditions on the application itself (everything
-/// checked before any universe-quantified obligation). Shared between the
-/// serial and scheduled checkers — these are O(|E|) bookkeeping checks,
-/// not obligation loops.
-CheckResult staticSideConditions(const ISApplication &App) {
+CheckResult isq::staticSideConditions(const ISApplication &App) {
   const Program &P = App.P;
   CheckResult R;
   R.countObligation();
@@ -139,6 +107,8 @@ CheckResult staticSideConditions(const ISApplication &App) {
     R.fail("no choice function supplied");
   return R;
 }
+
+namespace {
 
 /// Thread-safe memo of τI per (store, args) call point, for the scheduled
 /// (I3). Enumerations of invariants that do not declare thread-safe
@@ -259,207 +229,6 @@ private:
   std::deque<std::vector<PaId>> Storage;
 };
 
-} // namespace
-
-ISCheckReport isq::checkIS(const ISApplication &App,
-                           const ISUniverse &Universe) {
-  ISCheckReport Report;
-  const Program &P = App.P;
-
-  // The interned universe: shared with build(), or interned on the fly for
-  // hand-built universes.
-  StateSpace Space = Universe.Space;
-  if (!Space.Arena) {
-    Space.Arena = std::make_shared<StateArena>();
-    Space.Configs.reserve(Universe.Configs.size());
-    for (const Configuration &C : Universe.Configs)
-      if (!C.isFailure())
-        Space.Configs.push_back(Space.Arena->internConfig(C));
-  }
-  StateArena &Arena = *Space.Arena;
-
-  // --- Side conditions --------------------------------------------------
-  Report.SideConditions = staticSideConditions(App);
-  if (!Report.SideConditions.ok())
-    return Report;
-
-  // The interned M-call contexts. Derived from the value-level MCalls (not
-  // from Space) so hand-built universes behave identically; for built
-  // universes the two coincide.
-  InternedContextUniverse MCalls;
-  MCalls.Arena = Space.Arena;
-  MCalls.Items.reserve(Universe.MCalls.size());
-  for (const ActionContext &Ctx : Universe.MCalls)
-    MCalls.Items.push_back({Arena.internStore(Ctx.Global),
-                            Arena.internPa(PendingAsync(App.M, Ctx.Args)),
-                            Arena.internPaSet(Ctx.Omega)});
-
-  // --- P(A) ≼ α(A) for A ∈ E ---------------------------------------------
-  for (Symbol A : App.E) {
-    if (!App.Abstractions.count(A))
-      continue; // α(A) = P(A): refinement is reflexive
-    InternedContextUniverse Ctxs = collectContexts(Space, A);
-    CheckResult R =
-        checkActionRefinement(P.action(A), App.abstraction(A), Ctxs);
-    if (!R.ok())
-      Report.AbstractionRefinement.fail("P(" + A.str() + ") ⋠ α(" +
-                                        A.str() + ")");
-    Report.AbstractionRefinement.merge(R);
-  }
-
-  // --- (I1) base case: P(M) ≼ I --------------------------------------------
-  Report.BaseCase =
-      checkActionRefinement(P.action(App.M), App.Invariant, MCalls);
-
-  // --- (I2) conclusion: (ρI, {t ∈ τI | PAE(t) = ∅}) ≼ M' --------------------
-  {
-    Action Restricted = restrictInvariant(App);
-    Action SeqM = sequentializedAction(App);
-    Report.Conclusion = checkActionRefinement(Restricted, SeqM, MCalls);
-  }
-
-  // --- (I3) inductive step ---------------------------------------------------
-  {
-    // τI and its interned image, memoized per call point: Ω-variants of
-    // one (store, args) point share the enumeration and the index.
-    std::unordered_map<uint64_t, InvPoint> InvPoints;
-    InternedTransitionCache AbsCache(Arena);
-    for (const InternedActionContext &Call : MCalls.Items) {
-      const Store &CallStore = Arena.store(Call.Global);
-      const std::vector<Value> &CallArgs = Arena.pa(Call.ArgsPa).Args;
-      const PaMultiset &CallOmega = Arena.paSet(Call.Omega);
-      if (!App.Invariant.evalGate(CallStore, CallArgs, CallOmega))
-        continue; // t ∈ ρI ∘ τI only constrains gate-satisfying stores
-
-      auto [PointIt, New] =
-          InvPoints.try_emplace(packIds(Call.Global, Call.ArgsPa));
-      InvPoint &Point = PointIt->second;
-      if (New) {
-        Point.Trans = App.Invariant.transitions(CallStore, CallArgs);
-        Point.TGlobal.reserve(Point.Trans.size());
-        Point.TCreated.reserve(Point.Trans.size());
-        for (const Transition &T : Point.Trans) {
-          StoreId TG = Arena.internStore(T.Global);
-          PaSetId TC = Arena.internPaSet(T.createdMultiset());
-          Point.TGlobal.push_back(TG);
-          Point.TCreated.push_back(Arena.paVec(TC));
-          Point.Index.insert(packIds(TG, TC));
-        }
-      }
-
-      for (size_t TI = 0; TI < Point.Trans.size(); ++TI) {
-        const Transition &T = Point.Trans[TI];
-        PaMultiset ToE = App.pasToE(T);
-        if (ToE.empty())
-          continue;
-        PendingAsync Chosen = App.Choice(CallStore, CallArgs, T);
-        Report.SideConditions.countObligation();
-        if (!ToE.contains(Chosen)) {
-          Report.SideConditions.fail(
-              "choice function selected " + Chosen.str() +
-              " which is not a created PA to E at " +
-              describeCall(CallStore, CallArgs));
-          continue;
-        }
-        const Action &Abs = App.abstraction(Chosen.Action);
-        PaId ChosenPa = Arena.internPa(Chosen);
-
-        // Ω after I's step: the executing M PA is consumed and T's created
-        // PAs appear.
-        PaCountVec Rest(Arena.paVec(Call.Omega));
-        paCountVecErase(Rest, Call.ArgsPa);
-        const PaMultiset &OmegaAfter =
-            Arena.paSet(Arena.internPaVec(paCountVecUnion(
-                Rest, Point.TCreated[TI])));
-
-        // Gate of the abstraction must hold right after I's transition.
-        Report.InductiveStep.countObligation();
-        if (!Abs.evalGate(Arena.store(Point.TGlobal[TI]), Chosen.Args,
-                          OmegaAfter)) {
-          Report.InductiveStep.fail("gate of α(" + Chosen.Action.str() +
-                                    ") fails after invariant transition at " +
-                                    describeCall(CallStore, CallArgs) +
-                                    " transition " + T.str());
-          continue;
-        }
-        // Composing I's transition with the abstraction's transition must
-        // again be a transition of I.
-        PaCountVec Remaining(Point.TCreated[TI]);
-        paCountVecErase(Remaining, ChosenPa);
-        for (const InternedTransition &TA :
-             AbsCache.get(Abs, Point.TGlobal[TI], ChosenPa)) {
-          Report.InductiveStep.countObligation();
-          PaSetId Composed =
-              Arena.internPaVec(paCountVecUnion(Remaining, TA.Created));
-          if (!Point.Index.count(packIds(TA.Global, Composed)))
-            Report.InductiveStep.fail(
-                "invariant not inductive: composing with α(" +
-                Chosen.Action.str() + ") leaves τI at " +
-                describeCall(CallStore, CallArgs));
-        }
-      }
-    }
-  }
-
-  // --- (LM) left movers --------------------------------------------------------
-  for (Symbol A : App.E) {
-    CheckResult R = checkLeftMover(A, App.abstraction(A), P, Space);
-    if (!R.ok())
-      Report.LeftMovers.fail("α(" + A.str() + ") is not a left mover");
-    Report.LeftMovers.merge(R);
-  }
-
-  // --- (CO) cooperation ----------------------------------------------------------
-  {
-    InternedTransitionCache CoCache(Arena);
-    GateCache Gates(Arena);
-    for (Symbol A : App.E) {
-      const Action &Abs = App.abstraction(A);
-      for (ConfigId Cid : Space.Configs) {
-        auto [G, OmegaId] = Arena.config(Cid);
-        const PaCountVec &Entries = Arena.paVec(OmegaId);
-        // Materialized lazily: only configurations holding a PA to A (and
-        // the measure comparison) need value-level views. Value order for
-        // deterministic diagnostics under parallel universe builds.
-        for (PaId Pa : Arena.paOrder(OmegaId)) {
-          const PendingAsync &PA = Arena.pa(Pa);
-          if (PA.Action != A)
-            continue;
-          const PaMultiset &Omega = Arena.paSet(OmegaId);
-          bool GateOk = Abs.gateReadsOmega()
-                            ? Abs.evalGate(Arena.store(G), PA.Args, Omega)
-                            : Gates.get(Abs, G, Pa, Omega);
-          if (!GateOk)
-            continue;
-          Report.Cooperation.countObligation();
-          Configuration C(Arena.store(G), Omega);
-          bool Decreases = false;
-          PaCountVec Rest(Entries);
-          paCountVecErase(Rest, Pa);
-          for (const InternedTransition &TA : CoCache.get(Abs, G, Pa)) {
-            PaSetId NextOmega =
-                Arena.internPaVec(paCountVecUnion(Rest, TA.Created));
-            Configuration Next(Arena.store(TA.Global),
-                               Arena.paSet(NextOmega));
-            if (App.WfMeasure.decreases(C, Next)) {
-              Decreases = true;
-              break;
-            }
-          }
-          if (!Decreases)
-            Report.Cooperation.fail(
-                "no measure-decreasing transition of α(" + A.str() +
-                ") for " + PA.str() + " in " + C.str());
-        }
-      }
-    }
-  }
-
-  return Report;
-}
-
-namespace {
-
 /// Whether every behavior the IS obligations depend on carries a content
 /// fingerprint — the all-or-nothing gate for the obligation verdict
 /// cache. A single unknown (zero) fingerprint disables caching for the
@@ -479,47 +248,29 @@ bool cacheEligible(const ISApplication &App) {
   return true;
 }
 
-/// The scheduled checker: submits every universe-quantified obligation of
-/// the IS rule into one ObligationScheduler and assembles the report from
-/// the folded group results. Deliberately separate from the serial
-/// loops above, which survive as the parallel-check=false differential
-/// oracle. Transition caches are shared across all conditions; that only
-/// changes who computes an entry, never any obligation outcome.
-ISCheckReport checkISScheduled(const ISApplication &App,
-                               const ISUniverse &Universe,
-                               const EngineConfig &Config,
-                               ObligationCache *VCache) {
+} // namespace
+
+/// Submits every universe-quantified obligation of the IS rule into one
+/// ObligationScheduler and assembles the report from the folded group
+/// results. Deliberately separate from the serial loops of
+/// reference/ISCheck.cpp, the differential oracle it is tested against.
+/// Transition caches are shared across all conditions; that only changes
+/// who computes an entry, never any obligation outcome.
+ISCheckReport isq::checkIS(const ISApplication &App,
+                           const ISUniverse &Universe,
+                           const ISCheckOptions &Opts) {
   ISCheckReport Report;
   const Program &P = App.P;
 
-  StateSpace Space = Universe.Space;
-  if (!Space.Arena) {
-    StateArena::SpillOptions Spill;
-    Spill.Enabled = Config.Spill;
-    Spill.Dir = Config.SpillDir;
-    Spill.MemBudget = Config.MemBudget;
-    Space.Arena = std::make_shared<StateArena>(Config.Shards,
-                                               Config.Compress, Spill);
-    Space.Configs.reserve(Universe.Configs.size());
-    for (const Configuration &C : Universe.Configs)
-      if (!C.isFailure())
-        Space.Configs.push_back(Space.Arena->internConfig(C));
-  }
+  const StateSpace &Space = Universe.Space;
   StateArena &Arena = *Space.Arena;
+  const InternedContextUniverse &MCalls = Universe.MCalls;
 
   Report.SideConditions = staticSideConditions(App);
   if (!Report.SideConditions.ok())
     return Report;
 
-  InternedContextUniverse MCalls;
-  MCalls.Arena = Space.Arena;
-  MCalls.Items.reserve(Universe.MCalls.size());
-  for (const ActionContext &Ctx : Universe.MCalls)
-    MCalls.Items.push_back({Arena.internStore(Ctx.Global),
-                            Arena.internPa(PendingAsync(App.M, Ctx.Args)),
-                            Arena.internPaSet(Ctx.Omega)});
-
-  ObligationScheduler Sched(Config);
+  ObligationScheduler Sched(Opts.Config);
   InternedTransitionCache Cache(Arena);
   GateCache Gates(Arena);
   OmegaGateCache OmegaGates(Arena);
@@ -531,10 +282,10 @@ ISCheckReport checkISScheduled(const ISApplication &App,
   // fingerprinted; a null Fps leaves every slice uncacheable.
   std::optional<ArenaFingerprints> FpsStore;
   ArenaFingerprints *Fps = nullptr;
-  if (VCache && cacheEligible(App)) {
+  if (Opts.Cache && cacheEligible(App)) {
     FpsStore.emplace(Arena);
     Fps = &*FpsStore;
-    Sched.setCache(VCache);
+    Sched.setCache(Opts.Cache);
   }
   // E's names in sorted order: a stable ingredient for the fingerprints
   // of the invariant-derived actions below.
@@ -858,20 +609,12 @@ ISCheckReport checkISScheduled(const ISApplication &App,
   return Report;
 }
 
-} // namespace
-
-ISCheckReport isq::checkIS(const ISApplication &App,
-                           const ISUniverse &Universe,
-                           const ISCheckOptions &Opts) {
-  if (!Opts.Config.ParallelCheck)
-    return checkIS(App, Universe);
-  return checkISScheduled(App, Universe, Opts.Config, Opts.Cache);
-}
-
 ISCheckReport isq::checkIS(const ISApplication &App,
                            const std::vector<InitialCondition> &Inits,
                            const ExploreOptions &Opts) {
-  return checkIS(App, ISUniverse::build(App, Inits, Opts));
+  ISCheckOptions CheckOpts;
+  CheckOpts.Config = Opts.Config;
+  return checkIS(App, ISUniverse::build(App, Inits, Opts), CheckOpts);
 }
 
 std::string ISCheckReport::str() const {

@@ -33,17 +33,11 @@ class ObligationCache; // engine/ObligationCache.h
 
 /// The quantifier domain for the IS conditions.
 struct ISUniverse {
-  /// Configurations of P ∪ configurations of P[M ↦ I]. Populated by
-  /// hand-built universes only: build() leaves it empty and the checkers
-  /// run over Space (a value mirror of a large interned space costs real
-  /// time on every run).
-  std::vector<Configuration> Configs;
-  /// Contexts in which an M pending async executes (inputs to I).
-  ContextUniverse MCalls;
-  /// The interned view of the universe over the shared arena both
-  /// explorations interned into. Checkers run over this when Arena is
-  /// set; Arena is null for hand-built universes (checkIS interns
-  /// Configs on the fly in that case).
+  /// Contexts in which an M pending async executes (inputs to I),
+  /// interned into Space's arena.
+  InternedContextUniverse MCalls;
+  /// Configurations of P ∪ configurations of P[M ↦ I], interned into the
+  /// one arena both explorations share.
   engine::StateSpace Space;
   /// Orbit size per configuration, index-aligned with Space.Configs when
   /// the explorations ran symmetry-reduced; empty otherwise (every orbit a
@@ -55,7 +49,7 @@ struct ISUniverse {
   /// The summary of P's exploration from each initial condition,
   /// index-aligned with build()'s Inits: Good, the orbit-closed Trans and
   /// the explored-node count, so the P ≼ P' cross-check never explores P
-  /// again. Empty for hand-built universes.
+  /// again.
   std::vector<ProgramSummary> PSummaries;
 
   /// Builds the universe by exploring P and P[M ↦ I] from \p Inits.
@@ -67,13 +61,10 @@ struct ISUniverse {
 /// Options for checkIS.
 struct ISCheckOptions {
   /// The unified engine configuration. Config.NumThreads drives the
-  /// obligation scheduler (0 treated as 1); Config.ParallelCheck selects
-  /// the scheduler (true) or the serial reference checker loops (false;
-  /// the --engine parallel-check=false differential oracle). Results are
-  /// bit-identical either way; only ObligationStats differ.
+  /// obligation scheduler (0 treated as 1).
   engine::EngineConfig Config;
   /// Content-addressed obligation verdict cache consulted by the
-  /// scheduled checker; null (or the serial path) checks everything.
+  /// scheduler; null checks everything.
   /// Caching requires every behavior the obligations depend on to carry a
   /// content fingerprint (actions, invariant, choice function, measure,
   /// abstractions); applications with any unknown fingerprint silently
@@ -93,8 +84,8 @@ struct ISCheckReport {
   CheckResult LeftMovers;            ///< (LM)
   CheckResult Cooperation;           ///< (CO)
 
-  /// Obligation-scheduler observability of the run (zeroed for the serial
-  /// reference path, which does not run the scheduler).
+  /// Obligation-scheduler observability of the run (zeroed when the
+  /// static side conditions fail and no obligation is scheduled).
   engine::ObligationStats Scheduler;
 
   bool ok() const {
@@ -114,21 +105,18 @@ struct ISCheckReport {
   std::string str() const;
 };
 
-/// Checks every condition of the IS rule for \p App over \p Universe using
-/// the serial reference loops.
-ISCheckReport checkIS(const ISApplication &App, const ISUniverse &Universe);
-
 /// Checks every condition of the IS rule for \p App over \p Universe.
-/// With Opts.Config.ParallelCheck, obligations run on the obligation
-/// scheduler across Opts.Config.NumThreads workers; verdicts, counts and
-/// diagnostics are
-/// bit-identical to the serial loops for any thread count. Requires the
-/// application's choice function and measure to be pure (they are invoked
+/// Obligations run on the obligation scheduler across
+/// Opts.Config.NumThreads workers; verdicts, counts and diagnostics are
+/// bit-identical for any thread count and to the serial Fig. 3 loops of
+/// reference::checkIS (reference/ISCheck.h). Requires the application's
+/// choice function and measure to be pure (they are invoked
 /// concurrently), which every protocol in this repo satisfies.
 ISCheckReport checkIS(const ISApplication &App, const ISUniverse &Universe,
-                      const ISCheckOptions &Opts);
+                      const ISCheckOptions &Opts = ISCheckOptions());
 
-/// Convenience: builds the universe from \p Inits and checks.
+/// Convenience: builds the universe from \p Inits and checks it on the
+/// scheduler under Opts.Config (no obligation cache).
 ISCheckReport checkIS(const ISApplication &App,
                       const std::vector<InitialCondition> &Inits,
                       const ExploreOptions &Opts = ExploreOptions());

@@ -280,9 +280,9 @@ isq::moverSliceOrder(const StateSpace &Universe) {
 namespace {
 
 /// Obligation-scheduler form of checkMover. Deliberately a separate copy
-/// of the serial loop (not a shared template): the serial path survives
-/// as an independent differential oracle behind parallel-check=false, so
-/// the two implementations must not share obligation-emission code. The
+/// of the serial loop (not a shared template): the serial path is the
+/// independent differential oracle the tests compare against, so the two
+/// implementations must not share obligation-emission code. The
 /// jobs iterate the universe grouped by store and slice only at store
 /// boundaries; every dedup key contains the store, so each job-local
 /// dedup set is exact — it consumes each key at the serial loop's

@@ -3,7 +3,7 @@
 #include "protocols/NBuyer.h"
 
 #include "protocols/ProtocolUtil.h"
-#include "protocols/ScheduleInvariant.h"
+#include "is/ScheduleInvariant.h"
 
 using namespace isq;
 using namespace isq::protocols;

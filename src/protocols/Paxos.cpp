@@ -3,7 +3,7 @@
 #include "protocols/Paxos.h"
 
 #include "protocols/ProtocolUtil.h"
-#include "protocols/ScheduleInvariant.h"
+#include "is/ScheduleInvariant.h"
 #include "semantics/Symmetry.h"
 
 #include <algorithm>

@@ -3,7 +3,7 @@
 #include "protocols/ProducerConsumer.h"
 
 #include "protocols/ProtocolUtil.h"
-#include "protocols/ScheduleInvariant.h"
+#include "is/ScheduleInvariant.h"
 
 #include <algorithm>
 

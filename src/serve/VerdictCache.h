@@ -8,9 +8,9 @@
 /// Cache key. The key is the *canonical byte serialization* of everything
 /// the verdict depends on: program text, constant bindings, rewrite
 /// action, elimination order, rank order, abstractions, cooperation
-/// weights, and the cross-check/parallel-check/symmetry flags. Fields
-/// whose order is semantically irrelevant (consts, abstractions, weights)
-/// are std::maps, so their serialization is sorted by name and two
+/// weights, and the cross-check flag and engine settings. Fields whose
+/// order is semantically irrelevant (consts, abstractions, weights) are
+/// std::maps, so their serialization is sorted by name and two
 /// requests binding the same values in different order share one key;
 /// fields whose order matters (the elimination sequence) serialize in
 /// request order and keep distinct keys. The request id and any transport

@@ -49,7 +49,7 @@ namespace serve {
 ///   1  initial protocol
 ///   2  SubmitRequest carries an engine-configuration map (KEY=VALUE
 ///      pairs with the --engine key set) instead of the fixed
-///      ParallelCheck/Symmetry booleans
+///      checker-mode/symmetry booleans
 constexpr uint8_t WireVersion = 2;
 
 /// Upper bound on one frame's payload. Large enough for any realistic

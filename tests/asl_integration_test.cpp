@@ -12,7 +12,7 @@
 #include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "lang/Frontend.h"
-#include "protocols/ScheduleInvariant.h"
+#include "is/ScheduleInvariant.h"
 #include "refine/Refinement.h"
 
 #include <gtest/gtest.h>
@@ -72,7 +72,7 @@ bool agreementHolds(const Store &Final, int64_t N) {
 /// (Broadcast 1..n, then Collect 1..n) and a CollectAbs abstraction whose
 /// gate asserts the sequential-context facts of Fig. 1-④.
 ISApplication makeAslBroadcastIS(const CompiledModule &C, int64_t N) {
-  protocols::RankFn Rank =
+  RankFn Rank =
       [](const PendingAsync &PA) -> std::optional<std::vector<int64_t>> {
     if (PA.Action == Symbol::get("Broadcast"))
       return std::vector<int64_t>{0, PA.Args[0].getInt()};
@@ -84,9 +84,9 @@ ISApplication makeAslBroadcastIS(const CompiledModule &C, int64_t N) {
   App.P = C.P;
   App.M = Program::mainSymbol();
   App.E = {Symbol::get("Broadcast"), Symbol::get("Collect")};
-  App.Invariant = protocols::makeScheduleInvariant("AslBroadcastInv",
+  App.Invariant = makeScheduleInvariant("AslBroadcastInv",
                                                    App.P, App.M, Rank);
-  App.Choice = protocols::chooseMinRank(Rank);
+  App.Choice = chooseMinRank(Rank);
   App.Abstractions.emplace(
       Symbol::get("Collect"),
       Action("CollectAbs", 1,

@@ -119,7 +119,7 @@ TEST(CliTest, ParsesFullCommandLine) {
                       "--arg-major", "--eliminate", "StartRound,Join",
                       "--abstract", "Join=JoinAbs", "--weight",
                       "StartRound=9", "--rewrite", "Main", "--engine",
-                      "threads=4,parallel-check=false", "--no-cross-check",
+                      "threads=4,symmetry=false", "--no-cross-check",
                       "--format", "json"});
   ASSERT_TRUE(P.Ok) << P.Error;
   const CliOptions &O = P.Options;
@@ -137,15 +137,15 @@ TEST(CliTest, ParsesFullCommandLine) {
   EXPECT_EQ(O.Verify.RewriteAction, "Main");
   EXPECT_EQ(O.Verify.Engine.NumThreads, 4u);
   EXPECT_FALSE(O.Verify.CrossCheck);
-  EXPECT_FALSE(O.Verify.Engine.ParallelCheck);
+  EXPECT_FALSE(O.Verify.Engine.Symmetry);
 }
 
-TEST(CliTest, DefaultsAreTextSerialExplorationParallelCheck) {
+TEST(CliTest, DefaultsAreTextSerialExploration) {
   CliParse P = parse({"x.asl", "--eliminate", "A"});
   ASSERT_TRUE(P.Ok);
   EXPECT_EQ(P.Options.Format, OutputFormat::Text);
   EXPECT_EQ(P.Options.Verify.Engine.NumThreads, 1u);
-  EXPECT_TRUE(P.Options.Verify.Engine.ParallelCheck);
+  EXPECT_TRUE(P.Options.Verify.Engine.Symmetry);
   EXPECT_EQ(P.Options.Verify.Engine.StealChunk, 64u);
   EXPECT_EQ(P.Options.Verify.Engine.Shards, 16u);
   EXPECT_FALSE(P.Options.Verify.Engine.Compress);
@@ -159,7 +159,7 @@ TEST(CliTest, EngineFlagParsesEveryKey) {
   CliParse P = parse({"x.asl", "--eliminate", "A", "--engine",
                       "threads=2,steal-chunk=128", "--engine",
                       "shards=4,compress=on,symmetry=false", "--engine",
-                      "parallel-check=0,threads=8"});
+                      "threads=8"});
   ASSERT_TRUE(P.Ok) << P.Error;
   const engine::EngineConfig &E = P.Options.Verify.Engine;
   EXPECT_EQ(E.NumThreads, 8u);
@@ -167,7 +167,6 @@ TEST(CliTest, EngineFlagParsesEveryKey) {
   EXPECT_EQ(E.Shards, 4u);
   EXPECT_TRUE(E.Compress);
   EXPECT_FALSE(E.Symmetry);
-  EXPECT_FALSE(E.ParallelCheck);
 }
 
 TEST(CliTest, EngineFlagRejectsMalformedSpecs) {
@@ -236,11 +235,24 @@ TEST(CliTest, RemovedSpellingsAreUsageErrors) {
   expectError({"x.asl", "--eliminate", "A", "--engine",
                "work-stealing=false"},
               "unknown engine option 'work-stealing'");
+  // The serial checker loops are a test oracle now, not an engine mode:
+  // the key that selected them is unknown, and the valid-key list in the
+  // diagnostic no longer offers it.
+  CliParse Serial =
+      parse({"x.asl", "--eliminate", "A", "--engine", "parallel-check=false"});
+  EXPECT_FALSE(Serial.Ok);
+  size_t Valid = Serial.Error.find("(valid: ");
+  ASSERT_NE(Valid, std::string::npos) << Serial.Error;
+  EXPECT_LT(Serial.Error.find("unknown engine option 'parallel-check'"),
+            Valid)
+      << Serial.Error;
+  EXPECT_EQ(Serial.Error.find("parallel-check", Valid), std::string::npos)
+      << Serial.Error;
   std::string Usage = usageText();
   EXPECT_NE(Usage.find("--engine K=V"), std::string::npos);
   for (const char *Gone : {"--threads", "--no-symmetry", "--no-parallel-check",
                            "--no-work-stealing", "--frontend",
-                           "work-stealing"})
+                           "work-stealing", "parallel-check"})
     EXPECT_EQ(Usage.find(Gone), std::string::npos) << Gone;
 }
 
@@ -374,11 +386,6 @@ TEST(CliTest, TextReportIsPureFunctionOfResult) {
   ASSERT_TRUE(Result.Accepted) << Result.Summary;
   EXPECT_EQ(Result.Summary, renderText(Result));
   EXPECT_NE(Result.Summary.find("checker:"), std::string::npos);
-  // The serial oracle renders without the scheduler line.
-  Options.Engine.ParallelCheck = false;
-  VerifyResult Serial = verifyModule(Options);
-  EXPECT_TRUE(Serial.Accepted);
-  EXPECT_EQ(Serial.Summary.find("checker:"), std::string::npos);
 }
 
 TEST(CliTest, GoldenJsonAccepted) {

@@ -3,7 +3,8 @@
 // Tests for the interning arena (engine/StateArena.h) and the parallel
 // frontier engine (engine/StateGraph.h): interning round-trips, determinism
 // of parallel exploration across thread counts, differential equivalence
-// with the legacy value-level BFS, and truncation reporting.
+// with the value-level reference BFS (reference/Explorer.h), and
+// truncation reporting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 #include "protocols/Broadcast.h"
 #include "protocols/PingPong.h"
 #include "protocols/TwoPhaseCommit.h"
+#include "reference/Explorer.h"
 
 #include <gtest/gtest.h>
 
@@ -275,26 +277,26 @@ TEST(ParallelExploreTest, FailureTracesIdenticalAcrossThreadCounts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential testing against the legacy value-level BFS
+// Differential testing against the value-level reference BFS
 //===----------------------------------------------------------------------===//
 
 TEST(EngineDifferentialTest, MatchesLegacyExplorer) {
   for (const Instance &I : tier1Instances()) {
     std::vector<Configuration> Inits{initialConfiguration(I.Init)};
-    ExploreResult Legacy = exploreAllLegacy(I.P, Inits);
-    // The legacy explorer is always unreduced; compare like with like
+    ExploreResult Reference = reference::exploreAll(I.P, Inits);
+    // The reference explorer is always unreduced; compare like with like
     // (symmetry-vs-unreduced differentials live in symmetry_test.cpp).
     ExploreOptions Unreduced;
     Unreduced.Config.Symmetry = false;
     ExploreResult Engine = exploreAll(I.P, Inits, Unreduced);
-    EXPECT_EQ(Engine.Reachable, Legacy.Reachable) << I.Name;
-    EXPECT_EQ(Engine.FailureReachable, Legacy.FailureReachable) << I.Name;
-    EXPECT_EQ(Engine.TerminalStores, Legacy.TerminalStores) << I.Name;
-    EXPECT_EQ(Engine.Deadlocks, Legacy.Deadlocks) << I.Name;
+    EXPECT_EQ(Engine.Reachable, Reference.Reachable) << I.Name;
+    EXPECT_EQ(Engine.FailureReachable, Reference.FailureReachable) << I.Name;
+    EXPECT_EQ(Engine.TerminalStores, Reference.TerminalStores) << I.Name;
+    EXPECT_EQ(Engine.Deadlocks, Reference.Deadlocks) << I.Name;
     EXPECT_EQ(Engine.Stats.NumConfigurations,
-              Legacy.Stats.NumConfigurations)
+              Reference.Stats.NumConfigurations)
         << I.Name;
-    EXPECT_EQ(Engine.Stats.NumTransitions, Legacy.Stats.NumTransitions)
+    EXPECT_EQ(Engine.Stats.NumTransitions, Reference.Stats.NumTransitions)
         << I.Name;
   }
 }
@@ -351,10 +353,10 @@ TEST(WorkStealingTest, FailuresHandledWithoutStop) {
   Program Buggy = makeBuggyPingPongProgram(PP);
   Configuration Init = initialConfiguration(makePingPongInitialStore(PP));
 
-  ExploreResult Oracle = exploreAllLegacy(Buggy, {Init});
+  ExploreResult Oracle = reference::exploreAll(Buggy, {Init});
   ASSERT_TRUE(Oracle.FailureReachable);
 
-  // The legacy explorer is always unreduced; compare like with like.
+  // The reference explorer is always unreduced; compare like with like.
   ExploreOptions Ws;
   Ws.Config.NumThreads = 4;
   Ws.Config.Symmetry = false;

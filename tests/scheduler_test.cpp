@@ -4,8 +4,9 @@
 // and its retention by universe position, channels, caps) plus the
 // determinism contract of the scheduled checkers: verdicts, obligation
 // counts, diagnostics, and scheduler statistics are bit-identical for any
-// thread count, and equal to the serial reference loops — including on
-// universes spanning many slices.
+// thread count, and equal to the serial reference loops of
+// reference/ISCheck.h — including on universes spanning many slices and
+// on every shipped example.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +19,12 @@
 #include "protocols/Pathological.h"
 #include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
+#include "reference/ISCheck.h"
 #include "refine/Refinement.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace isq;
 using namespace isq::engine;
@@ -68,26 +72,22 @@ void expectSameCounters(const ObligationStats &A, const ObligationStats &B) {
   }
 }
 
-/// The serial report against the scheduled report for 1, 2 and 8 worker
-/// threads — the PR's core acceptance property.
-void expectParallelMatchesSerial(const ISApplication &App,
-                                 const ISUniverse &Universe) {
-  ISCheckReport Serial = checkIS(App, Universe);
-  ISCheckReport Reports[3];
-  const unsigned Threads[3] = {1, 2, 8};
-  for (size_t I = 0; I < 3; ++I) {
+/// The serial reference report against the scheduled report for each of
+/// \p Threads worker counts, with scheduler counters equal across them.
+/// Returns the serial report.
+ISCheckReport expectParallelMatchesSerial(
+    const ISApplication &App, const ISUniverse &Universe,
+    const std::vector<unsigned> &Threads = {1, 2, 8}) {
+  ISCheckReport Serial = reference::checkIS(App, Universe);
+  std::vector<ISCheckReport> Reports;
+  for (unsigned T : Threads) {
     ISCheckOptions Opts;
-    Opts.Config.NumThreads = Threads[I];
-    Reports[I] = checkIS(App, Universe, Opts);
-    expectSameReport(Serial, Reports[I]);
+    Opts.Config.NumThreads = T;
+    Reports.push_back(checkIS(App, Universe, Opts));
+    expectSameReport(Serial, Reports.back());
+    expectSameCounters(Reports.front().Scheduler, Reports.back().Scheduler);
   }
-  expectSameCounters(Reports[0].Scheduler, Reports[1].Scheduler);
-  expectSameCounters(Reports[0].Scheduler, Reports[2].Scheduler);
-  // The serial oracle behind parallel-check=false is reachable through the
-  // same options surface.
-  ISCheckOptions SerialOpts;
-  SerialOpts.Config.ParallelCheck = false;
-  expectSameReport(Serial, checkIS(App, Universe, SerialOpts));
+  return Serial;
 }
 
 } // namespace
@@ -408,7 +408,7 @@ TEST(ScheduledISCheckTest, MatchesSerialOnCooperationCounterexample) {
   ISApplication App = protocols::makeCooperationCounterexampleIS();
   ISUniverse Universe = ISUniverse::build(
       App, {{protocols::makeCooperationCounterexampleStore(), {}}});
-  ISCheckReport Serial = checkIS(App, Universe);
+  ISCheckReport Serial = reference::checkIS(App, Universe);
   ASSERT_FALSE(Serial.Cooperation.ok());
   expectParallelMatchesSerial(App, Universe);
 }
@@ -438,7 +438,7 @@ TEST(ScheduledISCheckTest, MatchesSerialOnNonInductiveInvariant) {
   App.Choice = ISApplication::chooseInOrder({Symbol::get("Inc")});
   App.WfMeasure = Measure::pendingAsyncCount();
   ISUniverse Universe = ISUniverse::build(App, {{xStore(0), {}}});
-  ISCheckReport Serial = checkIS(App, Universe);
+  ISCheckReport Serial = reference::checkIS(App, Universe);
   ASSERT_FALSE(Serial.InductiveStep.ok());
   expectParallelMatchesSerial(App, Universe);
 }
@@ -452,18 +452,7 @@ namespace {
 /// slices: the keys of one store must never straddle a slice boundary.
 void expectMatchesSerialAcrossSlices(const isq::testing::ShippedExample &Ex) {
   ASSERT_GT(moverSliceOrder(Ex.Universe.Space)->slices(), 2u);
-  ISCheckOptions SerialOpts;
-  SerialOpts.Config.ParallelCheck = false;
-  ISCheckReport Serial = checkIS(Ex.App, Ex.Universe, SerialOpts);
-  ISCheckReport Reports[2];
-  const unsigned Threads[2] = {1, 4};
-  for (size_t I = 0; I < 2; ++I) {
-    ISCheckOptions Opts;
-    Opts.Config.NumThreads = Threads[I];
-    Reports[I] = checkIS(Ex.App, Ex.Universe, Opts);
-    expectSameReport(Serial, Reports[I]);
-  }
-  expectSameCounters(Reports[0].Scheduler, Reports[1].Scheduler);
+  expectParallelMatchesSerial(Ex.App, Ex.Universe, {1, 4});
 }
 
 std::vector<std::string> paxosFlags(const char *R, const char *N) {
@@ -476,6 +465,46 @@ std::vector<std::string> paxosFlags(const char *R, const char *N) {
 }
 
 } // namespace
+
+TEST(ScheduledISCheckTest, MatchesReferenceOnShippedExamples) {
+  // Every shipped example at its documented invocation, plus three
+  // rejections of them, so that diagnostics and their order are compared
+  // too: the production checker at 1 and 4 threads against the serial
+  // Fig. 3 loops. MatchesSerialAcrossSlicesOnPaxosR3N2 covers paxos at
+  // R=3.
+  using isq::testing::documentedFlags;
+  std::vector<std::pair<std::string, std::vector<std::string>>> Runs;
+  for (const std::string &File : isq::testing::shippedExampleFiles())
+    Runs.emplace_back(File, documentedFlags(File));
+  auto Edited = [](std::vector<std::string> Flags, const std::string &From,
+                   const std::string &To) {
+    auto It = std::find(Flags.begin(), Flags.end(), From);
+    EXPECT_NE(It, Flags.end()) << From;
+    if (It != Flags.end())
+      *It = To;
+    return Flags;
+  };
+  // (CO): StartRound's weight no longer dominates its fan-out.
+  Runs.emplace_back("paxos.asl", Edited(documentedFlags("paxos.asl"),
+                                        "StartRound=9", "StartRound=1"));
+  // (CO): four participants under the three-participant weights.
+  Runs.emplace_back("two_phase_commit.asl",
+                    Edited(documentedFlags("two_phase_commit.asl"), "n=3",
+                           "n=4"));
+  // (LM): without its abstraction, Collect is not a left mover.
+  Runs.emplace_back("broadcast.asl",
+                    std::vector<std::string>{"--const", "n=2", "--eliminate",
+                                             "Broadcast,Collect"});
+  size_t Rejected = 0;
+  for (const auto &[File, Flags] : Runs) {
+    SCOPED_TRACE(File);
+    isq::testing::ShippedExample Ex =
+        isq::testing::loadShippedExample(File, Flags);
+    ASSERT_TRUE(Ex.Universe.Space.Arena);
+    Rejected += !expectParallelMatchesSerial(Ex.App, Ex.Universe, {1, 4}).ok();
+  }
+  EXPECT_EQ(Rejected, 3u);
+}
 
 TEST(ScheduledISCheckTest, MatchesSerialAcrossSlicesOnPaxosR3N2) {
   isq::testing::ShippedExample Ex =
@@ -494,7 +523,7 @@ TEST(ScheduledISCheckTest, RetainsSerialDiagnosticsAcrossSlices) {
       {"--param", "n=5", "--eliminate", "RequestVotes,Vote,Decide,Finalize",
        "--abstract", "Decide=DecideAbs", "--weight", "RequestVotes=8",
        "--weight", "Decide=4"});
-  ISCheckReport Serial = checkIS(Ex.App, Ex.Universe);
+  ISCheckReport Serial = reference::checkIS(Ex.App, Ex.Universe);
   ASSERT_FALSE(Serial.Cooperation.ok());
   ASSERT_GT(Serial.Cooperation.failures(), CheckResult::MaxIssues);
   expectMatchesSerialAcrossSlices(Ex);

@@ -664,6 +664,29 @@ TEST(ServeEndToEndTest, RemovedWorkStealingKeyRejectedStreamSurvives) {
   EXPECT_EQ(Good.Verdict.ExitCode, 0);
 }
 
+TEST(ServeEndToEndTest, RemovedParallelCheckKeyRejectedStreamSurvives) {
+  // The serial checker loops left the library: a request still naming the
+  // key that selected them gets an error reply under the same wire
+  // version, and the connection keeps serving.
+  static_assert(WireVersion == 2, "removing a key is not a wire change");
+  LiveServer Live;
+  SubmitRequest Request = fromVerifyOptions(pingPongOptions());
+  Request.RequestId = 1;
+  Request.Engine["parallel-check"] = "false";
+  ASSERT_TRUE(Live.Client.send(Request));
+  ServeReply Error = Live.Client.receive();
+  EXPECT_EQ(Error.K, ServeReply::Kind::ServerError);
+  EXPECT_NE(Error.Error.find("unknown engine option 'parallel-check'"),
+            std::string::npos)
+      << Error.Error;
+
+  Request.RequestId = 2;
+  Request.Engine.clear();
+  ServeReply Good = Live.Client.submit(Request);
+  ASSERT_EQ(Good.K, ServeReply::Kind::Verdict) << Good.Error;
+  EXPECT_EQ(Good.Verdict.ExitCode, 0);
+}
+
 TEST(ServeEndToEndTest, DifferingEngineConfigsDoNotCoalesceOrCacheShare) {
   LiveServer Live;
   SubmitRequest Default = fromVerifyOptions(pingPongOptions());

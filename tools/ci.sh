@@ -2,7 +2,7 @@
 # CI entry point: build and test the normal configuration, then the
 # sanitized (address + undefined) configuration; verify every shipped
 # example end-to-end in both report formats (with a JSON schema sanity
-# check); smoke-run the benchmark binaries for one tiny iteration;
+# check); smoke-run the smallest row of every benchmark binary;
 # smoke-test the verification service (isq-serve + isq-loadgen: verdict
 # cache hits across both manifest paxos instances, schema sanity,
 # per-entry bit-identity against one-shot isq-verify); exercise the
@@ -10,10 +10,7 @@
 # verifying with its documented flags); check the engine's determinism
 # contract over the same corpus (verdict JSON at one thread must be
 # bit-identical to four threads with a tiny steal chunk, after
-# timing/steal-count scrubbing); check the scheduled checkers against
-# the serial parallel-check=false oracle over the same corpus plus paxos
-# R=3 N=2 (after scrubbing timings and scheduler telemetry); check that
-# the P ≼ P' cross-check
+# timing/steal-count scrubbing); check that the P ≼ P' cross-check
 # reports the same outcome and obligation count with symmetry on and
 # off; run the incremental re-verification
 # stage (cold run populating an on-disk obligation verdict cache, a
@@ -28,7 +25,10 @@
 # + driver-re-entrancy tests under ThreadSanitizer, including the
 # symmetry=false differential, a tiny-steal-chunk run that forces
 # cross-worker stealing, a threaded warm run over a shared verdict
-# cache, and a threaded spilling run. All stages must pass.
+# cache, and a threaded spilling run. All stages must pass. The
+# scheduled checkers' differential against the serial reference loops is
+# a tier-1 test (ScheduledISCheckTest.MatchesReferenceOnShippedExamples),
+# so the ctest runs of both configurations cover it.
 #
 # Usage: tools/ci.sh [JOBS]
 
@@ -130,16 +130,26 @@ for f in examples/asl/*.asl; do
   verify_example build/tools/isq-verify "$f"
 done
 
-echo "==== bench smoke: one tiny iteration per benchmark binary ===="
-# Catches bit-rot in the benchmark code without paying for real timing
+echo "==== bench smoke: the smallest row of every benchmark binary ===="
+# Catches bit-rot in the benchmark code (and in the isq_reference oracles
+# and protocol twins every bench links) without paying for real timing
 # runs: smallest instances only, with a near-zero minimum measuring time.
-cmake --build build -j "$JOBS" --target bench_statespace bench_verify
-build/bench/bench_statespace \
-  --benchmark_filter='BM_Broadcast/2|BM_EngineTwoPhaseCommit/4/1|BM_SymmetryTwoPhaseCommit/4/1' \
-  --benchmark_min_time=0.01 >/dev/null
-build/bench/bench_verify \
-  --benchmark_filter='BM_CheckerPaxos/2/1|BM_VerifySymmetryTwoPhaseCommit/3/1' \
-  --benchmark_min_time=0.01 >/dev/null
+bench_smoke() {
+  local bin="$1" filter="$2"
+  cmake --build build -j "$JOBS" --target "$bin"
+  "build/bench/$bin" --benchmark_filter="$filter" \
+    --benchmark_min_time=0.01 >/dev/null
+  echo "  $bin: $filter"
+}
+bench_smoke bench_table1 'BM_Table1/0'
+bench_smoke bench_statespace 'BM_Broadcast/2|BM_SymmetryTwoPhaseCommit/4/1'
+bench_smoke bench_invariant_complexity \
+  'BM_FlatInvariant/2|BM_InductiveSequentialization/2'
+bench_smoke bench_movers 'BM_MoversBroadcast/2'
+bench_smoke bench_rewriter 'BM_RewriteBroadcast/2'
+bench_smoke bench_paxos 'BM_PaxosPipeline/1/3|BM_PaxosSequentialReduction/1/3'
+bench_smoke bench_iterated_is 'BM_BroadcastOneShot'
+bench_smoke bench_asl 'BM_CompileBroadcastModule/2|BM_VerifyBroadcastNative/2'
 
 echo "==== serve smoke: daemon + verdict cache + schema sanity ===="
 cmake --build build -j "$JOBS" --target isq-serve isq-loadgen isq-verify
@@ -268,51 +278,6 @@ for f in examples/asl/*.asl; do
   fi
   echo "  $f: threads=1 == threads=4,steal-chunk=8"
 done
-
-echo "==== serial oracle: scheduled checkers vs parallel-check=false ===="
-# The serial Fig. 3 loops behind --engine parallel-check=false are the
-# reference the obligation scheduler must match: over the corpus at the
-# documented flags, plus paxos R=3 N=2 (a universe spanning many
-# store-grouped slices), the scheduled run at four threads must report
-# the same JSON as the serial oracle once timings and scheduler
-# telemetry are scrubbed: the "scheduler" block, and the per-condition
-# "jobs"/"orbit_*" fields and obligation-cache counters it feeds, which
-# the serial path does not collect. Exploration telemetry ("engine") is
-# dropped too: the checkers run after exploration and never change it.
-scrub_oracle() {
-  python3 -c '
-import json, sys
-doc = json.load(open(sys.argv[1]))
-for key in ("scheduler", "total_seconds", "engine"):
-    doc.pop(key)
-doc["cross_check"].pop("seconds")
-for c in doc["conditions"]:
-    for key in ("jobs", "orbit_configs", "orbit_states", "seconds"):
-        c.pop(key)
-for key in ("cache_enabled", "cache_hits", "cache_misses", "disk_hits"):
-    doc["obligations"].pop(key)
-print(json.dumps(doc, sort_keys=True, indent=1))
-' "$1"
-}
-check_oracle() {
-  local f="$1"; shift
-  "build/tools/isq-verify" "$f" "$@" --engine threads=4 \
-    --format json > "$SERVE_TMP/sched.json"
-  "build/tools/isq-verify" "$f" "$@" --engine parallel-check=false \
-    --format json > "$SERVE_TMP/oracle.json"
-  if ! diff <(scrub_oracle "$SERVE_TMP/sched.json") \
-            <(scrub_oracle "$SERVE_TMP/oracle.json") >/dev/null; then
-    echo "scheduled checkers differ from the serial oracle: $f $*"; exit 1
-  fi
-  echo "  $f $*: scheduled == serial oracle"
-}
-for f in examples/asl/*.asl; do
-  # shellcheck disable=SC2046
-  check_oracle "$f" $(example_flags "$f")
-done
-# shellcheck disable=SC2046
-check_oracle examples/asl/paxos.asl \
-  $(example_flags examples/asl/paxos.asl | sed 's/R=2/R=3/')
 
 echo "==== cross-check: symmetry=true vs symmetry=false ===="
 # Trans(P) is orbit-closed once, in P's summary, so the P ≼ P' cross-check

@@ -4,8 +4,8 @@
 /// The load generator for the verification service: replays a manifest of
 /// ASL verification jobs against a running isq-serve daemon from N
 /// concurrent client connections and reports latency percentiles
-/// (p50/p95/p99), throughput, and cache-hit rate — optionally as a JSON
-/// row for BENCH_serve.json (tools/bench_serve.sh).
+/// (p50/p95/p99), throughput, and cache-hit rate — optionally as one JSON
+/// object written to --json-out FILE.
 ///
 /// Manifest format: one job per line, `path/to/module.asl <isq-verify
 /// flags>` (paths relative to the manifest file); blank lines and
