@@ -122,7 +122,8 @@ struct VerifyResult {
   /// source locations; driver-input diagnostics use line 0.
   std::vector<asl::Diagnostic> Diags;
   /// Aggregated engine statistics across every exploration the run
-  /// performed: P and P[M ↦ I] (the universe) plus P' (the cross-check).
+  /// performed: P, and P[M ↦ I] when the universe needed it, plus P'
+  /// (the cross-check).
   engine::EngineStats Engine;
   /// Empirical P ≼ P' cross-check outcome.
   CrossCheckInfo CrossCheck;

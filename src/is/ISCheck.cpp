@@ -9,16 +9,101 @@
 #include "is/ISCheckShared.h"
 #include "is/Sequentialize.h"
 #include "movers/MoverCheck.h"
+#include "semantics/Symmetry.h"
 
 #include <algorithm>
 #include <deque>
 #include <optional>
 #include <mutex>
+#include <set>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
 using namespace isq;
 using namespace isq::engine;
+
+namespace {
+
+/// M's call points as an interned context universe in which each distinct
+/// (store, args, Ω) point appears once, in first-insertion order.
+class CallPoints {
+public:
+  explicit CallPoints(std::shared_ptr<StateArena> Arena) {
+    Calls.Arena = std::move(Arena);
+  }
+
+  /// Adds every point of \p Ctxs in order. With a non-null \p Sym each
+  /// point is followed by its permutation images (store, args and Ω
+  /// permuted together) in permutation order.
+  void add(const InternedContextUniverse &Ctxs,
+           const SymmetrySpec *Sym = nullptr) {
+    StateArena &Arena = *Calls.Arena;
+    for (const InternedActionContext &Call : Ctxs.Items) {
+      addPoint(Call);
+      if (!Sym)
+        continue;
+      const Store &G = Arena.store(Call.Global);
+      const PendingAsync &Pa = Arena.pa(Call.ArgsPa);
+      const PaMultiset &Omega = Arena.paSet(Call.Omega);
+      for (size_t I = 1; I < Sym->numPermutations(); ++I) {
+        const std::vector<int64_t> &Image = Sym->perm(I);
+        addPoint({Arena.internStore(Sym->permuteStore(G, Image)),
+                  Arena.internPa(Sym->permutePendingAsync(Pa, Image)),
+                  Arena.internPaSet(Sym->permuteOmega(Omega, Image))});
+      }
+    }
+  }
+
+  const InternedContextUniverse &universe() const { return Calls; }
+  InternedContextUniverse take() { return std::move(Calls); }
+
+private:
+  void addPoint(const InternedActionContext &Call) {
+    if (Keys.emplace(Call.Global, Call.ArgsPa, Call.Omega).second)
+      Calls.Items.push_back(Call);
+  }
+
+  InternedContextUniverse Calls;
+  std::set<std::tuple<StoreId, PaId, PaSetId>> Keys;
+};
+
+/// The closure test: whether every step I takes from a point of \p Calls
+/// lands on a node of \p PNodes. \p Sym is the active symmetry when
+/// \p PNodes holds orbit representatives (successors are canonicalized
+/// before the lookup), null otherwise. Steps whose gate fails reach the
+/// failure configuration, never a node, and are skipped like the engine
+/// skips them; τI is enumerated through the invariant itself, so a
+/// memoizing invariant (makeScheduleInvariant) answers the checkers'
+/// later queries at these points from its memo.
+bool invariantStaysInside(const Action &Inv,
+                          const InternedContextUniverse &Calls,
+                          const std::unordered_set<ConfigId> &PNodes,
+                          const SymmetrySpec *Sym) {
+  StateArena &Arena = *Calls.Arena;
+  for (const InternedActionContext &Call : Calls.Items) {
+    const Store &G = Arena.store(Call.Global);
+    const std::vector<Value> &Args = Arena.pa(Call.ArgsPa).Args;
+    if (!Inv.evalGate(G, Args, Arena.paSet(Call.Omega)))
+      continue;
+    PaCountVec Rest(Arena.paVec(Call.Omega));
+    paCountVecErase(Rest, Call.ArgsPa);
+    for (const Transition &T : Inv.transitions(G, Args)) {
+      PaSetId Created = Arena.internPaSet(T.createdMultiset());
+      PaSetId Omega =
+          Arena.internPaVec(paCountVecUnion(Rest, Arena.paVec(Created)));
+      ConfigId Succ =
+          Sym ? Arena.internConfig(Sym->canonical(
+                    Configuration(T.Global, Arena.paSet(Omega))))
+              : Arena.internConfig(Arena.internStore(T.Global), Omega);
+      if (!PNodes.count(Succ))
+        return false;
+    }
+  }
+  return true;
+}
+
+} // namespace
 
 ISUniverse ISUniverse::build(const ISApplication &App,
                              const std::vector<InitialCondition> &Inits,
@@ -34,13 +119,8 @@ ISUniverse ISUniverse::build(const ISApplication &App,
   EO.MaxConfigurations = Opts.MaxConfigurations;
   EO.RecordParents = false; // parents are never consulted for universes
   EO.Config = Opts.Config;
-  // Both explorations intern into the one arena, so the union dedups by
+  // Every exploration interns into the one arena, so the union dedups by
   // ConfigId and the configurations are shared with every later check.
-  // Note the asymmetry between the two explorations: P may run
-  // symmetry-reduced, while P[M ↦ I] always runs unreduced (withAction
-  // drops the symmetry spec — the schedule invariant ranks by node ID and
-  // is not equivariant). A configuration first seen reduced keeps its
-  // orbit size; one first seen unreduced counts as a singleton.
   std::unordered_set<ConfigId> Seen;
   auto Absorb = [&](const Program &P, std::vector<ProgramSummary> *Summaries) {
     for (const InitialCondition &Init : Inits) {
@@ -61,9 +141,34 @@ ISUniverse ISUniverse::build(const ISApplication &App,
     }
   };
   Absorb(App.P, &U.PSummaries);
-  // The partial sequentializations: P with M replaced by the invariant.
-  Absorb(App.P.withAction(App.Invariant.withName(App.M.str())), nullptr);
-  U.MCalls = collectContexts(U.Space, App.M);
+
+  // M's call points in Reach(P). A reduced run holds one representative
+  // per orbit, and (I1)–(I3) are not equivariant (I and f rank by node
+  // ID), so the contexts at the representatives are expanded to their
+  // whole orbits: Reach(P) is orbit-closed (π-invariant initial stores,
+  // equivariant P), and so is its set of call points.
+  const SymmetrySpec *Sym =
+      U.Stats.SymmetryReduced ? App.P.symmetry().get() : nullptr;
+  CallPoints Calls(U.Space.Arena);
+  Calls.add(collectContexts(U.Space, App.M), Sym);
+
+  // The partial sequentializations P[M ↦ I]. When P was explored in full
+  // and every I step from a call point of Reach(P) lands in Reach(P), then
+  // Reach(P[M ↦ I]) ⊆ Reach(P) by induction over P[M ↦ I] steps (a non-M
+  // step is a P step; an M step is one of the I steps just checked), and
+  // the universe is P's alone. Otherwise the leg is explored unreduced,
+  // as withAction drops the symmetry spec, and its new configurations are
+  // appended, each counting as a singleton orbit.
+  if (U.Stats.Truncated ||
+      !invariantStaysInside(App.Invariant, Calls.universe(), Seen, Sym)) {
+    size_t PNodes = U.Space.Configs.size();
+    Absorb(App.P.withAction(App.Invariant.withName(App.M.str())), nullptr);
+    StateSpace Leg{U.Space.Arena,
+                   std::vector<ConfigId>(U.Space.Configs.begin() + PNodes,
+                                         U.Space.Configs.end())};
+    Calls.add(collectContexts(Leg, App.M));
+  }
+  U.MCalls = Calls.take();
   return U;
 }
 
@@ -567,8 +672,8 @@ ISCheckReport isq::checkIS(const ISApplication &App,
 
   // Orbit accounting per condition: the store-universe conditions range
   // over Space.Configs (orbit representatives under a reduced build); the
-  // M-call conditions range over MCalls, which arise at the π-invariant
-  // initial configurations and are singleton orbits either way.
+  // M-call conditions range over MCalls, which build() expands to whole
+  // orbits, so each point stands for itself alone.
   {
     uint64_t Reps = Space.Configs.size();
     uint64_t States = Reps;

@@ -12,7 +12,8 @@
 /// we evaluate them over the *IS universe* — the configurations reachable
 /// in P and in P[M ↦ I] (the partial sequentializations), which covers
 /// every configuration manipulated by the soundness construction of §4.1
-/// for the explored instances (see DESIGN.md).
+/// for the explored instances (see DESIGN.md "State universes" and
+/// "Symmetry reduction").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,16 +34,21 @@ class ObligationCache; // engine/ObligationCache.h
 
 /// The quantifier domain for the IS conditions.
 struct ISUniverse {
-  /// Contexts in which an M pending async executes (inputs to I),
-  /// interned into Space's arena.
+  /// Every context in which an M pending async executes (inputs to I),
+  /// each distinct point once, interned into Space's arena. Under
+  /// symmetry reduction the contexts at P's representatives are expanded
+  /// to their whole orbits: (I1)–(I3) are not equivariant, so they must
+  /// see every call point, not one per orbit.
   InternedContextUniverse MCalls;
-  /// Configurations of P ∪ configurations of P[M ↦ I], interned into the
-  /// one arena both explorations share.
+  /// Configurations of P ∪ configurations of P[M ↦ I]: P's nodes (orbit
+  /// representatives when reduced), followed by the unreduced P[M ↦ I]
+  /// leg's new nodes when that leg had to be explored.
   engine::StateSpace Space;
-  /// Orbit size per configuration, index-aligned with Space.Configs when
-  /// the explorations ran symmetry-reduced; empty otherwise (every orbit a
-  /// singleton). Observational only: the checks themselves quantify over
-  /// the representatives.
+  /// Orbit size per configuration, index-aligned with Space.Configs (1
+  /// for every unreduced node). Observational only: the checks themselves
+  /// quantify over the representatives, which is sound for LM, CO and
+  /// P(A) ≼ α(A) because each is an equivariant predicate of one
+  /// configuration.
   std::vector<uint64_t> OrbitSizes;
   /// Accumulated engine statistics of the universe explorations.
   engine::EngineStats Stats;
@@ -52,7 +58,11 @@ struct ISUniverse {
   /// again.
   std::vector<ProgramSummary> PSummaries;
 
-  /// Builds the universe by exploring P and P[M ↦ I] from \p Inits.
+  /// Builds the universe from \p Inits. P is explored first; P[M ↦ I]
+  /// is explored only when the closure test fails — when P's exploration
+  /// was truncated or some step of I from a call point of Reach(P) leaves
+  /// Reach(P). Otherwise Reach(P[M ↦ I]) ⊆ Reach(P) and the universe is
+  /// P's alone (DESIGN.md "State universes").
   static ISUniverse build(const ISApplication &App,
                           const std::vector<InitialCondition> &Inits,
                           const ExploreOptions &Opts = ExploreOptions());

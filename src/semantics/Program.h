@@ -58,9 +58,10 @@ public:
   /// Declares the program symmetric under the given spec. Symmetry is a
   /// property of the *whole* action set (every action must be
   /// equivariant), so withAction() drops the spec: substituting an action
-  /// — e.g. a rank-ordered schedule invariant for Main, or the
+  /// — e.g. a rank-ordered schedule invariant for M, or the
   /// sequentialization produced by applyIS — may break equivariance, and
-  /// the substituted program then explores unreduced.
+  /// the substituted program then explores unreduced. (The IS universe
+  /// explores P[M ↦ I] only when I leaves Reach(P); see ISUniverse::build.)
   void setSymmetry(std::shared_ptr<const SymmetrySpec> Spec) {
     Sym = std::move(Spec);
   }

@@ -3,7 +3,7 @@
 /// \file
 /// Loads the shipped ASL examples the way `isq-verify` runs them: the
 /// module compiled through the frontend, the IS application derived from
-/// the command-line flags, and the IS universe (P ∪ P[M ↦ I]) explored.
+/// the command-line flags, and the IS universe (P ∪ P[M ↦ I]) built.
 /// Each example documents its own invocation in a `// Verify with:`
 /// header; documentedFlags() reads it, so the tests follow the command
 /// users see.
@@ -75,8 +75,8 @@ struct ShippedExample {
 };
 
 /// Compiles examples/asl/\p File under \p Flags (isq-verify's command
-/// line after the file) and builds its IS universe with the default
-/// engine configuration.
+/// line after the file) and builds its IS universe under the engine
+/// configuration the flags select, as isq-verify does.
 inline ShippedExample
 loadShippedExample(const std::string &File,
                    const std::vector<std::string> &Flags) {
@@ -101,7 +101,10 @@ loadShippedExample(const std::string &File,
     return Ex;
   Ex.Compiled = std::move(*Compiled);
   Ex.App = driver::deriveApplication(Ex.Options, Ex.Compiled.P);
-  Ex.Universe = ISUniverse::build(Ex.App, {{Ex.Compiled.InitialStore, {}}});
+  ExploreOptions Explore;
+  Explore.Config = Ex.Options.Engine;
+  Ex.Universe =
+      ISUniverse::build(Ex.App, {{Ex.Compiled.InitialStore, {}}}, Explore);
   return Ex;
 }
 

@@ -398,8 +398,8 @@ TEST(DriverCrossCheckTest, ExploresPOnceAndPPrimeOnce) {
     VerifyResult R = verifyModule(Options);
     ASSERT_TRUE(R.Accepted) << R.Summary;
     ASSERT_TRUE(R.CrossCheck.Ran);
-    // Engine.NumConfigurations = P + P[M ↦ I] + P': the cross-check adds
-    // exactly one exploration, of P'.
+    // Engine.NumConfigurations = the universe's explorations + P': the
+    // cross-check adds exactly one exploration, of P'.
     EXPECT_EQ(R.Engine.NumConfigurations,
               Universe.Engine.NumConfigurations + R.CrossCheck.ConfigsPPrime);
     // ConfigsP is the universe's P leg, explored under the same engine

@@ -509,7 +509,8 @@ TEST(ObligationCacheTest, TornJournalTailCostsOnlyTheTail) {
 
 TEST(ObligationCacheTest, StaleOrTruncatedImageVerifiesLikeCold) {
   // A rejecting instance (more (CO) failures than retained diagnostics),
-  // so replayed diagnostics are part of what must not change.
+  // so replayed diagnostics are part of what must not change. Unreduced:
+  // on the symmetry quotient (CO) fails at only 6 representatives.
   TempCacheDir Dir;
   driver::VerifyOptions Opts;
   {
@@ -524,6 +525,7 @@ TEST(ObligationCacheTest, StaleOrTruncatedImageVerifiesLikeCold) {
   Opts.Weights = {{"RequestVotes", 8}, {"Decide", 4}};
   Opts.Engine.Incremental = true;
   Opts.Engine.CacheDir = Dir.Path;
+  Opts.Engine.Symmetry = false;
   auto ExpectSameVerdict = [](const driver::VerifyResult &A,
                               const driver::VerifyResult &B,
                               const std::string &What) {

@@ -517,12 +517,13 @@ TEST(ScheduledISCheckTest, RetainsSerialDiagnosticsAcrossSlices) {
   // weights: (CO) fails more often than CheckResult::MaxIssues, across
   // several slices (n=4 is REJECTED too, but its universe fits one
   // slice), so the retained diagnostics are the serial loop's first ones
-  // only if the fold keeps the smallest universe positions.
+  // only if the fold keeps the smallest universe positions. Unreduced:
+  // on the symmetry quotient (CO) fails at only 7 representatives.
   isq::testing::ShippedExample Ex = isq::testing::loadShippedExample(
       "two_phase_commit.asl",
       {"--param", "n=5", "--eliminate", "RequestVotes,Vote,Decide,Finalize",
        "--abstract", "Decide=DecideAbs", "--weight", "RequestVotes=8",
-       "--weight", "Decide=4"});
+       "--weight", "Decide=4", "--engine", "symmetry=false"});
   ISCheckReport Serial = reference::checkIS(Ex.App, Ex.Universe);
   ASSERT_FALSE(Serial.Cooperation.ok());
   ASSERT_GT(Serial.Cooperation.failures(), CheckResult::MaxIssues);

@@ -441,6 +441,22 @@ void expectDriverDifferential(const std::string &Name,
       } else {
         EXPECT_FALSE(R.Engine.SymmetryReduced) << Mode;
       }
+      // The configuration-universe conditions range over P's orbit
+      // representatives, which stand for exactly the configurations the
+      // unreduced run checks one by one.
+      if (!Symmetry) {
+        for (engine::ObCondition C :
+             {engine::ObCondition::AbstractionRefinement,
+              engine::ObCondition::LeftMovers,
+              engine::ObCondition::Cooperation}) {
+          const auto &On =
+              Baseline.Report.Scheduler.PerCondition[static_cast<size_t>(C)];
+          const auto &Off =
+              R.Report.Scheduler.PerCondition[static_cast<size_t>(C)];
+          EXPECT_EQ(On.OrbitStates, Off.OrbitConfigs)
+              << Mode << " " << engine::obConditionName(C);
+        }
+      }
     }
   }
 }
@@ -496,9 +512,9 @@ TEST(SymmetryDriverTest, SymmetricModuleActuallyReduces) {
   ASSERT_TRUE(On.Accepted) << On.Summary;
   EXPECT_TRUE(On.Engine.SymmetryReduced);
   EXPECT_FALSE(Off.Engine.SymmetryReduced);
-  // The aggregate interned counts are dominated by the P[M ↦ I] leg of the
-  // universe (always unreduced — withAction clears the spec); the explored
-  // node count is the reduction that shows through the whole pipeline.
+  // The schedule invariant's steps stay inside P, so the universe is P's
+  // quotient alone (the P[M ↦ I] leg is never explored) and the explored
+  // node count shows the reduction; only P' explores unreduced.
   EXPECT_LT(On.Engine.NumConfigurations, Off.Engine.NumConfigurations);
   EXPECT_GT(On.Engine.CanonCalls, 0u);
   // Both modes stand for the same number of unreduced states.

@@ -10,9 +10,11 @@
 # verifying with its documented flags); check the engine's determinism
 # contract over the same corpus (verdict JSON at one thread must be
 # bit-identical to four threads with a tiny steal chunk, after
-# timing/steal-count scrubbing); check that the P ≼ P' cross-check
-# reports the same outcome and obligation count with symmetry on and
-# off; run the incremental re-verification
+# timing/steal-count scrubbing); check that symmetry on and off reach
+# the same verdict per condition, the same P ≼ P' cross-check outcome and
+# obligation count, and orbit accounting that adds up (the reduced run's
+# orbit_states is the unreduced run's orbit_configs); run the
+# incremental re-verification
 # stage (cold run populating an on-disk obligation verdict cache, a
 # one-action edit whose warm run must be bit-identical to the --engine
 # incremental=false oracle with a nonzero hit rate, and a corrupted
@@ -280,26 +282,46 @@ for f in examples/asl/*.asl; do
 done
 
 echo "==== cross-check: symmetry=true vs symmetry=false ===="
-# Trans(P) is orbit-closed once, in P's summary, so the P ≼ P' cross-check
-# must report the same outcome and obligation count whether or not P was
-# explored on the symmetry quotient.
-grep -E '^(broadcast|two_phase_commit)\.asl |^paxos\.asl .*N=2 ' \
-    examples/asl/serve_manifest.txt | while IFS= read -r line; do
+# Both runs must reach the same verdict: accepted, exit code and every
+# per-condition ok. Trans(P) is orbit-closed once, in P's summary, so the
+# P ≼ P' cross-check must also report the same obligation count. The
+# configuration-universe conditions (P(A) ≼ α(A), LM, CO) run at P's
+# orbit representatives, which stand for exactly the configurations the
+# unreduced run checks: orbit_states with symmetry on equals
+# orbit_configs with symmetry off.
+{
+  grep -E '^(broadcast|two_phase_commit)\.asl |^paxos\.asl .*N=2 ' \
+    examples/asl/serve_manifest.txt
+  echo "two_phase_commit.asl $(example_flags examples/asl/two_phase_commit.asl)"
+} | while IFS= read -r line; do
   file=examples/asl/${line%% *}
   flags=${line#* }
   for symmetry in true false; do
     # shellcheck disable=SC2086
     build/tools/isq-verify "$file" $flags --engine symmetry=$symmetry \
-      --format json < /dev/null > "$SERVE_TMP/cross-$symmetry.json"
+      --format json < /dev/null > "$SERVE_TMP/cross-$symmetry.json" || true
   done
-  python3 - "$SERVE_TMP" <<'EOF'
+  python3 - "$SERVE_TMP" "$line" <<'EOF'
 import json, sys
-on, off = (json.load(open(sys.argv[1] + "/cross-%s.json" % s))["cross_check"]
+on, off = (json.load(open(sys.argv[1] + "/cross-%s.json" % s))
            for s in ("true", "false"))
-assert on["ran"] and on["ok"], on
-assert (on["ok"], on["obligations"]) == (off["ok"], off["obligations"]), \
-    (on, off)
-print("  cross_check ok, %d obligations" % on["obligations"])
+for key in ("accepted", "exit_code"):
+    assert on[key] == off[key], (sys.argv[2], key, on[key], off[key])
+assert on["accepted"] and on["exit_code"] == 0, sys.argv[2]
+conds_on = {c["name"]: c for c in on["conditions"]}
+conds_off = {c["name"]: c for c in off["conditions"]}
+assert conds_on.keys() == conds_off.keys()
+for name, c in conds_on.items():
+    assert c["ok"] == conds_off[name]["ok"], (sys.argv[2], name)
+for name in ("abstraction_refinement", "left_movers", "cooperation"):
+    assert conds_on[name]["orbit_states"] == conds_off[name]["orbit_configs"], \
+        (sys.argv[2], name, conds_on[name], conds_off[name])
+cc_on, cc_off = on["cross_check"], off["cross_check"]
+assert cc_on["ran"] and cc_on["ok"], cc_on
+assert (cc_on["ok"], cc_on["obligations"]) == \
+    (cc_off["ok"], cc_off["obligations"]), (cc_on, cc_off)
+print("  %s: same verdicts, orbit accounting adds up, cross_check %d obligations"
+      % (sys.argv[2].split()[0], cc_on["obligations"]))
 EOF
 done
 
