@@ -21,8 +21,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-
 using namespace isq;
 using namespace isq::protocols;
 
@@ -131,116 +129,6 @@ void BM_SymmetryPaxos(benchmark::State &State) {
 BENCHMARK(BM_SymmetryPaxos)
     ->Args({2, 3, 0}) // unreduced
     ->Args({2, 3, 1}) // orbit-canonical quotient
-    ->Unit(benchmark::kMillisecond);
-
-//===----------------------------------------------------------------------===//
-// Compact-store scale target: Paxos with 2 rounds over FOUR acceptors
-// must explore end-to-end on one machine. Symmetry reduction is on (the
-// shipped default); Mode
-// selects the store encoding: 0 = raw interning arenas, 1 = the
-// delta/varint-compressed compact store. Counters record the quotient
-// size and the compressed footprint, i.e. what "fits on one machine"
-// means.
-//===----------------------------------------------------------------------===//
-
-void reportCompactExplore(benchmark::State &State, const Program &P,
-                          const Store &Init, int64_t Mode) {
-  ExploreOptions Opts;
-  // The quotient for 2 rounds x 4 acceptors still runs past the default
-  // 2M-configuration cap's comfort zone; raise it so truncation can
-  // never mask an incomplete run (the Truncated flag is asserted below).
-  Opts.MaxConfigurations = 50'000'000;
-  Opts.Config.Symmetry = true;
-  Opts.Config.NumThreads = 4;
-  Opts.Config.Compress = Mode == 1;
-  size_t Configs = 0, Interned = 0, CompressedBytes = 0;
-  for (auto _ : State) {
-    ExploreResult R = exploreAll(P, {initialConfiguration(Init)}, Opts);
-    if (R.Stats.Truncated) {
-      State.SkipWithError("Paxos/4 exploration truncated");
-      return;
-    }
-    Configs = R.Stats.NumConfigurations;
-    Interned = R.Engine.InternedConfigs;
-    CompressedBytes = R.Engine.CompressedBytes;
-    benchmark::DoNotOptimize(R);
-  }
-  State.counters["configs"] = static_cast<double>(Configs);
-  State.counters["interned_configs"] = static_cast<double>(Interned);
-  State.counters["compressed_bytes"] = static_cast<double>(CompressedBytes);
-}
-
-void BM_CompactPaxos(benchmark::State &State) {
-  PaxosParams Params{State.range(0), State.range(1)};
-  reportCompactExplore(State, makePaxosProgram(Params),
-                       makePaxosInitialStore(Params), State.range(2));
-}
-BENCHMARK(BM_CompactPaxos)
-    ->Args({2, 4, 0}) // raw arenas
-    ->Args({2, 4, 1}) // compact (delta/varint) store
-    ->Unit(benchmark::kMillisecond);
-
-//===----------------------------------------------------------------------===//
-// Tiered-store scale target: the same Paxos 2x4 exploration as
-// BM_CompactPaxos mode 1, but with the compact store spilling sealed
-// blocks to the mmap'd cold tier under a memory budget. The budget and
-// spill directory come from the environment because the interesting
-// budget depends on the host: below the unspilled run's compressed_bytes
-// counter, so eviction provably happens. Counts must match the unspilled
-// run exactly.
-//===----------------------------------------------------------------------===//
-
-void BM_SpillPaxos(benchmark::State &State) {
-  const char *Budget = std::getenv("ISQ_SPILL_MEM_BUDGET");
-  const char *Dir = std::getenv("ISQ_SPILL_DIR");
-  if (!Budget || !Dir) {
-    State.SkipWithError("set ISQ_SPILL_MEM_BUDGET (bytes, below "
-                        "BM_CompactPaxos/2/4/1's compressed_bytes) and "
-                        "ISQ_SPILL_DIR");
-    return;
-  }
-  PaxosParams Params{State.range(0), State.range(1)};
-  Program P = makePaxosProgram(Params);
-  Store Init = makePaxosInitialStore(Params);
-  ExploreOptions Opts;
-  Opts.MaxConfigurations = 50'000'000;
-  Opts.Config.Symmetry = true;
-  Opts.Config.NumThreads = 4;
-  Opts.Config.Compress = true;
-  // One shard: the budget is global, and a single shard seals eviction
-  // blocks fastest, so the cold tier is exercised hardest.
-  Opts.Config.Shards = 1;
-  Opts.Config.Spill = true;
-  Opts.Config.SpillDir = Dir;
-  Opts.Config.MemBudget = std::strtoull(Budget, nullptr, 10);
-  size_t Configs = 0, Interned = 0, CompressedBytes = 0;
-  uint64_t BytesHot = 0, BytesCold = 0, Evicted = 0, Faulted = 0;
-  for (auto _ : State) {
-    ExploreResult R = exploreAll(P, {initialConfiguration(Init)}, Opts);
-    if (R.Stats.Truncated) {
-      State.SkipWithError("Paxos/4 exploration truncated");
-      return;
-    }
-    Configs = R.Stats.NumConfigurations;
-    Interned = R.Engine.InternedConfigs;
-    CompressedBytes = R.Engine.CompressedBytes;
-    BytesHot = R.Engine.BytesHot;
-    BytesCold = R.Engine.BytesCold;
-    Evicted = R.Engine.BlocksEvicted;
-    Faulted = R.Engine.BlocksFaulted;
-    benchmark::DoNotOptimize(R);
-  }
-  State.counters["configs"] = static_cast<double>(Configs);
-  State.counters["interned_configs"] = static_cast<double>(Interned);
-  State.counters["compressed_bytes"] = static_cast<double>(CompressedBytes);
-  State.counters["mem_budget"] = static_cast<double>(Opts.Config.MemBudget);
-  State.counters["bytes_hot"] = static_cast<double>(BytesHot);
-  State.counters["bytes_cold"] = static_cast<double>(BytesCold);
-  State.counters["blocks_evicted"] = static_cast<double>(Evicted);
-  State.counters["blocks_faulted"] = static_cast<double>(Faulted);
-}
-BENCHMARK(BM_SpillPaxos)
-    ->Args({2, 4}) // 2 rounds x 4 acceptors, spilled under the budget
     ->Unit(benchmark::kMillisecond);
 
 void BM_SymmetryTwoPhaseCommit(benchmark::State &State) {

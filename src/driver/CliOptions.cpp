@@ -82,8 +82,6 @@ const char *driver::usageText() {
          "                                               (default 64)\n"
          "                          shards=N             state-store shards, power\n"
          "                                               of two <= 16 (default 16)\n"
-         "                          compress=BOOL        delta/varint-compressed\n"
-         "                                               state store (default false)\n"
          "                          symmetry=BOOL        orbit-canonical symmetry\n"
          "                                               reduction (default true)\n"
          "                          incremental=BOOL     content-addressed obligation\n"
@@ -94,17 +92,6 @@ const char *driver::usageText() {
          "                                               in PATH across runs (warm\n"
          "                                               re-verification); corrupt or\n"
          "                                               stale caches degrade to cold\n"
-         "                          spill=BOOL           spill sealed compact-store\n"
-         "                                               blocks to an mmap-backed\n"
-         "                                               cold tier (default false;\n"
-         "                                               requires compress=true,\n"
-         "                                               spill-dir and mem-budget)\n"
-         "                          spill-dir=PATH       cold-tier segment directory\n"
-         "                                               (per-run scratch; stale\n"
-         "                                               segments cleaned at startup)\n"
-         "                          mem-budget=BYTES     hot-tier byte budget that\n"
-         "                                               triggers eviction; accepts\n"
-         "                                               K/M/G suffixes (e.g. 64M)\n"
          "  --no-cross-check      skip exploring P' / empirical refinement\n"
          "  --format text|json    verdict report format (default: text);\n"
          "                        json emits the schema-versioned report\n"
@@ -241,13 +228,6 @@ CliParse driver::parseCommandLine(const std::vector<std::string> &Args) {
 
   if (Cli.InputPath.empty()) {
     Parse.Error = "no input file given";
-    return Parse;
-  }
-  // Cross-knob coherence (spill=true needs compress/spill-dir/mem-budget,
-  // and so on) can only be judged once the whole command line is parsed.
-  std::string Error;
-  if (!Cli.Verify.Engine.validate(Error)) {
-    Parse.Error = "--engine: " + Error;
     return Parse;
   }
   Parse.Ok = true;

@@ -126,14 +126,6 @@ std::string driver::renderJson(const VerifyResult &Result) {
   W.key("steals").value(E.Steals);
   W.key("shards").value(E.Shards);
   W.key("shard_occupancy").value(E.ShardOccupancy);
-  W.key("compressed_bytes").value(E.CompressedBytes);
-  W.key("spill_enabled").value(E.SpillEnabled);
-  W.key("mem_budget").value(E.MemBudget);
-  W.key("bytes_hot").value(E.BytesHot);
-  W.key("bytes_cold").value(E.BytesCold);
-  W.key("blocks_evicted").value(E.BlocksEvicted);
-  W.key("blocks_faulted").value(E.BlocksFaulted);
-  W.key("fault_stall_ns").value(E.FaultStallNanos);
   W.key("expand_seconds").value(E.ExpandSeconds);
   W.key("merge_seconds").value(E.MergeSeconds);
   W.key("total_seconds").value(E.TotalSeconds);

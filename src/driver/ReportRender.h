@@ -7,27 +7,27 @@
 /// has always printed, the JSON form is the machine-readable report
 /// behind `isq-verify --format json`.
 ///
-/// JSON schema (version 8):
+/// JSON schema (version 9):
 ///   {
-///     "schema_version": 8,
+///     "schema_version": 9,
 ///     "tool": "isq-verify",
 ///     "exit_code": 0|1|2,
 ///     "compile_ok": bool, "input_ok": bool, "accepted": bool,
 ///     "conditions": [ { "name", "label", "ok", "obligations",
 ///                       "failures", "issues": [string], "jobs",
 ///                       "orbit_configs", "orbit_states",
-///                       "seconds" } ],           // one per IS condition
+///                       "seconds" } ],  // one per IS condition;
+///                                       // "seconds" is its jobs' time
+///                                       // summed over workers, so at
+///                                       // threads>1 it is not wall
+///                                       // time
 ///     "cross_check": { "ran", "ok", "obligations", "failures",
 ///                      "issues": [string], "configs_p",
 ///                      "configs_p_prime", "seconds" },
 ///     "engine":  { exploration statistics incl. "symmetry_reduced",
 ///                  "canon_calls", "canon_cache_hits",
 ///                  "orbit_states_represented", "steal_chunk",
-///                  "steals", "shards",
-///                  "shard_occupancy", "compressed_bytes",
-///                  "spill_enabled", "mem_budget", "bytes_hot",
-///                  "bytes_cold", "blocks_evicted", "blocks_faulted",
-///                  "fault_stall_ns" },
+///                  "steals", "shards", "shard_occupancy" },
 ///     "scheduler": { "threads", "jobs", "units", "cpu_seconds",
 ///                    "wall_seconds" },
 ///     "obligations": { "total", "cache_enabled", "cache_hits",
@@ -44,13 +44,12 @@
 /// Version 3 restructured "diagnostics": every entry now carries the
 /// severity, the owning file, a location span and an optional note, and
 /// the "column" key was renamed to "col" (the breaking part).
-/// Version 4 added the work-stealing/compact-store observability to
-/// "engine": "work_stealing", "steal_chunk", "steals" (scheduling; the
-/// steal count is nondeterministic), "shards", "shard_occupancy" (state
-/// sharding; both deterministic), and "compressed_bytes" (total encoded
-/// bytes interned under --engine compress=true; 0 when off). Consumers
-/// that treated unknown engine keys as errors must opt in, hence the
-/// version bump.
+/// Version 4 added the work-stealing/arena observability to "engine":
+/// "work_stealing", "steal_chunk", "steals" (scheduling; the steal count
+/// is nondeterministic), "shards", "shard_occupancy" (state sharding;
+/// both deterministic), and the compact store's encoded-byte total.
+/// Consumers that treated unknown engine keys as errors must opt in,
+/// hence the version bump.
 /// Version 5 added the top-level "obligations" object — the incremental
 /// re-verification observability: "total" (discharged obligations across
 /// all conditions, always), and the obligation-weighted verdict-cache
@@ -60,15 +59,8 @@
 /// obligations the scheduler discharges.
 /// Verdict fields are unchanged; the bump marks that two
 /// reports differing only under "obligations" are the same verdict.
-/// Version 6 added the tiered-store observability to "engine":
-/// "spill_enabled" and "mem_budget" echo the resolved configuration;
-/// "bytes_hot"/"bytes_cold" are the hot encoded bytes and cold segment
-/// bytes at end of run; "blocks_evicted"/"blocks_faulted" and
-/// "fault_stall_ns" count evictions, cold-tier decode faults and the
-/// wall time spent in them. The eviction/fault counters are telemetry
-/// (eviction timing depends on cross-thread allocation order); verdict
-/// fields are unchanged — spilling is bit-identical to the hot-only
-/// store.
+/// Version 6 added seven tiered-store telemetry fields to "engine"; the
+/// verdict fields were unchanged.
 /// Version 7 removed "engine"."work_stealing": the work-stealing frontier
 /// is the only exploration engine, so the flag always read true. With
 /// one frontier, "engine"."expand_seconds" has one meaning: worker
@@ -82,6 +74,10 @@
 /// point once, plus each run of keyless obligations within one point —
 /// and is identical for every thread count. Obligation counts and every
 /// verdict field are unchanged.
+/// Version 9 removed the eight "engine" fields that versions 4 and 6
+/// added for the compact and tiered state store (README.md names them):
+/// the interning arena has one representation, so they could only read
+/// zero or false. Every other field is unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,7 +92,7 @@ namespace isq {
 namespace driver {
 
 /// The version of the JSON report schema emitted by renderJson.
-constexpr int JsonSchemaVersion = 8;
+constexpr int JsonSchemaVersion = 9;
 
 /// Renders the human-readable summary (the `--format text` output).
 std::string renderText(const VerifyResult &Result);

@@ -30,46 +30,6 @@ bool parseBool(const std::string &S, bool &Out) {
 
 bool isPowerOfTwo(unsigned N) { return N != 0 && (N & (N - 1)) == 0; }
 
-/// Parses a byte count with an optional K/M/G (binary) suffix:
-/// "64M" → 64 MiB, "1073741824" → 1 GiB.
-bool parseByteSize(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  std::string Digits = S;
-  uint64_t Scale = 1;
-  switch (S.back()) {
-  case 'K':
-  case 'k':
-    Scale = 1024ULL;
-    Digits.pop_back();
-    break;
-  case 'M':
-  case 'm':
-    Scale = 1024ULL * 1024;
-    Digits.pop_back();
-    break;
-  case 'G':
-  case 'g':
-    Scale = 1024ULL * 1024 * 1024;
-    Digits.pop_back();
-    break;
-  default:
-    break;
-  }
-  if (Digits.empty())
-    return false;
-  uint64_t N = 0;
-  const char *First = Digits.data();
-  const char *Last = Digits.data() + Digits.size();
-  auto [Ptr, Ec] = std::from_chars(First, Last, N);
-  if (Ec != std::errc() || Ptr != Last)
-    return false;
-  if (Scale != 1 && N > UINT64_MAX / Scale)
-    return false;
-  Out = N * Scale;
-  return true;
-}
-
 } // namespace
 
 bool EngineConfig::set(const std::string &Key, const std::string &Value,
@@ -113,34 +73,11 @@ bool EngineConfig::set(const std::string &Key, const std::string &Value,
     CacheDir = Value;
     return true;
   }
-  if (Key == "spill-dir") {
-    if (Value.empty()) {
-      Error = "engine option 'spill-dir' expects a directory path";
-      return false;
-    }
-    SpillDir = Value;
-    return true;
-  }
-  if (Key == "mem-budget") {
-    uint64_t N = 0;
-    if (!parseByteSize(Value, N) || N == 0) {
-      Error = "engine option 'mem-budget' expects a positive byte count "
-              "with an optional K/M/G suffix, got '" +
-              Value + "'";
-      return false;
-    }
-    MemBudget = N;
-    return true;
-  }
   bool *Flag = nullptr;
   if (Key == "symmetry")
     Flag = &Symmetry;
-  else if (Key == "compress")
-    Flag = &Compress;
   else if (Key == "incremental")
     Flag = &Incremental;
-  else if (Key == "spill")
-    Flag = &Spill;
   if (Flag) {
     bool B = false;
     if (!parseBool(Value, B)) {
@@ -153,48 +90,9 @@ bool EngineConfig::set(const std::string &Key, const std::string &Value,
     return true;
   }
   Error = "unknown engine option '" + Key +
-          "' (valid: threads, symmetry, steal-chunk, shards, compress, "
-          "incremental, cache-dir, spill, spill-dir, mem-budget)";
+          "' (valid: threads, symmetry, steal-chunk, shards, incremental, "
+          "cache-dir)";
   return false;
-}
-
-bool EngineConfig::validate(std::string &Error) const {
-  if (Spill) {
-    if (!Compress) {
-      Error = "engine option 'spill=true' requires 'compress=true': only "
-              "compact encoded blocks can spill to the cold tier";
-      return false;
-    }
-    if (SpillDir.empty()) {
-      Error = "engine option 'spill=true' requires 'spill-dir=PATH' for "
-              "the cold-tier segment files";
-      return false;
-    }
-    if (MemBudget == 0) {
-      Error = "engine option 'spill=true' requires 'mem-budget=BYTES' "
-              "(eviction needs a hot-tier budget to enforce)";
-      return false;
-    }
-  } else {
-    if (!SpillDir.empty()) {
-      Error = "engine option 'spill-dir' has no effect without "
-              "'spill=true' (and a 'mem-budget')";
-      return false;
-    }
-    if (MemBudget != 0) {
-      Error = "engine option 'mem-budget' has no effect without "
-              "'spill=true' (and a 'spill-dir')";
-      return false;
-    }
-  }
-  if (!CacheDir.empty() && CacheDir == SpillDir) {
-    Error = "engine options 'cache-dir' and 'spill-dir' must name "
-            "different directories: the spill dir is per-run scratch and "
-            "is cleaned at startup, which would destroy the persistent "
-            "obligation cache";
-    return false;
-  }
-  return true;
 }
 
 bool EngineConfig::setList(const std::string &Spec, std::string &Error) {
@@ -225,17 +123,15 @@ bool EngineConfig::setList(const std::string &Spec, std::string &Error) {
 std::map<std::string, std::string> EngineConfig::toKeyValues() const {
   const EngineConfig Defaults;
   std::map<std::string, std::string> Out;
-  // `threads`, `incremental`, `cache-dir` and the spill knobs are
-  // deliberately absent: verdicts are independent of all of them, so
-  // they never travel with a request (see serve/VerdictCache.h).
+  // `threads`, `incremental` and `cache-dir` are deliberately absent:
+  // verdicts are independent of all of them, so they never travel with a
+  // request (see serve/VerdictCache.h).
   if (Symmetry != Defaults.Symmetry)
     Out["symmetry"] = Symmetry ? "true" : "false";
   if (StealChunk != Defaults.StealChunk)
     Out["steal-chunk"] = std::to_string(StealChunk);
   if (Shards != Defaults.Shards)
     Out["shards"] = std::to_string(Shards);
-  if (Compress != Defaults.Compress)
-    Out["compress"] = Compress ? "true" : "false";
   return Out;
 }
 
@@ -253,12 +149,6 @@ bool EngineConfig::applyKeyValues(
               "server tuning knob (verdicts are identical either way)";
       return false;
     }
-    if (Key == "spill" || Key == "spill-dir" || Key == "mem-budget") {
-      Error = "engine option '" + Key +
-              "' is not accepted over the wire: spilling is a server "
-              "resource knob (--spill-dir/--mem-budget on isq-serve)";
-      return false;
-    }
     if (!set(Key, Value, Error))
       return false;
   }
@@ -273,11 +163,6 @@ std::string EngineConfig::str() const {
     Out += Key + "=" + Value;
   }
   const EngineConfig Defaults;
-  if (Spill) {
-    std::string S = "spill=true,spill-dir=" + SpillDir +
-                    ",mem-budget=" + std::to_string(MemBudget);
-    Out = Out.empty() ? S : S + "," + Out;
-  }
   if (!CacheDir.empty())
     Out = Out.empty() ? "cache-dir=" + CacheDir
                       : "cache-dir=" + CacheDir + "," + Out;

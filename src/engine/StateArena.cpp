@@ -2,14 +2,8 @@
 
 #include "engine/StateArena.h"
 
-#include "engine/Encoding.h"
-
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cstring>
-#include <deque>
-#include <thread>
 
 using namespace isq;
 using namespace isq::engine;
@@ -67,289 +61,32 @@ size_t StateArena::paValueHash(const PaCountVec &Vec) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Per-thread decode caches (compact mode)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// FIFO-evicting map from (arena serial, id) to a decoded item. FIFO (not
-/// LRU) keeps hits allocation-free; the validity horizon is the same for
-/// the arena's access pattern — an entry lives for at least
-/// DecodeCacheCapacity subsequent distinct decodes.
-template <typename T> struct TlCache {
-  std::unordered_map<uint64_t, std::unique_ptr<T>> Map;
-  std::deque<uint64_t> Fifo;
-
-  const T *find(uint64_t Key) const {
-    auto It = Map.find(Key);
-    return It == Map.end() ? nullptr : It->second.get();
-  }
-  const T &insert(uint64_t Key, T V) {
-    if (Fifo.size() >= StateArena::DecodeCacheCapacity) {
-      Map.erase(Fifo.front());
-      Fifo.pop_front();
-    }
-    Fifo.push_back(Key);
-    return *(Map[Key] = std::make_unique<T>(std::move(V)));
-  }
-};
-
-struct DecodeCaches {
-  TlCache<Store> Stores;
-  TlCache<PaCountVec> Vecs;
-  TlCache<PaMultiset> Sets;
-  TlCache<std::vector<PaId>> Orders;
-};
-
-DecodeCaches &decodeCaches() {
-  thread_local DecodeCaches Caches;
-  return Caches;
-}
-
-uint64_t cacheKey(uint32_t Serial, uint32_t Id) {
-  return (static_cast<uint64_t>(Serial) << 32) | Id;
-}
-
-std::atomic<uint32_t> NextArenaSerial{1};
-
-/// The spill accountant is process-global: one verify run builds several
-/// arenas (the IS universe, two cross-check explorations, refinement),
-/// and the memory budget caps their *combined* hot encoded bytes, not
-/// each arena's. Every spilling arena adds on intern, subtracts on evict
-/// and settles its remainder at destruction.
-std::atomic<uint64_t> GlobalHotBytes{0};
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
 // StateArena
 //===----------------------------------------------------------------------===//
 
-StateArena::StateArena(unsigned Shards, bool Compress,
-                       const SpillOptions &Spill)
-    : NumShardsRt(Shards), Compress(Compress),
-      Serial(NextArenaSerial.fetch_add(1, std::memory_order_relaxed)) {
+StateArena::StateArena(unsigned Shards) : NumShardsRt(Shards) {
   assert(Shards >= 1 && Shards <= MaxShards &&
          (Shards & (Shards - 1)) == 0 && "shard count must be a power of "
                                          "two in [1, 16]");
-  // Only the compact store holds encoded bytes to spill; the config
-  // layer rejects spill without compress, so silently staying hot here
-  // only affects direct construction in tests.
-  if (Spill.Enabled && Compress) {
-    SpillEnabled = true;
-    MemBudget = Spill.MemBudget;
-    Cold = std::make_unique<ColdStore>(Spill.Dir + "/arena-" +
-                                       std::to_string(Serial));
-  }
   EmptyPaSet = internPaVec({});
-}
-
-StateArena::~StateArena() {
-  if (SpillEnabled)
-    GlobalHotBytes.fetch_sub(HotBytes.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-}
-
-//===----------------------------------------------------------------------===//
-// Tiered store: append bookkeeping, pinned reads, clock eviction
-//===----------------------------------------------------------------------===//
-
-template <typename Item>
-void StateArena::noteAppend(BlockStore<Item> &Items, SpillState &Sp,
-                            size_t Local) {
-  if (!SpillEnabled)
-    return;
-  if (Local % SpillBlockItems == 0)
-    Sp.Meta.push_back(SpillMeta());
-  if (Local % SpillBlockItems == SpillBlockItems - 1) {
-    // The block is full: record its payload size and seal it. Sealing
-    // happens under the shard mutex, so Bytes is published to the
-    // evictor by the Sealed transition below.
-    size_t BlockIdx = Local / SpillBlockItems;
-    SpillMeta &M = Sp.Meta[BlockIdx];
-    uint64_t Bytes = 0;
-    for (size_t I = BlockIdx * SpillBlockItems; I <= Local; ++I)
-      Bytes += Items[I].Encoded.size();
-    M.Bytes = Bytes;
-    M.State.store(SpillMeta::Sealed, std::memory_order_release);
-  }
-}
-
-template <typename Item, typename Fn>
-auto StateArena::withEncoded(const Shard<Item> &Sh, const SpillState &Sp,
-                             size_t Local, Fn &&F) const {
-  if (!SpillEnabled) {
-    const std::string &E = Sh.Items[Local].Encoded;
-    return F(E.data(), E.data() + E.size());
-  }
-  const SpillMeta &M = Sp.Meta[Local / SpillBlockItems];
-  M.Referenced.store(true, std::memory_order_relaxed);
-  // seq_cst pin/state pairing against the evictor's state/pin pairing:
-  // either the evictor sees our pin and waits, or we see Evicted and
-  // take the cold path — never both misses (the store-buffering outcome
-  // is forbidden under seq_cst).
-  M.Pins.fetch_add(1, std::memory_order_seq_cst);
-  if (M.State.load(std::memory_order_seq_cst) != SpillMeta::Evicted) {
-    struct Unpin {
-      const SpillMeta &M;
-      ~Unpin() { M.Pins.fetch_sub(1, std::memory_order_release); }
-    } Guard{M};
-    const std::string &E = Sh.Items[Local].Encoded;
-    return F(E.data(), E.data() + E.size());
-  }
-  M.Pins.fetch_sub(1, std::memory_order_release);
-  // Cold fault: the mapping is immortal for the arena's lifetime, so no
-  // pin is needed. The first fault of a block verifies its checksum.
-  auto Start = std::chrono::steady_clock::now();
-  bool FirstFault = M.ColdVerified.load(std::memory_order_acquire) == 0;
-  ColdStore::MappedBlock B = Cold->map(M.ColdRef, FirstFault);
-  if (FirstFault) {
-    M.ColdVerified.store(1, std::memory_order_release);
-    BlocksFaultedCtr.fetch_add(1, std::memory_order_relaxed);
-  }
-  size_t Slot = Local % SpillBlockItems;
-  const char *Begin = B.Payload + (Slot ? B.Ends[Slot - 1] : 0);
-  const char *End = B.Payload + B.Ends[Slot];
-  FaultStallNanosCtr.fetch_add(
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - Start)
-              .count()),
-      std::memory_order_relaxed);
-  return F(Begin, End);
-}
-
-template <typename Item>
-bool StateArena::evictBlock(Shard<Item> &Sh, SpillState &Sp,
-                            size_t BlockIdx) {
-  SpillMeta &M = Sp.Meta[BlockIdx];
-  size_t First = BlockIdx * SpillBlockItems;
-  std::vector<uint32_t> Ends;
-  Ends.reserve(SpillBlockItems);
-  std::string Payload;
-  Payload.reserve(M.Bytes);
-  for (size_t I = 0; I < SpillBlockItems; ++I) {
-    Payload.append(Sh.Items[First + I].Encoded);
-    Ends.push_back(static_cast<uint32_t>(Payload.size()));
-  }
-  // A pathological block bigger than a segment stays hot (best effort)
-  // rather than aborting the run.
-  if (Payload.size() + 4 * SpillBlockItems + 64 > ColdStore::SegmentCapacity)
-    return false;
-  M.ColdRef = Cold->appendBlock(Ends, Payload.data(), Payload.size());
-  M.State.store(SpillMeta::Evicted, std::memory_order_seq_cst);
-  // Readers that pinned before the flip may still be on the hot strings;
-  // drain them before freeing. New readers see Evicted and go cold.
-  while (M.Pins.load(std::memory_order_seq_cst) != 0)
-    std::this_thread::yield();
-  for (size_t I = 0; I < SpillBlockItems; ++I)
-    std::string().swap(Sh.Items[First + I].Encoded);
-  HotBytes.fetch_sub(M.Bytes, std::memory_order_relaxed);
-  GlobalHotBytes.fetch_sub(M.Bytes, std::memory_order_relaxed);
-  BlocksEvictedCtr.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void StateArena::maybeSpill() {
-  if (!SpillEnabled ||
-      GlobalHotBytes.load(std::memory_order_relaxed) <= MemBudget)
-    return;
-  std::unique_lock<std::mutex> Lock(EvictMutex, std::try_to_lock);
-  if (!Lock.owns_lock())
-    return; // someone else is evicting
-  // Clock sweep with second chance: the first pass over a referenced
-  // block clears the bit, the second pass evicts it. Two full sweeps
-  // without reaching the budget mean nothing more is evictable (tail
-  // blocks are unsealed, the rest already cold) — the budget is best
-  // effort, never a livelock.
-  for (unsigned Sweep = 0; Sweep < 2; ++Sweep) {
-    for (unsigned Kind = 0; Kind < 2; ++Kind) {
-      for (unsigned S = 0; S < NumShardsRt; ++S) {
-        if (GlobalHotBytes.load(std::memory_order_relaxed) <= MemBudget)
-          return;
-        size_t Blocks;
-        {
-          std::mutex &ShardM =
-              Kind == 0 ? StoreShards[S].M : PaSetShards[S].M;
-          std::lock_guard<std::mutex> G(ShardM);
-          Blocks = (Kind == 0 ? StoreSpill[S] : PaSetSpill[S]).Meta.size();
-        }
-        SpillState &Sp = Kind == 0 ? StoreSpill[S] : PaSetSpill[S];
-        size_t &Hand = ClockPos[Kind][S];
-        for (size_t N = 0; N < Blocks; ++N) {
-          if (GlobalHotBytes.load(std::memory_order_relaxed) <= MemBudget)
-            return;
-          size_t B = Hand++ % Blocks;
-          SpillMeta &M = Sp.Meta[B];
-          if (M.State.load(std::memory_order_acquire) != SpillMeta::Sealed)
-            continue;
-          if (M.Pins.load(std::memory_order_acquire) != 0)
-            continue;
-          if (M.Referenced.exchange(false, std::memory_order_relaxed))
-            continue; // second chance
-          if (Kind == 0)
-            evictBlock(StoreShards[S], Sp, B);
-          else
-            evictBlock(PaSetShards[S], Sp, B);
-        }
-      }
-    }
-  }
 }
 
 StoreId StateArena::internStore(const Store &S) {
   size_t Hash = S.hash(); // memoized inside Store
   Lookups.fetch_add(1, std::memory_order_relaxed);
-  std::string Encoded;
-  if (Compress)
-    Encoded = encodeStore(S); // encode outside the lock
   size_t SIdx = shardFor(Hash);
   auto &Shard = StoreShards[SIdx];
-  StoreId Result;
-  {
-    std::lock_guard<std::mutex> Lock(Shard.M);
-    std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
-    for (uint32_t Local : Bucket) {
-      const StoreItem &Item = Shard.Items[Local];
-      // Canonical encodings make byte equality value equality. In spill
-      // mode the candidate's bytes may live in the cold tier.
-      bool Equal =
-          Compress
-              ? withEncoded(Shard, StoreSpill[SIdx], Local,
-                            [&](const char *B, const char *E) {
-                              return static_cast<size_t>(E - B) ==
-                                         Encoded.size() &&
-                                     std::memcmp(B, Encoded.data(),
-                                                 Encoded.size()) == 0;
-                            })
-              : Item.Value == S;
-      if (Equal) {
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        return makeId(SIdx, Local);
-      }
+  std::lock_guard<std::mutex> Lock(Shard.M);
+  std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
+  for (uint32_t Local : Bucket)
+    if (Shard.Items[Local].Value == S) {
+      Hits.fetch_add(1, std::memory_order_relaxed);
+      return makeId(SIdx, Local);
     }
-    StoreItem Item;
-    Item.ValueHash = Hash;
-    if (Compress) {
-      CompressedBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-      if (SpillEnabled) {
-        HotBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-        GlobalHotBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-      }
-      Item.Encoded = std::move(Encoded);
-    } else {
-      Item.Value = S;
-    }
-    size_t Local = Shard.Items.push_back(std::move(Item));
-    if (!Compress)
-      Shard.Items[Local].Value.hash(); // memoize before sharing
-    else
-      noteAppend(Shard.Items, StoreSpill[SIdx], Local);
-    Bucket.push_back(static_cast<uint32_t>(Local));
-    Result = makeId(SIdx, Local);
-  }
-  maybeSpill(); // outside the shard mutex
-  return Result;
+  size_t Local = Shard.Items.push_back({S, Hash});
+  Shard.Items[Local].Value.hash(); // memoize before sharing
+  Bucket.push_back(static_cast<uint32_t>(Local));
+  return makeId(SIdx, Local);
 }
 
 PaId StateArena::internPa(const PendingAsync &PA) {
@@ -378,18 +115,16 @@ PaSetId StateArena::internPaSet(const PaMultiset &Omega) {
     Vec.emplace_back(internPa(PA), Count);
   std::sort(Vec.begin(), Vec.end());
   PaSetId Id = internPaVec(std::move(Vec));
-  if (!Compress) {
-    // We already hold the value form: record it so paSet() never has to
-    // materialize this entry.
-    PaSetItem &Item = PaSetShards[shardOf(Id)].Items[localOf(Id)];
-    if (!Item.Value.load(std::memory_order_acquire)) {
-      const PaMultiset *Fresh = new PaMultiset(Omega);
-      const PaMultiset *Expected = nullptr;
-      if (!Item.Value.compare_exchange_strong(Expected, Fresh,
-                                              std::memory_order_release,
-                                              std::memory_order_acquire))
-        delete Fresh;
-    }
+  // We already hold the value form: record it so paSet() never has to
+  // materialize this entry.
+  PaSetItem &Item = PaSetShards[shardOf(Id)].Items[localOf(Id)];
+  if (!Item.Value.load(std::memory_order_acquire)) {
+    const PaMultiset *Fresh = new PaMultiset(Omega);
+    const PaMultiset *Expected = nullptr;
+    if (!Item.Value.compare_exchange_strong(Expected, Fresh,
+                                            std::memory_order_release,
+                                            std::memory_order_acquire))
+      delete Fresh;
   }
   return Id;
 }
@@ -398,54 +133,23 @@ PaSetId StateArena::internPaVec(PaCountVec Vec) {
   assert(std::is_sorted(Vec.begin(), Vec.end()) && "PaCountVec not canonical");
   size_t Hash = hashPaCountVec(Vec);
   Lookups.fetch_add(1, std::memory_order_relaxed);
-  std::string Encoded;
-  if (Compress)
-    Encoded = encodePaVec(Vec);
   size_t SIdx = shardFor(Hash);
   auto &Shard = PaSetShards[SIdx];
-  PaSetId Result;
-  {
-    std::lock_guard<std::mutex> Lock(Shard.M);
-    std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
-    for (uint32_t Local : Bucket) {
-      const PaSetItem &Item = Shard.Items[Local];
-      bool Equal =
-          Compress
-              ? withEncoded(Shard, PaSetSpill[SIdx], Local,
-                            [&](const char *B, const char *E) {
-                              return static_cast<size_t>(E - B) ==
-                                         Encoded.size() &&
-                                     std::memcmp(B, Encoded.data(),
-                                                 Encoded.size()) == 0;
-                            })
-              : Item.Vec == Vec;
-      if (Equal) {
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        return makeId(SIdx, Local);
-      }
+  std::lock_guard<std::mutex> Lock(Shard.M);
+  std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
+  for (uint32_t Local : Bucket)
+    if (Shard.Items[Local].Vec == Vec) {
+      Hits.fetch_add(1, std::memory_order_relaxed);
+      return makeId(SIdx, Local);
     }
-    PaSetItem Item;
-    // pa() reads are lock-free, so computing the value hash under this
-    // shard's mutex cannot deadlock.
-    Item.ValueHash = paValueHash(Vec);
-    if (Compress) {
-      CompressedBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-      if (SpillEnabled) {
-        HotBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-        GlobalHotBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-      }
-      Item.Encoded = std::move(Encoded);
-    } else {
-      Item.Vec = std::move(Vec);
-    }
-    size_t Local = Shard.Items.push_back(std::move(Item));
-    if (Compress)
-      noteAppend(Shard.Items, PaSetSpill[SIdx], Local);
-    Bucket.push_back(static_cast<uint32_t>(Local));
-    Result = makeId(SIdx, Local);
-  }
-  maybeSpill();
-  return Result;
+  PaSetItem Item;
+  // pa() reads are lock-free, so computing the value hash under this
+  // shard's mutex cannot deadlock.
+  Item.ValueHash = paValueHash(Vec);
+  Item.Vec = std::move(Vec);
+  size_t Local = Shard.Items.push_back(std::move(Item));
+  Bucket.push_back(static_cast<uint32_t>(Local));
+  return makeId(SIdx, Local);
 }
 
 ConfigId StateArena::internConfig(StoreId G, PaSetId Omega) {
@@ -474,18 +178,7 @@ ConfigId StateArena::internConfig(const Configuration &C) {
 }
 
 const Store &StateArena::store(StoreId Id) const {
-  const StoreItem &Item = StoreShards[shardOf(Id)].Items[localOf(Id)];
-  if (!Compress)
-    return Item.Value;
-  TlCache<Store> &Cache = decodeCaches().Stores;
-  uint64_t Key = cacheKey(Serial, Id);
-  if (const Store *Hit = Cache.find(Key))
-    return *Hit;
-  return Cache.insert(
-      Key, withEncoded(StoreShards[shardOf(Id)], StoreSpill[shardOf(Id)],
-                       localOf(Id), [](const char *B, const char *E) {
-                         return decodeStore(B, E);
-                       }));
+  return StoreShards[shardOf(Id)].Items[localOf(Id)].Value;
 }
 
 const PendingAsync &StateArena::pa(PaId Id) const {
@@ -493,18 +186,7 @@ const PendingAsync &StateArena::pa(PaId Id) const {
 }
 
 const PaCountVec &StateArena::paVec(PaSetId Id) const {
-  const PaSetItem &Item = PaSetShards[shardOf(Id)].Items[localOf(Id)];
-  if (!Compress)
-    return Item.Vec;
-  TlCache<PaCountVec> &Cache = decodeCaches().Vecs;
-  uint64_t Key = cacheKey(Serial, Id);
-  if (const PaCountVec *Hit = Cache.find(Key))
-    return *Hit;
-  return Cache.insert(
-      Key, withEncoded(PaSetShards[shardOf(Id)], PaSetSpill[shardOf(Id)],
-                       localOf(Id), [](const char *B, const char *E) {
-                         return decodePaVec(B, E);
-                       }));
+  return PaSetShards[shardOf(Id)].Items[localOf(Id)].Vec;
 }
 
 PaMultiset StateArena::materialize(const PaCountVec &Vec) const {
@@ -516,13 +198,6 @@ PaMultiset StateArena::materialize(const PaCountVec &Vec) const {
 
 const PaMultiset &StateArena::paSet(PaSetId Id) const {
   const PaSetItem &Item = PaSetShards[shardOf(Id)].Items[localOf(Id)];
-  if (Compress) {
-    TlCache<PaMultiset> &Cache = decodeCaches().Sets;
-    uint64_t Key = cacheKey(Serial, Id);
-    if (const PaMultiset *Hit = Cache.find(Key))
-      return *Hit;
-    return Cache.insert(Key, materialize(paVec(Id)));
-  }
   if (const PaMultiset *Hit = Item.Value.load(std::memory_order_acquire))
     return *Hit;
   const PaMultiset *Fresh = new PaMultiset(materialize(Item.Vec));
@@ -551,13 +226,6 @@ std::vector<PaId> StateArena::orderOf(const PaCountVec &Vec) const {
 
 const std::vector<PaId> &StateArena::paOrder(PaSetId Id) const {
   const PaSetItem &Item = PaSetShards[shardOf(Id)].Items[localOf(Id)];
-  if (Compress) {
-    TlCache<std::vector<PaId>> &Cache = decodeCaches().Orders;
-    uint64_t Key = cacheKey(Serial, Id);
-    if (const std::vector<PaId> *Hit = Cache.find(Key))
-      return *Hit;
-    return Cache.insert(Key, orderOf(paVec(Id)));
-  }
   if (const std::vector<PaId> *Hit =
           Item.Order.load(std::memory_order_acquire))
     return *Hit;
@@ -605,13 +273,5 @@ ArenaStats StateArena::stats() const {
   }
   S.Lookups = Lookups.load(std::memory_order_relaxed);
   S.Hits = Hits.load(std::memory_order_relaxed);
-  S.CompressedBytes = CompressedBytes.load(std::memory_order_relaxed);
-  S.SpillEnabled = SpillEnabled;
-  S.MemBudget = MemBudget;
-  S.BytesHot = SpillEnabled ? HotBytes.load(std::memory_order_relaxed) : 0;
-  S.BytesCold = Cold ? Cold->bytesWritten() : 0;
-  S.BlocksEvicted = BlocksEvictedCtr.load(std::memory_order_relaxed);
-  S.BlocksFaulted = BlocksFaultedCtr.load(std::memory_order_relaxed);
-  S.FaultStallNanos = FaultStallNanosCtr.load(std::memory_order_relaxed);
   return S;
 }

@@ -17,39 +17,17 @@
 /// dereference — the placing thread's writes happen-before the handle's
 /// publication.
 ///
-/// Compact mode (--engine compress=true). Stores and PA-bags are kept as
-/// canonical delta/varint byte encodings (engine/Encoding.h) instead of
-/// expanded values; byte equality coincides with value equality, so
-/// hash-consing runs over the encoded form directly. Accessors decode
-/// through a per-thread FIFO cache (DecodeCacheCapacity entries per
-/// kind), so the `const &` they return stays valid until that many other
-/// distinct items are decoded on the same thread — callers hold these
-/// references only across one node expansion or one obligation, far
-/// below the horizon.
-///
 /// Handle layout: the low 4 bits hold the shard, the remaining 28 bits
 /// index into the shard (≈268M entries per shard). The layout is fixed
 /// regardless of the runtime shard count, so handles carry no
 /// configuration dependence. Handles are only meaningful relative to the
 /// arena that issued them.
 ///
-/// Tiered store (--engine spill=true). In compact mode the encoded bytes
-/// can additionally spill to an mmap-backed cold tier (engine/ColdStore.h)
-/// under a global memory budget: consecutive runs of SpillBlockItems
-/// local ids form an eviction block; once the block is full it is sealed,
-/// and a clock sweep may write its bytes to a checksummed segment file
-/// and free the hot copies. Handles, hashes, bucket chains and every
-/// accessor's result are untouched — only where the bytes live changes,
-/// so verdicts, counts, traces and frontier_peak stay bit-identical with
-/// spilling on or off (see DESIGN.md "Tiered state store" for the
-/// pin/evict publication argument).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef ISQ_ENGINE_STATEARENA_H
 #define ISQ_ENGINE_STATEARENA_H
 
-#include "engine/ColdStore.h"
 #include "semantics/Configuration.h"
 #include "support/Hashing.h"
 
@@ -105,26 +83,6 @@ struct ArenaStats {
   /// occupancy is identical for every thread count and engine mode.
   unsigned Shards = 0;
   unsigned ShardOccupancy = 0;
-  /// Total bytes of encoded stores and PA-bags (0 unless compact mode).
-  /// Telemetry: PA-bag encodings varint PaIds, whose width depends on
-  /// interning order, so the byte total is not deterministic across
-  /// thread counts.
-  size_t CompressedBytes = 0;
-  /// Tiered-store observability (all zero unless --engine spill=true).
-  /// Every field below is telemetry — eviction and fault timing depend on
-  /// scheduling, never on verdicts.
-  bool SpillEnabled = false;
-  uint64_t MemBudget = 0;
-  /// Encoded bytes currently resident in the hot tier / written to the
-  /// cold tier (record framing included).
-  uint64_t BytesHot = 0;
-  uint64_t BytesCold = 0;
-  uint64_t BlocksEvicted = 0;
-  /// Cold blocks touched after eviction (each counted once, at its
-  /// checksum-verifying first fault) and the total wall time readers
-  /// spent on the cold path.
-  uint64_t BlocksFaulted = 0;
-  uint64_t FaultStallNanos = 0;
 };
 
 /// Append-only item storage with lock-free indexing: items live in
@@ -191,45 +149,17 @@ private:
 /// Thread-safe hash-consing arenas for stores, PAs, PA multisets and
 /// configurations. Append-only: interned values are never moved or freed
 /// before the arena dies, so references returned by the accessors remain
-/// valid for the arena's lifetime (compact mode bounds them by the decode
-/// cache horizon instead — see the file comment).
+/// valid for the arena's lifetime.
 class StateArena {
 public:
   static constexpr unsigned MaxShards = 16;
-  /// Per-thread, per-kind decode cache capacity in compact mode.
-  static constexpr size_t DecodeCacheCapacity = 8192;
-  /// Consecutive local ids per eviction block in spill mode. A block
-  /// seals when its last id is interned; only sealed, unpinned blocks
-  /// spill to the cold tier. Small enough that a moderately occupied
-  /// shard seals blocks (hash-consing keeps distinct stores per shard in
-  /// the thousands even for 10^5-state explorations), large enough that
-  /// a cold fault amortizes its record header and checksum over many
-  /// items.
-  static constexpr size_t SpillBlockItems = 512;
 
-  /// Cold-tier settings (effective only together with compact mode; the
-  /// config layer rejects spill without compress).
-  struct SpillOptions {
-    bool Enabled = false;
-    /// Base spill directory; the arena creates an `arena-<serial>`
-    /// subdirectory so concurrent arenas never share segment files.
-    std::string Dir;
-    /// Process-global hot-byte budget driving eviction.
-    uint64_t MemBudget = 0;
-  };
-
-  /// \p Shards must be a power of two in [1, MaxShards]. \p Compress
-  /// selects the compact (encoded) representation.
-  explicit StateArena(unsigned Shards = MaxShards, bool Compress = false)
-      : StateArena(Shards, Compress, SpillOptions()) {}
-  StateArena(unsigned Shards, bool Compress, const SpillOptions &Spill);
+  /// \p Shards must be a power of two in [1, MaxShards].
+  explicit StateArena(unsigned Shards = MaxShards);
   StateArena(const StateArena &) = delete;
   StateArena &operator=(const StateArena &) = delete;
-  ~StateArena();
 
   unsigned shards() const { return NumShardsRt; }
-  bool compressed() const { return Compress; }
-  bool spilling() const { return SpillEnabled; }
 
   // Interning --------------------------------------------------------------
 
@@ -249,7 +179,7 @@ public:
   const PendingAsync &pa(PaId Id) const;
   const PaCountVec &paVec(PaSetId Id) const;
   /// The multiset as a value-level PaMultiset; materialized on first use
-  /// and cached (for the arena's lifetime, or per thread in compact mode).
+  /// and cached for the arena's lifetime.
   const PaMultiset &paSet(PaSetId Id) const;
   /// The multiset's distinct PaIds in canonical value order (the order a
   /// value-level PaMultiset iterates its entries). This order is intrinsic
@@ -278,27 +208,23 @@ private:
   size_t shardFor(size_t Hash) const { return Hash & (NumShardsRt - 1); }
 
   struct StoreItem {
-    Store Value;         ///< expanded form (plain mode)
-    std::string Encoded; ///< canonical bytes (compact mode)
+    Store Value;
     size_t ValueHash = 0;
   };
 
   struct PaSetItem {
-    PaCountVec Vec;      ///< plain mode
-    std::string Encoded; ///< compact mode
+    PaCountVec Vec;
     /// Order-insensitive hash of the multiset's *values* (independent of
     /// PaId assignment); feeds configuration sharding.
     size_t ValueHash = 0;
     /// Lazily materialized value form and value-ordered view, published
-    /// by compare-and-swap (plain mode only; compact mode serves both
-    /// from the per-thread decode cache).
+    /// by compare-and-swap.
     std::atomic<const PaMultiset *> Value{nullptr};
     std::atomic<const std::vector<PaId> *> Order{nullptr};
 
     PaSetItem() = default;
     PaSetItem(PaSetItem &&O) noexcept
-        : Vec(std::move(O.Vec)), Encoded(std::move(O.Encoded)),
-          ValueHash(O.ValueHash),
+        : Vec(std::move(O.Vec)), ValueHash(O.ValueHash),
           Value(O.Value.load(std::memory_order_relaxed)),
           Order(O.Order.load(std::memory_order_relaxed)) {
       O.Value.store(nullptr, std::memory_order_relaxed);
@@ -306,7 +232,6 @@ private:
     }
     PaSetItem &operator=(PaSetItem &&O) noexcept {
       Vec = std::move(O.Vec);
-      Encoded = std::move(O.Encoded);
       ValueHash = O.ValueHash;
       Value.store(O.Value.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
@@ -330,56 +255,6 @@ private:
     BlockStore<Item> Items;
   };
 
-  /// Eviction bookkeeping for one block of SpillBlockItems consecutive
-  /// local ids (spill mode only). The reader/evictor protocol:
-  ///  - readers pin, then load State; Hot/Sealed reads the item's hot
-  ///    string under the pin, Cold unpins and reads the immortal mmap;
-  ///  - the evictor writes the record, publishes the ColdRef, flips
-  ///    State to Cold, then spins until Pins drains before freeing the
-  ///    hot strings. Pin increments and State transitions are seq_cst so
-  ///    the store-buffering outcome (a reader holding a pin on freed
-  ///    bytes while the evictor saw zero pins) is impossible.
-  struct SpillMeta {
-    static constexpr uint32_t Hot = 0, Sealed = 1, Evicted = 2;
-    mutable std::atomic<uint32_t> State{Hot};
-    mutable std::atomic<uint32_t> Pins{0};
-    /// Clock second-chance bit, set on every read of the block.
-    mutable std::atomic<bool> Referenced{false};
-    /// Set once by the first faulting reader after checksum verification.
-    mutable std::atomic<uint32_t> ColdVerified{0};
-    /// Valid once State == Evicted (published by the State transition).
-    ColdStore::BlockRef ColdRef;
-    /// Hot payload bytes of the sealed block (for the accountant).
-    uint64_t Bytes = 0;
-
-    SpillMeta() = default;
-    SpillMeta(SpillMeta &&O) noexcept
-        : State(O.State.load(std::memory_order_relaxed)),
-          Pins(O.Pins.load(std::memory_order_relaxed)),
-          Referenced(O.Referenced.load(std::memory_order_relaxed)),
-          ColdVerified(O.ColdVerified.load(std::memory_order_relaxed)),
-          ColdRef(O.ColdRef), Bytes(O.Bytes) {}
-    SpillMeta &operator=(SpillMeta &&O) noexcept {
-      State.store(O.State.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-      Pins.store(O.Pins.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-      Referenced.store(O.Referenced.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-      ColdVerified.store(O.ColdVerified.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-      ColdRef = O.ColdRef;
-      Bytes = O.Bytes;
-      return *this;
-    }
-  };
-
-  /// Per-shard eviction metadata for one byte-holding table; entries are
-  /// appended under the owning shard's mutex, read lock-free.
-  struct SpillState {
-    BlockStore<SpillMeta> Meta;
-  };
-
   Shard<StoreItem> StoreShards[MaxShards];
   Shard<PendingAsync> PaShards[MaxShards];
   Shard<PaSetItem> PaSetShards[MaxShards];
@@ -394,55 +269,17 @@ private:
   };
   ConfigShard ConfigShards[MaxShards];
 
-  SpillState StoreSpill[MaxShards];
-  SpillState PaSetSpill[MaxShards];
-
   unsigned NumShardsRt;
-  bool Compress;
-  /// Distinguishes arenas in the per-thread decode caches.
-  uint32_t Serial;
 
   PaSetId EmptyPaSet = InvalidId;
 
   mutable std::atomic<size_t> Lookups{0};
   mutable std::atomic<size_t> Hits{0};
-  std::atomic<size_t> CompressedBytes{0};
-
-  // Tiered store (spill mode only).
-  bool SpillEnabled = false;
-  uint64_t MemBudget = 0;
-  std::unique_ptr<ColdStore> Cold;
-  /// This arena's hot encoded bytes (the global accountant additionally
-  /// sums across live arenas — see StateArena.cpp).
-  std::atomic<uint64_t> HotBytes{0};
-  std::atomic<uint64_t> BlocksEvictedCtr{0};
-  mutable std::atomic<uint64_t> BlocksFaultedCtr{0};
-  mutable std::atomic<uint64_t> FaultStallNanosCtr{0};
-  /// One evictor at a time; interning threads try-lock and move on.
-  std::mutex EvictMutex;
-  /// Clock hands: [kind][shard] -> next block index to consider
-  /// (kind 0 = stores, 1 = PA-bags).
-  size_t ClockPos[2][MaxShards] = {};
 
   static size_t hashPaCountVec(const PaCountVec &Vec);
   size_t paValueHash(const PaCountVec &Vec) const;
   PaMultiset materialize(const PaCountVec &Vec) const;
   std::vector<PaId> orderOf(const PaCountVec &Vec) const;
-
-  /// Appends spill metadata / seals the block after item \p Local landed
-  /// in \p Items (caller holds the shard mutex).
-  template <typename Item>
-  void noteAppend(BlockStore<Item> &Items, SpillState &Sp, size_t Local);
-  /// Invokes \p F(Begin, End) on the encoded bytes of item \p Local,
-  /// transparently reading the hot string or the cold mmap.
-  template <typename Item, typename Fn>
-  auto withEncoded(const Shard<Item> &Sh, const SpillState &Sp, size_t Local,
-                   Fn &&F) const;
-  /// Evicts sealed blocks until the global accountant is under budget
-  /// (best effort; called outside any shard mutex).
-  void maybeSpill();
-  template <typename Item>
-  bool evictBlock(Shard<Item> &Sh, SpillState &Sp, size_t BlockIdx);
 };
 
 /// A set of explored configurations over a shared arena: the interned

@@ -100,14 +100,6 @@ void EngineStats::accumulate(const EngineStats &Other) {
   Steals += Other.Steals;
   Shards = std::max(Shards, Other.Shards);
   ShardOccupancy = std::max(ShardOccupancy, Other.ShardOccupancy);
-  CompressedBytes = std::max(CompressedBytes, Other.CompressedBytes);
-  SpillEnabled = SpillEnabled || Other.SpillEnabled;
-  MemBudget = std::max(MemBudget, Other.MemBudget);
-  BytesHot = std::max(BytesHot, Other.BytesHot);
-  BytesCold = std::max(BytesCold, Other.BytesCold);
-  BlocksEvicted += Other.BlocksEvicted;
-  BlocksFaulted += Other.BlocksFaulted;
-  FaultStallNanos += Other.FaultStallNanos;
   ExpandSeconds += Other.ExpandSeconds;
   MergeSeconds += Other.MergeSeconds;
   TotalSeconds += Other.TotalSeconds;
@@ -137,8 +129,6 @@ std::string EngineStats::str() const {
     Out += " shards=" + std::to_string(ShardOccupancy) + "/" +
            std::to_string(Shards);
   }
-  if (CompressedBytes)
-    Out += " compressed-bytes=" + std::to_string(CompressedBytes);
   Out += " expand=" + formatSeconds(ExpandSeconds) + "s";
   Out += " merge=" + formatSeconds(MergeSeconds) + "s";
   Out += " total=" + formatSeconds(TotalSeconds) + "s";
@@ -692,14 +682,8 @@ StateGraph engine::exploreGraph(const Program &P,
                                 const std::vector<Configuration> &Inits,
                                 std::shared_ptr<StateArena> Arena,
                                 const EngineOptions &Opts) {
-  if (!Arena) {
-    StateArena::SpillOptions Spill;
-    Spill.Enabled = Opts.Config.Spill;
-    Spill.Dir = Opts.Config.SpillDir;
-    Spill.MemBudget = Opts.Config.MemBudget;
-    Arena = std::make_shared<StateArena>(Opts.Config.Shards,
-                                         Opts.Config.Compress, Spill);
-  }
+  if (!Arena)
+    Arena = std::make_shared<StateArena>(Opts.Config.Shards);
   StateGraph G;
   GraphAccess::arena(G) = Arena;
   ArenaStats Before = Arena->stats();
@@ -724,14 +708,6 @@ StateGraph engine::exploreGraph(const Program &P,
   Stats.CanonCacheHits = E.CanonHits.load();
   Stats.Shards = After.Shards;
   Stats.ShardOccupancy = After.ShardOccupancy;
-  Stats.CompressedBytes = After.CompressedBytes;
-  Stats.SpillEnabled = After.SpillEnabled;
-  Stats.MemBudget = After.MemBudget;
-  Stats.BytesHot = After.BytesHot;
-  Stats.BytesCold = After.BytesCold;
-  Stats.BlocksEvicted = After.BlocksEvicted;
-  Stats.BlocksFaulted = After.BlocksFaulted;
-  Stats.FaultStallNanos = After.FaultStallNanos;
   if (!E.Sym)
     Stats.OrbitStatesRepresented = Stats.NumConfigurations;
   return G;

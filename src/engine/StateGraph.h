@@ -86,26 +86,11 @@ struct EngineStats {
   unsigned StealChunk = 0;
   size_t Steals = 0;
 
-  // Compact state store. Shards is the configured arena shard count;
+  // Interning arena. Shards is the configured arena shard count;
   // ShardOccupancy the number of non-empty configuration shards at end of
-  // run; CompressedBytes the total encoded size of compressed stores and
-  // PA-bags (0 when compression is off; telemetry — varint lengths of
-  // PA handles depend on interning order).
+  // run.
   unsigned Shards = 0;
   unsigned ShardOccupancy = 0;
-  size_t CompressedBytes = 0;
-
-  // Tiered store (--engine spill=true). BytesHot/BytesCold are the hot
-  // encoded bytes and cold segment bytes at end of run; the eviction and
-  // fault counters are telemetry (eviction timing depends on allocation
-  // order across threads), never inputs to a verdict.
-  bool SpillEnabled = false;
-  uint64_t MemBudget = 0;
-  uint64_t BytesHot = 0;
-  uint64_t BytesCold = 0;
-  uint64_t BlocksEvicted = 0;
-  uint64_t BlocksFaulted = 0;
-  uint64_t FaultStallNanos = 0;
 
   // Phase times (support/Timer). ExpandSeconds is worker expansion time
   // summed across threads (it can exceed TotalSeconds when threaded);

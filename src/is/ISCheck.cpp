@@ -109,12 +109,7 @@ ISUniverse ISUniverse::build(const ISApplication &App,
                              const std::vector<InitialCondition> &Inits,
                              const ExploreOptions &Opts) {
   ISUniverse U;
-  StateArena::SpillOptions Spill;
-  Spill.Enabled = Opts.Config.Spill;
-  Spill.Dir = Opts.Config.SpillDir;
-  Spill.MemBudget = Opts.Config.MemBudget;
-  U.Space.Arena = std::make_shared<StateArena>(Opts.Config.Shards,
-                                               Opts.Config.Compress, Spill);
+  U.Space.Arena = std::make_shared<StateArena>(Opts.Config.Shards);
   EngineOptions EO;
   EO.MaxConfigurations = Opts.MaxConfigurations;
   EO.RecordParents = false; // parents are never consulted for universes

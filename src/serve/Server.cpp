@@ -325,20 +325,7 @@ void Server::runJob(const std::shared_ptr<Connection> &Conn,
   Timer JobTimer;
   driver::VerifyOptions Options = toVerifyOptions(Request, Opts.JobThreads);
   Options.SharedCache = &ObligationVerdicts;
-  // Server-side spilling: compact-mode jobs get a private scratch
-  // subdirectory (arenas clean their own segment files; the job dir is
-  // removed below). Non-compact jobs have nothing to spill.
-  std::string JobSpillDir;
-  if (!Opts.SpillDir.empty() && Options.Engine.Compress) {
-    JobSpillDir = Opts.SpillDir + "/job-" +
-                  std::to_string(NextJobSeq.fetch_add(1));
-    Options.Engine.Spill = true;
-    Options.Engine.SpillDir = JobSpillDir;
-    Options.Engine.MemBudget = Opts.SpillMemBudget;
-  }
   driver::VerifyResult Result = driver::verifyModule(Options);
-  if (!JobSpillDir.empty())
-    ::rmdir(JobSpillDir.c_str()); // arenas already emptied it
   std::string Json = driver::renderJson(Result);
   double Seconds = JobTimer.elapsed();
 

@@ -69,13 +69,6 @@ struct ServerOptions {
   /// Engine/scheduler threads per job (verdicts are identical for any
   /// value; this only trades per-job latency against throughput).
   unsigned JobThreads = 1;
-  /// Non-empty enables the tiered state store for compact-mode jobs:
-  /// each job spills into its own `job-<seq>` subdirectory (removed when
-  /// the job finishes) under a hot-tier budget of SpillMemBudget bytes.
-  /// Spilling is a server resource knob — requests cannot ask for it
-  /// over the wire, and verdicts are bit-identical either way.
-  std::string SpillDir;
-  uint64_t SpillMemBudget = 0;
 };
 
 /// The daemon. start() binds and spawns threads; stop() tears everything
@@ -134,9 +127,6 @@ private:
   std::vector<std::shared_ptr<Connection>> Connections;
   std::vector<std::thread> HandlerThreads;
   uint64_t NextClientId = 1;
-  /// Sequence for per-job spill subdirectories (workers run jobs
-  /// concurrently; each needs its own scratch dir).
-  std::atomic<uint64_t> NextJobSeq{1};
 
   /// Single-flight registry: cache key → waiters for the in-flight job
   /// with that key. The leader (the submission that enqueued the job)

@@ -32,9 +32,9 @@ public:
   /// Returns the interned name. The symbol must be valid.
   const std::string &str() const;
 
-  /// Rebuilds a symbol from a previously obtained index() — e.g. when
-  /// decoding a compact store encoding. The index must have been issued
-  /// by get() in this process.
+  /// Rebuilds a symbol from a previously obtained index() — e.g. a callee
+  /// index stored in HIR. The index must have been issued by get() in
+  /// this process.
   static Symbol fromIndex(uint32_t Index) { return Symbol(Index); }
 
   bool isValid() const { return Index != InvalidIndex; }

@@ -148,7 +148,6 @@ TEST(CliTest, DefaultsAreTextSerialExploration) {
   EXPECT_TRUE(P.Options.Verify.Engine.Symmetry);
   EXPECT_EQ(P.Options.Verify.Engine.StealChunk, 64u);
   EXPECT_EQ(P.Options.Verify.Engine.Shards, 16u);
-  EXPECT_FALSE(P.Options.Verify.Engine.Compress);
   EXPECT_TRUE(P.Options.Verify.CrossCheck);
 }
 
@@ -158,14 +157,13 @@ TEST(CliTest, EngineFlagParsesEveryKey) {
   // A later --engine setting of a key wins over an earlier one.
   CliParse P = parse({"x.asl", "--eliminate", "A", "--engine",
                       "threads=2,steal-chunk=128", "--engine",
-                      "shards=4,compress=on,symmetry=false", "--engine",
+                      "shards=4,symmetry=false", "--engine",
                       "threads=8"});
   ASSERT_TRUE(P.Ok) << P.Error;
   const engine::EngineConfig &E = P.Options.Verify.Engine;
   EXPECT_EQ(E.NumThreads, 8u);
   EXPECT_EQ(E.StealChunk, 128u);
   EXPECT_EQ(E.Shards, 4u);
-  EXPECT_TRUE(E.Compress);
   EXPECT_FALSE(E.Symmetry);
 }
 
@@ -178,44 +176,9 @@ TEST(CliTest, EngineFlagRejectsMalformedSpecs) {
   expectError({"x.asl", "--engine", "steal-chunk=-3"}, "positive integer");
   expectError({"x.asl", "--engine", "shards=3"}, "power of two");
   expectError({"x.asl", "--engine", "shards=32"}, "power of two");
-  expectError({"x.asl", "--engine", "compress=maybe"}, "expects a boolean");
+  expectError({"x.asl", "--engine", "symmetry=maybe"}, "expects a boolean");
   expectError({"x.asl", "--engine", "threads=2,,shards=4"},
               "empty item in engine option list");
-}
-
-TEST(CliTest, EngineSpillKnobsParse) {
-  CliParse P = parse({"x.asl", "--eliminate", "A", "--engine",
-                      "compress=true,spill=true,spill-dir=/tmp/s,"
-                      "mem-budget=64M"});
-  ASSERT_TRUE(P.Ok) << P.Error;
-  const engine::EngineConfig &E = P.Options.Verify.Engine;
-  EXPECT_TRUE(E.Spill);
-  EXPECT_EQ(E.SpillDir, "/tmp/s");
-  EXPECT_EQ(E.MemBudget, 64ull << 20);
-}
-
-TEST(CliTest, EngineSpillConflictsAreDiagnosed) {
-  // Each incoherent knob combination has a targeted diagnostic; none is
-  // silently ignored or "fixed up".
-  expectError({"x.asl", "--eliminate", "A", "--engine", "spill-dir=/tmp/s"},
-              "'spill-dir' has no effect without");
-  expectError({"x.asl", "--eliminate", "A", "--engine", "mem-budget=64M"},
-              "'mem-budget' has no effect without");
-  expectError({"x.asl", "--eliminate", "A", "--engine",
-               "spill=true,spill-dir=/tmp/s,mem-budget=64M"},
-              "requires 'compress=true'");
-  expectError({"x.asl", "--eliminate", "A", "--engine",
-               "compress=true,spill=true,mem-budget=64M"},
-              "requires 'spill-dir=PATH'");
-  expectError({"x.asl", "--eliminate", "A", "--engine",
-               "compress=true,spill=true,spill-dir=/tmp/s"},
-              "requires 'mem-budget=BYTES'");
-  expectError({"x.asl", "--eliminate", "A", "--engine",
-               "compress=true,spill=true,spill-dir=/tmp/s,mem-budget=64M,"
-               "cache-dir=/tmp/s"},
-              "must name different directories");
-  expectError({"x.asl", "--engine", "mem-budget=0"}, "positive byte count");
-  expectError({"x.asl", "--engine", "mem-budget=64Q"}, "positive byte count");
 }
 
 TEST(CliTest, RemovedSpellingsAreUsageErrors) {
@@ -235,24 +198,28 @@ TEST(CliTest, RemovedSpellingsAreUsageErrors) {
   expectError({"x.asl", "--eliminate", "A", "--engine",
                "work-stealing=false"},
               "unknown engine option 'work-stealing'");
-  // The serial checker loops are a test oracle now, not an engine mode:
-  // the key that selected them is unknown, and the valid-key list in the
-  // diagnostic no longer offers it.
-  CliParse Serial =
-      parse({"x.asl", "--eliminate", "A", "--engine", "parallel-check=false"});
-  EXPECT_FALSE(Serial.Ok);
-  size_t Valid = Serial.Error.find("(valid: ");
-  ASSERT_NE(Valid, std::string::npos) << Serial.Error;
-  EXPECT_LT(Serial.Error.find("unknown engine option 'parallel-check'"),
-            Valid)
-      << Serial.Error;
-  EXPECT_EQ(Serial.Error.find("parallel-check", Valid), std::string::npos)
-      << Serial.Error;
+  // The serial checker loops are a test oracle now, not an engine mode,
+  // and the arena has one representation, so the compact and tiered
+  // store's keys are gone too: each key is unknown, and the valid-key
+  // list in the diagnostic no longer offers it.
+  for (const char *Spec :
+       {"parallel-check=false", "compress=true", "spill=true",
+        "spill-dir=/tmp/s", "mem-budget=64M"}) {
+    std::string Key(Spec, std::string(Spec).find('='));
+    CliParse Gone = parse({"x.asl", "--eliminate", "A", "--engine", Spec});
+    EXPECT_FALSE(Gone.Ok) << Spec;
+    size_t Valid = Gone.Error.find("(valid: ");
+    ASSERT_NE(Valid, std::string::npos) << Gone.Error;
+    EXPECT_LT(Gone.Error.find("unknown engine option '" + Key + "'"), Valid)
+        << Gone.Error;
+    EXPECT_EQ(Gone.Error.find(Key, Valid), std::string::npos) << Gone.Error;
+  }
   std::string Usage = usageText();
   EXPECT_NE(Usage.find("--engine K=V"), std::string::npos);
-  for (const char *Gone : {"--threads", "--no-symmetry", "--no-parallel-check",
-                           "--no-work-stealing", "--frontend",
-                           "work-stealing", "parallel-check"})
+  for (const char *Gone :
+       {"--threads", "--no-symmetry", "--no-parallel-check",
+        "--no-work-stealing", "--frontend", "work-stealing", "parallel-check",
+        "compress", "spill", "mem-budget"})
     EXPECT_EQ(Usage.find(Gone), std::string::npos) << Gone;
 }
 

@@ -365,53 +365,10 @@ TEST(WorkStealingTest, FailuresHandledWithoutStop) {
 }
 
 //===----------------------------------------------------------------------===//
-// Compact state store
+// Arena shards
 //===----------------------------------------------------------------------===//
 
-TEST(CompactStoreTest, CompressedArenaRoundTrips) {
-  StateArena Arena(/*Shards=*/4, /*Compress=*/true);
-  EXPECT_EQ(Arena.shards(), 4u);
-  EXPECT_TRUE(Arena.compressed());
-
-  Store A = makeStore({{"x", 1}, {"y", 2}});
-  Store B = makeStore({{"y", 2}, {"x", 1}});
-  StoreId IdA = Arena.internStore(A);
-  EXPECT_EQ(IdA, Arena.internStore(B));
-  EXPECT_EQ(Arena.store(IdA), A);
-
-  PaMultiset Omega;
-  Omega.insert(PendingAsync(Symbol::get("A"), {Value::integer(1)}));
-  Omega.insert(PendingAsync(Symbol::get("A"), {Value::integer(1)}));
-  Omega.insert(PendingAsync(Symbol::get("B"), {}));
-  PaSetId Id = Arena.internPaSet(Omega);
-  EXPECT_EQ(Id, Arena.internPaSet(Omega));
-  EXPECT_EQ(Arena.paSet(Id), Omega);
-  EXPECT_EQ(Arena.paVec(Id).size(), 2u);
-
-  ArenaStats Stats = Arena.stats();
-  EXPECT_GT(Stats.CompressedBytes, 0u);
-  EXPECT_EQ(Stats.Shards, 4u);
-  EXPECT_GE(Stats.ShardOccupancy, 0u);
-}
-
-TEST(CompactStoreTest, CompressionDoesNotChangeResults) {
-  for (const Instance &I : tier1Instances()) {
-    ExploreOptions Plain;
-    Plain.Config.NumThreads = 4;
-    ExploreResult Base = explore(I.P, initialConfiguration(I.Init), Plain);
-    EXPECT_EQ(Base.Engine.CompressedBytes, 0u) << I.Name;
-
-    ExploreOptions Compressed;
-    Compressed.Config.NumThreads = 4;
-    Compressed.Config.Compress = true;
-    ExploreResult R = explore(I.P, initialConfiguration(I.Init), Compressed);
-    expectIdentical(Base, R, I.Name + " compressed");
-    EXPECT_EQ(Base.Engine.InternedStores, R.Engine.InternedStores) << I.Name;
-    EXPECT_GT(R.Engine.CompressedBytes, 0u) << I.Name;
-  }
-}
-
-TEST(CompactStoreTest, ShardCountIsObservableAndDeterministic) {
+TEST(StateArenaTest, ShardCountIsObservableAndDeterministic) {
   BroadcastParams BC{3, {}};
   Program P = makeBroadcastProgram(BC);
   Configuration Init = initialConfiguration(makeBroadcastInitialStore(BC));

@@ -138,7 +138,7 @@ TEST(ServeWireTest, EngineMapValidation) {
   std::string Error;
   EXPECT_TRUE(validateEngine(R, Error)) << Error; // empty map: defaults
 
-  R.Engine = {{"symmetry", "false"}, {"compress", "true"}};
+  R.Engine = {{"symmetry", "false"}, {"steal-chunk", "8"}};
   EXPECT_TRUE(validateEngine(R, Error)) << Error;
 
   R.Engine = {{"frobnicate", "1"}};
@@ -664,23 +664,34 @@ TEST(ServeEndToEndTest, RemovedWorkStealingKeyRejectedStreamSurvives) {
   EXPECT_EQ(Good.Verdict.ExitCode, 0);
 }
 
-TEST(ServeEndToEndTest, RemovedParallelCheckKeyRejectedStreamSurvives) {
-  // The serial checker loops left the library: a request still naming the
-  // key that selected them gets an error reply under the same wire
-  // version, and the connection keeps serving.
+TEST(ServeEndToEndTest, RemovedEngineKeysRejectedStreamSurvives) {
+  // The serial checker loops left the library, and the arena has one
+  // representation: a request still naming a key that selected one of
+  // them gets an error reply under the same wire version, and the
+  // connection keeps serving.
   static_assert(WireVersion == 2, "removing a key is not a wire change");
   LiveServer Live;
   SubmitRequest Request = fromVerifyOptions(pingPongOptions());
-  Request.RequestId = 1;
-  Request.Engine["parallel-check"] = "false";
-  ASSERT_TRUE(Live.Client.send(Request));
-  ServeReply Error = Live.Client.receive();
-  EXPECT_EQ(Error.K, ServeReply::Kind::ServerError);
-  EXPECT_NE(Error.Error.find("unknown engine option 'parallel-check'"),
-            std::string::npos)
-      << Error.Error;
+  uint64_t Id = 0;
+  for (auto [Key, Value] :
+       std::initializer_list<std::pair<const char *, const char *>>{
+           {"parallel-check", "false"},
+           {"compress", "true"},
+           {"spill", "true"},
+           {"spill-dir", "/tmp/s"},
+           {"mem-budget", "64M"}}) {
+    Request.RequestId = ++Id;
+    Request.Engine = {{Key, Value}};
+    ASSERT_TRUE(Live.Client.send(Request));
+    ServeReply Error = Live.Client.receive();
+    EXPECT_EQ(Error.K, ServeReply::Kind::ServerError) << Key;
+    EXPECT_NE(Error.Error.find("unknown engine option '" + std::string(Key) +
+                               "'"),
+              std::string::npos)
+        << Error.Error;
+  }
 
-  Request.RequestId = 2;
+  Request.RequestId = ++Id;
   Request.Engine.clear();
   ServeReply Good = Live.Client.submit(Request);
   ASSERT_EQ(Good.K, ServeReply::Kind::Verdict) << Good.Error;

@@ -3,9 +3,10 @@
 # sanitized (address + undefined) configuration; verify every shipped
 # example end-to-end in both report formats (with a JSON schema sanity
 # check); smoke-run the smallest row of every benchmark binary;
-# smoke-test the verification service (isq-serve + isq-loadgen: verdict
-# cache hits across both manifest paxos instances, schema sanity,
-# per-entry bit-identity against one-shot isq-verify); exercise the
+# smoke-test the verification service (isq-serve + isq-loadgen: removed
+# daemon flags exit 2, verdict cache hits across both manifest paxos
+# instances, schema sanity, per-entry bit-identity against one-shot
+# isq-verify); exercise the
 # frontend under AddressSanitizer (golden diagnostics plus every example
 # verifying with its documented flags); check the engine's determinism
 # contract over the same corpus (verdict JSON at one thread must be
@@ -19,15 +20,11 @@
 # one-action edit whose warm run must be bit-identical to the --engine
 # incremental=false oracle with a nonzero hit rate, and a corrupted
 # cache that must degrade to a cold run, never to different answers);
-# run the tiered state-store spill stage (paxos under a deliberately
-# tiny memory budget must spill to the cold tier and stay bit-identical
-# to the unspilled oracle across thread counts, and a rerun over a stale
-# spill directory from an "interrupted" run must succeed); finally run
-# the threaded engine + obligation-scheduler + symmetry + serve + spill
-# + driver-re-entrancy tests under ThreadSanitizer, including the
+# finally run the threaded engine + obligation-scheduler + symmetry +
+# serve + driver-re-entrancy tests under ThreadSanitizer, including the
 # symmetry=false differential, a tiny-steal-chunk run that forces
 # cross-worker stealing, a threaded warm run over a shared verdict
-# cache, and a threaded spilling run. All stages must pass. The
+# cache, and a threaded paxos N=3 run. All stages must pass. The
 # scheduled checkers' differential against the serial reference loops is
 # a tier-1 test (ScheduledISCheckTest.MatchesReferenceOnShippedExamples),
 # so the ctest runs of both configurations cover it.
@@ -67,7 +64,7 @@ example_flags() {
 # header documents its own invocation ("Verify with:"), so CI follows the
 # same command users see, plus --engine threads=2 to exercise the
 # parallel scheduler. The JSON report must parse and match the versioned
-# schema (v8: no scheduler dedup_discarded field).
+# schema (v9: no compact/tiered state-store fields in "engine").
 verify_example() {
   local bin="$1" file="$2" flags
   flags=$(example_flags "$file")
@@ -80,7 +77,7 @@ verify_example() {
 import json, sys
 flags = sys.argv[1].split()
 doc = json.load(sys.stdin)
-assert doc["schema_version"] == 8, doc["schema_version"]
+assert doc["schema_version"] == 9, doc["schema_version"]
 assert doc["tool"] == "isq-verify"
 assert doc["exit_code"] == 0 and doc["accepted"] is True
 assert doc["diagnostics"] == []
@@ -102,14 +99,16 @@ assert doc["cross_check"]["ran"] and doc["cross_check"]["ok"]
 assert doc["scheduler"]["threads"] == 2 and doc["scheduler"]["jobs"] > 0
 for key in ("symmetry_reduced", "canon_calls", "canon_cache_hits",
             "orbit_states_represented", "steal_chunk", "steals", "shards",
-            "shard_occupancy", "compressed_bytes", "spill_enabled",
-            "mem_budget", "bytes_hot", "bytes_cold", "blocks_evicted",
-            "blocks_faulted", "fault_stall_ns"):
+            "shard_occupancy"):
     assert key in doc["engine"], key
 assert "work_stealing" not in doc["engine"]  # removed in schema 7
+# Removed in schema 9 with the compact and tiered state store.
+for key in ("compressed_bytes", "spill_enabled", "mem_budget", "bytes_hot",
+            "bytes_cold", "blocks_evicted", "blocks_faulted",
+            "fault_stall_ns"):
+    assert key not in doc["engine"], key
 assert doc["engine"]["steal_chunk"] > 0
 assert doc["engine"]["shards"] >= 1
-assert doc["engine"]["spill_enabled"] is False  # spilling is opt-in
 assert 1 <= doc["engine"]["shard_occupancy"] <= doc["engine"]["shards"]
 ob = doc["obligations"]
 for key in ("total", "cache_enabled", "cache_hits", "cache_misses",
@@ -162,6 +161,13 @@ cleanup_serve() {
   rm -rf "$SERVE_TMP"
 }
 trap cleanup_serve EXIT
+# The tiered state store's daemon flags are gone: each is an unknown
+# option (exit 2) before anything binds.
+for flag in --spill-dir --mem-budget; do
+  status=0
+  timeout 10 build/tools/isq-serve "$flag" 64M 2>/dev/null || status=$?
+  [ "$status" -eq 2 ] || { echo "isq-serve $flag exited $status, want 2"; exit 1; }
+done
 build/tools/isq-serve --port-file "$SERVE_TMP/port" --workers 2 &
 SERVE_PID=$!
 for _ in $(seq 1 50); do
@@ -219,7 +225,7 @@ for entry in (0, 1):
     assert scrub(served) == scrub(oneshot), \
         "entry %d: served verdict != one-shot isq-verify" % entry
     doc = json.loads(served)
-    assert doc["schema_version"] == 8 and doc["tool"] == "isq-verify"
+    assert doc["schema_version"] == 9 and doc["tool"] == "isq-verify"
     assert "shard_occupancy" in doc["engine"]
     assert doc["exit_code"] == 0 and doc["accepted"] is True
     assert doc["diagnostics"] == []
@@ -430,84 +436,12 @@ assert ob["disk_hits"] > 0 and ob["cache_misses"] == 0, ob
 print("  self-heal ok")
 '
 
-echo "==== tiered state store: spill vs hot-only oracle ===="
-# The hot-only compact store is the differential oracle for the tiered
-# store: paxos under a 64K memory budget (a small fraction of its
-# ~400K compact footprint) must evict blocks to the mmap'd cold tier
-# and still produce bit-identical verdict JSON, for every thread
-# count, once we scrub (a) timing fields, (b) schedule-dependent
-# telemetry (steals and the hit counters of the racy canonicalizer /
-# hash-cons / transition memos, which vary run-to-run when threaded
-# even without spilling), and (c) the engine-config echoes and spill
-# counters that legitimately differ between the two modes. Verdicts,
-# obligation counts, interned stores/configs/pa-sets, configurations,
-# transitions, and frontier peak must agree exactly.
-SPILL_TMP="$SERVE_TMP/spill"
-mkdir -p "$SPILL_TMP"
-# The N=2 instance from the example header is too small to seal
-# eviction blocks; the manifest's N=3 instance interns thousands of
-# stores/pa-sets per shard, so a 64K budget forces real spilling.
-spill_flags=$(grep '^paxos.*N=3' examples/asl/serve_manifest.txt |
-  sed 's/^paxos\.asl //')
-scrub_spill() {
-  sed -E -e 's/("[a-z_]*seconds":)[0-9.]+/\10/g' \
-         -e 's/("(steals|canon_cache_hits)":)[0-9]+/\10/g' \
-         -e 's/("(hash_cons_lookups|hash_cons_hits)":)[0-9]+/\10/g' \
-         -e 's/("(transition_cache_lookups|transition_cache_hits)":)[0-9]+/\10/g' \
-         -e 's/("spill_enabled":)(true|false)/\1X/g' \
-         -e 's/("(mem_budget|bytes_hot|bytes_cold|blocks_evicted)":)[0-9]+/\10/g' \
-         -e 's/("(blocks_faulted|fault_stall_ns)":)[0-9]+/\10/g' "$1"
-}
-for t in 1 4; do
-  # shellcheck disable=SC2086
-  build/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-    --engine "threads=$t,compress=true,shards=1" \
-    --format json > "$SPILL_TMP/oracle$t.json"
-  # shellcheck disable=SC2086
-  build/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-    --engine "threads=$t" --engine \
-    "compress=true,shards=1,spill=true,spill-dir=$SPILL_TMP/run$t,mem-budget=64K" \
-    --format json > "$SPILL_TMP/spill$t.json"
-  if ! diff <(scrub_spill "$SPILL_TMP/oracle$t.json") \
-            <(scrub_spill "$SPILL_TMP/spill$t.json") >/dev/null; then
-    echo "spill differential mismatch at threads=$t"; exit 1
-  fi
-  python3 - "$SPILL_TMP/spill$t.json" <<'EOF'
-import json, sys
-eng = json.load(open(sys.argv[1]))["engine"]
-# The budget is far below the compact footprint, so this run must have
-# actually exercised the cold tier: real evictions, the hot tier held
-# at (or under) the budget, and cold bytes carrying the spilled blocks.
-assert eng["spill_enabled"] is True
-assert eng["blocks_evicted"] > 0, eng
-assert eng["bytes_cold"] > 0, eng
-assert eng["bytes_hot"] <= eng["mem_budget"], eng
-EOF
-  echo "  paxos threads=$t: spill == hot-only oracle"
-done
-# Interrupted-run hygiene: a rerun pointed at a spill directory still
-# holding segment files from a previous (killed) run must clean the
-# stale segments at startup and succeed with the same answers.
-mkdir -p "$SPILL_TMP/stale/arena-0" "$SPILL_TMP/stale/arena-3"
-head -c 4096 /dev/zero > "$SPILL_TMP/stale/arena-0/seg-0.isqseg"
-printf 'truncated-garbage' > "$SPILL_TMP/stale/arena-3/seg-7.isqseg"
-# shellcheck disable=SC2086
-build/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-  --engine threads=4 --engine \
-  "compress=true,shards=1,spill=true,spill-dir=$SPILL_TMP/stale,mem-budget=64K" \
-  --format json > "$SPILL_TMP/stale.json"
-if ! diff <(scrub_spill "$SPILL_TMP/oracle4.json") \
-          <(scrub_spill "$SPILL_TMP/stale.json") >/dev/null; then
-  echo "spill rerun over stale directory changed answers"; exit 1
-fi
-echo "  stale spill-dir rerun ok"
-
 echo "==== TSan: threaded engine + scheduler + symmetry + serve ===="
 cmake -B build-tsan -S . -DISQ_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target engine_test scheduler_test \
-  symmetry_test cli_test serve_test reentrancy_test spill_test isq-verify
+  symmetry_test cli_test serve_test reentrancy_test isq-verify
 (cd build-tsan && ctest -j "$JOBS" --output-on-failure \
-  -R 'Engine|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy|Spill|ColdStore')
+  -R 'Engine|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
 build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
   --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
   --engine threads=4 >/dev/null
@@ -527,15 +461,14 @@ for _ in 1 2; do
     --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
     --engine threads=4,cache-dir="$SERVE_TMP/tsan-cache" >/dev/null
 done
-# Tiered store under TSan: a threaded spilling run races readers
-# pinning sealed blocks against the evictor draining them to the cold
-# tier, and races decode-cache fills against cold-tier faults. The
-# tiny budget forces continual eviction for the whole exploration.
+# A threaded paxos run at the manifest's N=3 size: thousands of stores
+# and PA-bags per shard, interned and read concurrently by four workers
+# and then checked by the threaded scheduler.
+paxos3_flags=$(grep '^paxos.*N=3' examples/asl/serve_manifest.txt |
+  sed 's/^paxos\.asl //')
 # shellcheck disable=SC2086
-build-tsan/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-  --engine threads=4 --engine \
-  "compress=true,shards=1,spill=true,spill-dir=$SERVE_TMP/tsan-spill,mem-budget=64K" \
-  >/dev/null
+build-tsan/tools/isq-verify examples/asl/paxos.asl $paxos3_flags \
+  --engine threads=4 >/dev/null
 # Symmetry differential under TSan: the reduced and unreduced paths must
 # both accept the symmetric module with the racy-memo canonicalizer active.
 for symmetry in true false; do

@@ -16,8 +16,6 @@
 
 #include "serve/Server.h"
 
-#include "engine/EngineConfig.h"
-
 #include <atomic>
 #include <charconv>
 #include <chrono>
@@ -55,12 +53,6 @@ const char *usageText() {
          "  --cache-cap N   verdict-cache entries, 0 disables (default 128)\n"
          "  --job-threads N engine/scheduler threads per job (default 1;\n"
          "                  verdicts are identical for any value)\n"
-         "  --spill-dir D   enable the tiered state store for compact-mode\n"
-         "                  jobs: each job spills into its own scratch\n"
-         "                  subdirectory of D (removed when the job ends);\n"
-         "                  requires --mem-budget\n"
-         "  --mem-budget B  hot-tier byte budget per process; accepts K/M/G\n"
-         "                  suffixes (e.g. 256M); requires --spill-dir\n"
          "  --help, -h      show this help\n"
          "\n"
          "exit codes:\n"
@@ -101,30 +93,6 @@ int main(int argc, char **argv) {
     if (Arg == "--port-file") {
       if (!NeedValue(PortFile))
         return 2;
-      continue;
-    }
-    if (Arg == "--spill-dir") {
-      if (!NeedValue(Value))
-        return 2;
-      if (Value.empty()) {
-        std::fprintf(stderr, "error: --spill-dir expects a directory path\n");
-        return 2;
-      }
-      Opts.SpillDir = Value;
-      continue;
-    }
-    if (Arg == "--mem-budget") {
-      if (!NeedValue(Value))
-        return 2;
-      // Reuse the engine's parser so "64M" means the same thing here and
-      // in --engine mem-budget=64M.
-      engine::EngineConfig Probe;
-      std::string ParseError;
-      if (!Probe.set("mem-budget", Value, ParseError)) {
-        std::fprintf(stderr, "error: %s\n", ParseError.c_str());
-        return 2;
-      }
-      Opts.SpillMemBudget = Probe.MemBudget;
       continue;
     }
     if (Arg == "--port" || Arg == "--workers" || Arg == "--queue-cap" ||
@@ -170,13 +138,6 @@ int main(int argc, char **argv) {
     }
     std::fprintf(stderr, "error: unknown option '%s'\n%s", Arg.c_str(),
                  usageText());
-    return 2;
-  }
-
-  if (Opts.SpillDir.empty() != (Opts.SpillMemBudget == 0)) {
-    std::fprintf(stderr, "error: --spill-dir and --mem-budget must be "
-                         "given together (spilling needs both a scratch "
-                         "directory and a hot-tier budget)\n");
     return 2;
   }
 
