@@ -102,7 +102,8 @@ const char *driver::usageText() {
          "exit codes:\n"
          "  0  proof accepted\n"
          "  1  proof rejected (some IS condition failed)\n"
-         "  2  usage, compilation, or input error\n";
+         "  2  usage, compilation, or input error, or resource exhausted\n"
+         "     (out of memory)\n";
 }
 
 CliParse driver::parseCommandLine(const std::vector<std::string> &Args) {

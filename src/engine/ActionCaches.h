@@ -21,13 +21,17 @@
 #define ISQ_ENGINE_ACTIONCACHES_H
 
 #include "engine/StateArena.h"
+#include "engine/ThreadSlots.h"
 #include "semantics/Action.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <deque>
+#include <memory>
 #include <mutex>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 namespace isq {
@@ -38,88 +42,156 @@ namespace engine {
 /// The checker's shared caches are read tens of millions of times but
 /// written once per distinct key (misses are ~10% of lookups and already
 /// pay a full evaluation), so the read path must not take a lock or chase
-/// unordered_map buckets. Each slot publishes a nonzero 64-bit tag with
-/// release order after its key/value are written; readers probe with
-/// acquire loads and never block. Inserts serialize behind a single
-/// mutex. Growth copies live slots into a fresh table and swaps an atomic
-/// table pointer; superseded tables are retired until destruction so
-/// in-flight readers can finish probing them. A reader probing a stale
-/// table at worst misses a freshly inserted entry, re-evaluates the pure
-/// function, and finds the existing entry under the insert lock — the
-/// same benign double-compute the locked design allowed.
+/// unordered_map buckets.
+///
+/// Stripes. The memo is NumStripes independent tables picked by four
+/// bits of the mixed hash, each with its own insert mutex, so inserts and
+/// growth serialize only the workers that hit the same stripe. The
+/// stripes start at InitialStripeCap slots each (1 024 in all).
+///
+/// Reads. Each slot publishes a nonzero 64-bit tag with release order
+/// after its key/value are written; readers probe with acquire loads and
+/// never block. A reader that races an insert at worst misses, evaluates
+/// the pure function itself, and lands on the existing entry under the
+/// stripe lock: a benign double-compute. find() and insertWith() return
+/// the value by copy, so no reference into a table outlives the call.
+///
+/// Growth and reclamation. A stripe above 60% occupancy copies its live
+/// slots into a table twice the size and swaps its atomic table pointer.
+/// The superseded table is freed before the insert returns: a reader
+/// announces the table it probes in its ThreadSlot hazard (seq_cst
+/// exchange, then a re-check of the table pointer), and the grower,
+/// after the swap, waits until no hazard names the old table. Readers
+/// never wait and never call out, so the wait is a few probes long; a
+/// grower's own hazard is always clear (it is inserting, not probing),
+/// so a Make callback may insert into, and grow, another memo.
+///
+/// Slots. A slot is the 64-bit tag, the key and the value. A bool memo
+/// keeps its value in tag bit 62 and has no value field, so a key of four
+/// 32-bit words makes a 24-byte slot.
 template <typename KeyT, typename ValueT> class FlatMemo {
 public:
-  FlatMemo() : TableP(new Table(InitialCap)) {}
+  static constexpr size_t NumStripes = 16;
+  static constexpr size_t InitialStripeCap = 64;
+
+  FlatMemo() {
+    for (Stripe &S : Stripes)
+      S.TableP.store(newTable(S, InitialStripeCap), std::memory_order_relaxed);
+  }
   ~FlatMemo() {
-    delete TableP.load(std::memory_order_relaxed);
-    for (Table *T : Retired)
-      delete T;
+    for (Stripe &S : Stripes)
+      delete S.TableP.load(std::memory_order_relaxed);
   }
   FlatMemo(const FlatMemo &) = delete;
   FlatMemo &operator=(const FlatMemo &) = delete;
 
-  /// Lock-free lookup; returns nullptr on miss.
-  const ValueT *find(const KeyT &K, uint64_t Hash) const {
+  /// Lock-free lookup.
+  std::optional<ValueT> find(const KeyT &K, uint64_t Hash) const {
     Hash = mix(Hash);
-    const Table *T = TableP.load(std::memory_order_acquire);
-    uint64_t Tag = Hash | TopBit;
-    for (size_t I = Hash & T->Mask;; I = (I + 1) & T->Mask) {
-      const Slot &S = T->Slots[I];
-      uint64_t Tg = S.Tag.load(std::memory_order_acquire);
-      if (Tg == 0)
-        return nullptr;
-      if (Tg == Tag && S.K == K)
-        return &S.V;
+    const Stripe &S = Stripes[stripeOf(Hash)];
+    ThreadSlot &Me = ThreadSlot::mine();
+    const Table *T = S.TableP.load(std::memory_order_relaxed);
+    for (;;) {
+      Me.Hazard.exchange(T, std::memory_order_seq_cst);
+      const Table *Now = S.TableP.load(std::memory_order_seq_cst);
+      if (Now == T)
+        break;
+      T = Now;
     }
+    std::optional<ValueT> Found = probe(*T, K, tagOf(Hash));
+    Me.Hazard.store(nullptr, std::memory_order_release);
+    return Found;
   }
 
-  /// Inserts Make() under the insert lock unless \p K raced in; returns
+  /// Inserts Make() under the stripe lock unless \p K raced in; returns
   /// the stored value either way. Make is only invoked on a genuine
-  /// insert, while the lock is held.
+  /// insert, while the lock of stripe stripeOfHash(Hash) is held.
   template <typename MakeV>
-  const ValueT &insertWith(const KeyT &K, uint64_t Hash, MakeV Make) {
+  ValueT insertWith(const KeyT &K, uint64_t Hash, MakeV Make) {
     Hash = mix(Hash);
-    std::lock_guard<std::mutex> Lock(M);
-    Table *T = TableP.load(std::memory_order_relaxed);
-    if ((Size + 1) * 5 > T->Cap * 3) { // keep occupancy under 60%
-      Table *N = new Table(T->Cap * 2);
-      for (size_t I = 0; I < T->Cap; ++I) {
-        Slot &S = T->Slots[I];
-        if (uint64_t Tg = S.Tag.load(std::memory_order_relaxed))
-          N->place(Tg, S.K, S.V);
-      }
-      Retired.push_back(T);
-      // Publishes every (relaxed) write to N above: readers acquire the
-      // table pointer before touching slots.
-      TableP.store(N, std::memory_order_release);
-      T = N;
-    }
-    uint64_t Tag = Hash | TopBit;
-    for (size_t I = Hash & T->Mask;; I = (I + 1) & T->Mask) {
-      Slot &S = T->Slots[I];
-      uint64_t Tg = S.Tag.load(std::memory_order_relaxed);
-      if (Tg == Tag && S.K == K)
-        return S.V; // racing miss computed the same pure value
-      if (Tg == 0) {
-        S.K = K;
-        S.V = Make();
-        S.Tag.store(Tag, std::memory_order_release);
-        ++Size;
-        return S.V;
-      }
-    }
+    Stripe &S = Stripes[stripeOf(Hash)];
+    uint64_t Tag = tagOf(Hash);
+    std::lock_guard<std::mutex> Lock(S.M);
+    Table *T = S.TableP.load(std::memory_order_relaxed);
+    if (std::optional<ValueT> Raced = probe(*T, K, Tag))
+      return *Raced; // racing miss computed the same pure value
+    // Keep occupancy under 60%.
+    if ((S.Size.load(std::memory_order_relaxed) + 1) * 5 > (T->Mask + 1) * 3)
+      T = grow(S, T);
+    ValueT V = Make();
+    if constexpr (ValueInTag)
+      Tag |= V ? ValueBit : 0;
+    Slot &Free = T->Slots[freeSlot(*T, Tag)];
+    Free.K = K;
+    if constexpr (!ValueInTag)
+      Free.V = V;
+    Free.Tag.store(Tag, std::memory_order_release);
+    S.Size.store(S.Size.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+    return V;
   }
 
-  const ValueT &insert(const KeyT &K, uint64_t Hash, ValueT V) {
+  ValueT insert(const KeyT &K, uint64_t Hash, ValueT V) {
     return insertWith(K, Hash, [&]() { return V; });
   }
 
+  /// The stripe whose lock insertWith(K, \p Hash, ...) holds around Make.
+  static size_t stripeOfHash(uint64_t Hash) { return stripeOf(mix(Hash)); }
+
+  // Occupancy. Exact once no insert is in flight.
+  size_t size() const {
+    return sumOver([](const Stripe &S) {
+      return S.Size.load(std::memory_order_relaxed);
+    });
+  }
+  size_t capacity() const {
+    return sumOver([](const Stripe &S) { return stripeCapacity(S); });
+  }
+  size_t stripeCapacity(size_t I) const { return stripeCapacity(Stripes[I]); }
+  static constexpr size_t slotBytes() { return sizeof(Slot); }
+  /// Slot bytes of every table allocated and not yet freed, superseded
+  /// ones included; equals capacity() * slotBytes() once growth is done.
+  size_t bytesHeld() const {
+    return sumOver([](const Stripe &S) {
+      return S.Bytes.load(std::memory_order_relaxed);
+    });
+  }
+
 private:
+  static constexpr bool ValueInTag = std::is_same_v<ValueT, bool>;
+
   // The tag is the mixed hash with the top bit forced on: nonzero marks
   // the slot live, and the untouched low bits keep the probe start
   // aligned with the hash so growth can re-place slots from tags alone.
+  // Bits 58..61 pick the stripe; a bool memo stores its value in bit 62.
   static constexpr uint64_t TopBit = uint64_t(1) << 63;
-  static constexpr size_t InitialCap = 1024;
+  static constexpr uint64_t ValueBit = ValueInTag ? uint64_t(1) << 62 : 0;
+  static constexpr unsigned StripeShift = 58;
+
+  struct KeyValueSlot {
+    std::atomic<uint64_t> Tag{0};
+    KeyT K{};
+    ValueT V{};
+  };
+  struct KeySlot {
+    std::atomic<uint64_t> Tag{0};
+    KeyT K{};
+  };
+  using Slot = std::conditional_t<ValueInTag, KeySlot, KeyValueSlot>;
+
+  struct Table {
+    explicit Table(size_t Cap) : Mask(Cap - 1), Slots(new Slot[Cap]) {}
+    size_t Mask;
+    std::unique_ptr<Slot[]> Slots;
+  };
+  struct alignas(64) Stripe {
+    std::atomic<Table *> TableP{nullptr};
+    std::mutex M; // serializes this stripe's inserts and growth
+    // Entries and table bytes held (superseded tables included until
+    // freed); written under M, readable any time.
+    std::atomic<size_t> Size{0};
+    std::atomic<size_t> Bytes{0};
+  };
 
   /// Murmur3 finalizer. Caller hashes combine structured, near-sequential
   /// ids whose low bits cluster badly under a power-of-two mask (a prime
@@ -133,37 +205,104 @@ private:
     X ^= X >> 33;
     return X;
   }
+  static size_t stripeOf(uint64_t Mixed) {
+    return (Mixed >> StripeShift) & (NumStripes - 1);
+  }
+  static uint64_t tagOf(uint64_t Mixed) { return (Mixed & ~ValueBit) | TopBit; }
+  static size_t stripeCapacity(const Stripe &S) {
+    return S.TableP.load(std::memory_order_relaxed)->Mask + 1;
+  }
+  template <typename F> size_t sumOver(F Of) const {
+    size_t Sum = 0;
+    for (const Stripe &S : Stripes)
+      Sum += Of(S);
+    return Sum;
+  }
 
-  struct Slot {
-    std::atomic<uint64_t> Tag{0};
-    KeyT K;
-    ValueT V;
-  };
-  struct Table {
-    explicit Table(size_t C) : Cap(C), Mask(C - 1), Slots(new Slot[C]) {}
-    ~Table() { delete[] Slots; }
-    /// Pre-publication placement during growth; the release store of the
-    /// table pointer orders these writes for readers.
-    void place(uint64_t Tg, const KeyT &K, const ValueT &V) {
-      for (size_t I = Tg & Mask;; I = (I + 1) & Mask) {
-        Slot &S = Slots[I];
-        if (S.Tag.load(std::memory_order_relaxed) == 0) {
-          S.K = K;
-          S.V = V;
-          S.Tag.store(Tg, std::memory_order_relaxed);
-          return;
-        }
+  static std::optional<ValueT> probe(const Table &T, const KeyT &K,
+                                     uint64_t Tag) {
+    for (size_t I = Tag & T.Mask;; I = (I + 1) & T.Mask) {
+      const Slot &S = T.Slots[I];
+      uint64_t Tg = S.Tag.load(std::memory_order_acquire);
+      if (Tg == 0)
+        return std::nullopt;
+      if ((Tg & ~ValueBit) == Tag && S.K == K) {
+        if constexpr (ValueInTag)
+          return (Tg & ValueBit) != 0;
+        else
+          return S.V;
       }
     }
-    size_t Cap;
-    size_t Mask;
-    Slot *Slots;
-  };
+  }
+  /// First empty slot on \p Tag's probe path. Caller holds the stripe lock.
+  static size_t freeSlot(const Table &T, uint64_t Tag) {
+    size_t I = Tag & T.Mask;
+    while (T.Slots[I].Tag.load(std::memory_order_relaxed) != 0)
+      I = (I + 1) & T.Mask;
+    return I;
+  }
 
-  std::atomic<Table *> TableP;
-  std::mutex M;       // serializes inserts and growth
-  size_t Size = 0;    // guarded by M
-  std::vector<Table *> Retired; // guarded by M; freed at destruction
+  static Table *newTable(Stripe &S, size_t Cap) {
+    Table *T = new Table(Cap);
+    S.Bytes.fetch_add(Cap * sizeof(Slot), std::memory_order_relaxed);
+    return T;
+  }
+
+  /// Moves stripe \p S from \p Old to a table twice its size and frees
+  /// \p Old once no reader can still be probing it. Caller holds S.M.
+  static Table *grow(Stripe &S, Table *Old) {
+    Table *N = newTable(S, 2 * (Old->Mask + 1));
+    for (size_t I = 0; I <= Old->Mask; ++I) {
+      const Slot &From = Old->Slots[I];
+      uint64_t Tg = From.Tag.load(std::memory_order_relaxed);
+      if (!Tg)
+        continue;
+      Slot &To = N->Slots[freeSlot(*N, Tg)];
+      To.K = From.K;
+      if constexpr (!ValueInTag)
+        To.V = From.V;
+      To.Tag.store(Tg, std::memory_order_relaxed);
+    }
+    // Publishes every (relaxed) write to N above: readers load the table
+    // pointer with seq_cst (acquire) before touching slots.
+    S.TableP.store(N, std::memory_order_seq_cst);
+    ThreadSlot::waitUntilUnprotected(Old);
+    S.Bytes.fetch_sub((Old->Mask + 1) * sizeof(Slot),
+                      std::memory_order_relaxed);
+    delete Old;
+    return N;
+  }
+
+  Stripe Stripes[NumStripes];
+};
+
+/// A FlatMemo whose values live outside the table, at addresses that stay
+/// valid for the memo's lifetime: a slot holds a pointer into per-stripe
+/// storage, so the table can still grow and free what it outgrows while
+/// callers keep references to the values.
+template <typename KeyT, typename ValueT> class StableMemo {
+public:
+  const ValueT *find(const KeyT &K, uint64_t Hash) const {
+    std::optional<const ValueT *> Found = Memo.find(K, Hash);
+    return Found ? *Found : nullptr;
+  }
+
+  /// Stores \p V unless \p K raced in; returns the stored value either
+  /// way (a racing double-compute keeps the first entry).
+  const ValueT &insert(const KeyT &K, uint64_t Hash, ValueT V) {
+    std::deque<ValueT> &Store = Storage[Memo.stripeOfHash(Hash)];
+    return *Memo.insertWith(K, Hash, [&]() {
+      Store.push_back(std::move(V));
+      return &Store.back();
+    });
+  }
+
+private:
+  using Index = FlatMemo<KeyT, const ValueT *>;
+  Index Memo;
+  /// Storage[I] is mutated only under the lock of Memo's stripe I, and
+  /// deque growth never moves settled elements.
+  std::deque<ValueT> Storage[Index::NumStripes];
 };
 
 /// One interned element of a transition relation.
@@ -192,10 +331,10 @@ public:
     uint64_t Sub = (static_cast<uint64_t>(G) << 32) | ArgsPa;
     Key K{&A, Sub};
     uint64_t Hash = hashKey(K);
-    Lookups.fetch_add(1, std::memory_order_relaxed);
+    Lookups.add();
     if (const auto *Found = Memo.find(K, Hash)) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
-      return **Found;
+      Hits.add();
+      return *Found;
     }
     // Miss: enumerate, intern, then publish. Enumerators that do not
     // declare themselves thread-safe may share internal memo state and are
@@ -231,17 +370,11 @@ public:
         Interned.push_back(std::move(IT));
       }
     }
-    // The deque is only mutated here, under the memo's insert lock, and
-    // deque growth never moves settled elements, so published pointers
-    // stay valid. A racing double-compute keeps the first entry.
-    return *Memo.insertWith(K, Hash, [&]() {
-      Storage.push_back(std::move(Interned));
-      return &Storage.back();
-    });
+    return Memo.insert(K, Hash, std::move(Interned));
   }
 
-  size_t lookups() const { return Lookups.load(std::memory_order_relaxed); }
-  size_t hits() const { return Hits.load(std::memory_order_relaxed); }
+  size_t lookups() const { return Lookups.load(); }
+  size_t hits() const { return Hits.load(); }
 
 private:
   struct Key {
@@ -258,14 +391,11 @@ private:
   }
 
   StateArena &Arena;
-  FlatMemo<Key, std::vector<InternedTransition> *> Memo;
-  /// Backing storage for the interned transition vectors; mutated only
-  /// under the memo's insert lock.
-  std::deque<std::vector<InternedTransition>> Storage;
+  StableMemo<Key, std::vector<InternedTransition>> Memo;
   /// Serializes calls into user transition enumerators.
   std::mutex ComputeMutex;
-  std::atomic<size_t> Lookups{0};
-  std::atomic<size_t> Hits{0};
+  StripedCounter Lookups;
+  StripedCounter Hits;
 };
 
 /// Memoizes Ω-independent gate evaluations per (action instance, StoreId,
@@ -286,7 +416,7 @@ public:
     uint64_t Sub = (static_cast<uint64_t>(G) << 32) | ArgsPa;
     Key K{&A, Sub};
     uint64_t Hash = hashKey(K);
-    if (const bool *Found = Memo.find(K, Hash))
+    if (std::optional<bool> Found = Memo.find(K, Hash))
       return *Found;
     bool Result =
         A.evalGate(Arena.store(G), Arena.pa(ArgsPa).Args, OmegaForEval);
@@ -318,6 +448,10 @@ private:
 /// (gate, configuration) point once per mover pair and once per condition;
 /// this cache collapses those repeats into a single interpreter run.
 /// Thread-safe; a racing double-compute is benign (purity).
+///
+/// This is the largest memo of a check (≈210K entries on Paxos R=2 N=3),
+/// so its key is four 32-bit words: the action instance is a dense
+/// per-cache id, and the bool lives in the slot's tag (24-byte slots).
 class OmegaGateCache {
 public:
   explicit OmegaGateCache(StateArena &Arena) : Arena(Arena) {}
@@ -325,11 +459,15 @@ public:
   /// Evaluates (and memoizes) \p A's gate at (\p G, args of \p ArgsPa,
   /// multiset of \p Omega).
   bool get(const Action &A, StoreId G, PaId ArgsPa, PaSetId Omega) {
-    Key K{&A, (static_cast<uint64_t>(G) << 32) | ArgsPa, Omega};
+    Lookups.add();
+    uint32_t Id = idOf(A);
+    if (Id == InvalidId) // more gated actions than ids: evaluate directly
+      return A.evalGate(Arena.store(G), Arena.pa(ArgsPa).Args,
+                        Arena.paSet(Omega));
+    Key K{Id, G, ArgsPa, Omega};
     uint64_t Hash = hashKey(K);
-    Lookups.fetch_add(1, std::memory_order_relaxed);
-    if (const bool *Found = Memo.find(K, Hash)) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
+    if (std::optional<bool> Found = Memo.find(K, Hash)) {
+      Hits.add();
       return *Found;
     }
     bool Result =
@@ -337,29 +475,49 @@ public:
     return Memo.insert(K, Hash, Result);
   }
 
-  size_t lookups() const { return Lookups.load(std::memory_order_relaxed); }
-  size_t hits() const { return Hits.load(std::memory_order_relaxed); }
+  size_t lookups() const { return Lookups.load(); }
+  size_t hits() const { return Hits.load(); }
 
 private:
+  static constexpr size_t MaxActions = 64;
+
   struct Key {
-    const void *Action;
-    uint64_t Sub; // (StoreId << 32) | ArgsPa
+    uint32_t Action; // idOf(action instance)
+    StoreId G;
+    PaId ArgsPa;
     PaSetId Omega;
     bool operator==(const Key &O) const {
-      return Action == O.Action && Sub == O.Sub && Omega == O.Omega;
+      return Action == O.Action && G == O.G && ArgsPa == O.ArgsPa &&
+             Omega == O.Omega;
     }
   };
   static uint64_t hashKey(const Key &K) {
-    size_t Seed = reinterpret_cast<size_t>(K.Action);
-    hashCombine(Seed, static_cast<size_t>(K.Sub));
-    hashCombine(Seed, static_cast<size_t>(K.Omega));
+    size_t Seed = (static_cast<size_t>(K.Action) << 32) | K.G;
+    hashCombine(Seed, (static_cast<size_t>(K.ArgsPa) << 32) | K.Omega);
     return Seed;
   }
 
+  /// The action's index in Actions, claiming the first free entry on its
+  /// first use; InvalidId once all MaxActions entries hold other actions.
+  /// Entries fill in index order and never change, so each action gets
+  /// exactly one id.
+  uint32_t idOf(const Action &A) {
+    for (uint32_t I = 0; I < MaxActions; ++I) {
+      const Action *Seen = Actions[I].load(std::memory_order_relaxed);
+      if (!Seen && Actions[I].compare_exchange_strong(
+                       Seen, &A, std::memory_order_relaxed))
+        return I;
+      if (Seen == &A)
+        return I;
+    }
+    return InvalidId;
+  }
+
   StateArena &Arena;
+  std::atomic<const Action *> Actions[MaxActions] = {};
   FlatMemo<Key, bool> Memo;
-  std::atomic<size_t> Lookups{0};
-  std::atomic<size_t> Hits{0};
+  StripedCounter Lookups;
+  StripedCounter Hits;
 };
 
 /// Memoizes interned successor multisets Ω − executed ⊎ created, keyed on
@@ -378,7 +536,7 @@ public:
   PaSetId get(PaSetId Omega, PaId Executed, const InternedTransition &T) {
     Key K{(static_cast<uint64_t>(Omega) << 32) | Executed, T.CreatedSet};
     uint64_t Hash = hashKey(K);
-    if (const PaSetId *Found = Memo.find(K, Hash))
+    if (std::optional<PaSetId> Found = Memo.find(K, Hash))
       return *Found;
     PaCountVec Rest(Arena.paVec(Omega));
     paCountVecErase(Rest, Executed);

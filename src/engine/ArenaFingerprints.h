@@ -35,21 +35,21 @@ public:
   explicit ArenaFingerprints(StateArena &Arena) : Arena(Arena) {}
 
   Fingerprint store(StoreId Id) {
-    if (const Fingerprint *F = Stores.find(Id, Id))
+    if (std::optional<Fingerprint> F = Stores.find(Id, Id))
       return *F;
     return Stores.insertWith(Id, Id,
                              [&] { return fingerprintStore(Arena.store(Id)); });
   }
 
   Fingerprint pa(PaId Id) {
-    if (const Fingerprint *F = Pas.find(Id, Id))
+    if (std::optional<Fingerprint> F = Pas.find(Id, Id))
       return *F;
     return Pas.insertWith(
         Id, Id, [&] { return fingerprintPendingAsync(Arena.pa(Id)); });
   }
 
   Fingerprint paSet(PaSetId Id) {
-    if (const Fingerprint *F = PaSets.find(Id, Id))
+    if (std::optional<Fingerprint> F = PaSets.find(Id, Id))
       return *F;
     return PaSets.insertWith(
         Id, Id, [&] { return fingerprintPaMultiset(Arena.paSet(Id)); });
@@ -57,7 +57,7 @@ public:
 
   /// Matches fingerprintConfiguration of the same (non-failure) content.
   Fingerprint config(ConfigId Id) {
-    if (const Fingerprint *F = Configs.find(Id, Id))
+    if (std::optional<Fingerprint> F = Configs.find(Id, Id))
       return *F;
     return Configs.insertWith(Id, Id, [&] {
       auto [G, Omega] = Arena.config(Id);

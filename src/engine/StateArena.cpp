@@ -73,14 +73,14 @@ StateArena::StateArena(unsigned Shards) : NumShardsRt(Shards) {
 
 StoreId StateArena::internStore(const Store &S) {
   size_t Hash = S.hash(); // memoized inside Store
-  Lookups.fetch_add(1, std::memory_order_relaxed);
+  Lookups.add();
   size_t SIdx = shardFor(Hash);
   auto &Shard = StoreShards[SIdx];
   std::lock_guard<std::mutex> Lock(Shard.M);
   std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
   for (uint32_t Local : Bucket)
     if (Shard.Items[Local].Value == S) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
+      Hits.add();
       return makeId(SIdx, Local);
     }
   size_t Local = Shard.Items.push_back({S, Hash});
@@ -91,13 +91,13 @@ StoreId StateArena::internStore(const Store &S) {
 
 PaId StateArena::internPa(const PendingAsync &PA) {
   size_t Hash = PA.hash();
-  Lookups.fetch_add(1, std::memory_order_relaxed);
+  Lookups.add();
   auto &Shard = PaShards[shardFor(Hash)];
   std::lock_guard<std::mutex> Lock(Shard.M);
   std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
   for (uint32_t Local : Bucket)
     if (Shard.Items[Local] == PA) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
+      Hits.add();
       return makeId(shardFor(Hash), Local);
     }
   size_t Local = Shard.Items.push_back(PA);
@@ -132,14 +132,14 @@ PaSetId StateArena::internPaSet(const PaMultiset &Omega) {
 PaSetId StateArena::internPaVec(PaCountVec Vec) {
   assert(std::is_sorted(Vec.begin(), Vec.end()) && "PaCountVec not canonical");
   size_t Hash = hashPaCountVec(Vec);
-  Lookups.fetch_add(1, std::memory_order_relaxed);
+  Lookups.add();
   size_t SIdx = shardFor(Hash);
   auto &Shard = PaSetShards[SIdx];
   std::lock_guard<std::mutex> Lock(Shard.M);
   std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
   for (uint32_t Local : Bucket)
     if (Shard.Items[Local].Vec == Vec) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
+      Hits.add();
       return makeId(SIdx, Local);
     }
   PaSetItem Item;
@@ -159,12 +159,12 @@ ConfigId StateArena::internConfig(StoreId G, PaSetId Omega) {
   size_t Hash = StoreShards[shardOf(G)].Items[localOf(G)].ValueHash;
   hashCombine(Hash, PaSetShards[shardOf(Omega)].Items[localOf(Omega)].ValueHash);
   uint64_t Key = (static_cast<uint64_t>(G) << 32) | Omega;
-  Lookups.fetch_add(1, std::memory_order_relaxed);
+  Lookups.add();
   auto &Shard = ConfigShards[shardFor(Hash)];
   std::lock_guard<std::mutex> Lock(Shard.M);
   auto It = Shard.Index.find(Key);
   if (It != Shard.Index.end()) {
-    Hits.fetch_add(1, std::memory_order_relaxed);
+    Hits.add();
     return makeId(shardFor(Hash), It->second);
   }
   size_t Local = Shard.Items.push_back({G, Omega});
@@ -271,7 +271,7 @@ ArenaStats StateArena::stats() const {
     if (ConfigShards[I].Items.size() > 0)
       ++S.ShardOccupancy;
   }
-  S.Lookups = Lookups.load(std::memory_order_relaxed);
-  S.Hits = Hits.load(std::memory_order_relaxed);
+  S.Lookups = Lookups.load();
+  S.Hits = Hits.load();
   return S;
 }

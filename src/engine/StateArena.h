@@ -28,6 +28,7 @@
 #ifndef ISQ_ENGINE_STATEARENA_H
 #define ISQ_ENGINE_STATEARENA_H
 
+#include "engine/ThreadSlots.h"
 #include "semantics/Configuration.h"
 #include "support/Hashing.h"
 
@@ -273,8 +274,8 @@ private:
 
   PaSetId EmptyPaSet = InvalidId;
 
-  mutable std::atomic<size_t> Lookups{0};
-  mutable std::atomic<size_t> Hits{0};
+  StripedCounter Lookups;
+  StripedCounter Hits;
 
   static size_t hashPaCountVec(const PaCountVec &Vec);
   size_t paValueHash(const PaCountVec &Vec) const;

@@ -247,8 +247,8 @@ struct Engine {
   };
   static constexpr size_t NumCanonShards = 16;
   std::array<CanonShard, NumCanonShards> CanonShards;
-  std::atomic<uint64_t> CanonCalls{0};
-  std::atomic<uint64_t> CanonHits{0};
+  StripedCounter CanonCalls;
+  StripedCounter CanonHits;
 
   /// Stage-1 memo for canonChild: raw StoreId → (canonical StoreId, the
   /// permutation indices that reach it). Configurations compare
@@ -309,7 +309,7 @@ struct Engine {
   /// Canonicalizes the interned raw pair (G, Omega) through the sharded
   /// memo. Runs in worker threads.
   std::pair<ConfigId, uint32_t> canonChild(StoreId G, PaSetId Omega) {
-    CanonCalls.fetch_add(1, std::memory_order_relaxed);
+    CanonCalls.add();
     uint64_t Key = (static_cast<uint64_t>(G) << 32) | Omega;
     CanonShard &Shard =
         CanonShards[(Key ^ (Key >> 17)) % NumCanonShards];
@@ -317,7 +317,7 @@ struct Engine {
       std::lock_guard<std::mutex> Lock(Shard.Mutex);
       auto It = Shard.Map.find(Key);
       if (It != Shard.Map.end()) {
-        CanonHits.fetch_add(1, std::memory_order_relaxed);
+        CanonHits.add();
         return It->second;
       }
     }
@@ -482,7 +482,7 @@ struct Engine {
       if (Sym) {
         uint64_t Orbit = 1;
         Configuration Canon = Sym->canonical(Init, &Orbit);
-        CanonCalls.fetch_add(1, std::memory_order_relaxed);
+        CanonCalls.add();
         add(Arena.internConfig(Canon), UINT32_MAX, InvalidId,
             static_cast<uint32_t>(Orbit));
       } else {

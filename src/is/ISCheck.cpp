@@ -269,13 +269,9 @@ public:
   const std::vector<uint64_t> &get(StoreId G, PaSetId Omega) {
     uint64_t K = packIds(G, Omega);
     if (const auto *Found = Memo.find(K, K))
-      return **Found;
-    std::vector<uint64_t> V =
-        M.eval(Configuration(Arena.store(G), Arena.paSet(Omega)));
-    return *Memo.insertWith(K, K, [&]() {
-      Storage.push_back(std::move(V));
-      return &Storage.back();
-    });
+      return *Found;
+    return Memo.insert(
+        K, K, M.eval(Configuration(Arena.store(G), Arena.paSet(Omega))));
   }
 
   /// Measure::decreases on memoized tuples (lexicographic, zero-padded).
@@ -294,9 +290,7 @@ public:
 private:
   const Measure &M;
   StateArena &Arena;
-  engine::FlatMemo<uint64_t, const std::vector<uint64_t> *> Memo;
-  /// Backing storage for the tuples; mutated only under the memo lock.
-  std::deque<std::vector<uint64_t>> Storage;
+  engine::StableMemo<uint64_t, std::vector<uint64_t>> Memo;
 };
 
 /// Thread-safe memo of the distinct PAs in an interned Ω whose action is a
@@ -311,22 +305,17 @@ public:
   const std::vector<PaId> &get(PaSetId Omega, Symbol A) {
     uint64_t K = (static_cast<uint64_t>(Omega) << 32) | A.index();
     if (const auto *Found = Memo.find(K, K))
-      return **Found;
+      return *Found;
     std::vector<PaId> V;
     for (PaId Pa : Arena.paOrder(Omega))
       if (Arena.pa(Pa).Action == A)
         V.push_back(Pa);
-    return *Memo.insertWith(K, K, [&]() {
-      Storage.push_back(std::move(V));
-      return &Storage.back();
-    });
+    return Memo.insert(K, K, std::move(V));
   }
 
 private:
   StateArena &Arena;
-  engine::FlatMemo<uint64_t, const std::vector<PaId> *> Memo;
-  /// Backing storage for the lists; mutated only under the memo lock.
-  std::deque<std::vector<PaId>> Storage;
+  engine::StableMemo<uint64_t, std::vector<PaId>> Memo;
 };
 
 /// Whether every behavior the IS obligations depend on carries a content

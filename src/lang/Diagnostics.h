@@ -49,8 +49,10 @@ struct FrontendDiagnostic {
   std::string Message;
   unsigned Line = 0;
   unsigned Column = 0;
-  /// --- fields below are value-initialized by the historical
-  /// {Message, Line, Column} aggregate spelling ---
+  /// --- fields below carry default member initializers, so the
+  /// historical {Message, Line, Column} aggregate spelling (and any
+  /// prefix of the fields) leaves them empty without a
+  /// -Wmissing-field-initializers warning ---
   Severity Sev = Severity::Error;
   /// SourceManager file id of the owning file (0 = main input).
   uint32_t File = 0;
@@ -59,9 +61,9 @@ struct FrontendDiagnostic {
   unsigned EndColumn = 0;
   /// Display name of the owning file, resolved from File by the frontend
   /// entry before diagnostics escape to a driver. Empty inside stages.
-  std::string FileName;
+  std::string FileName{};
   /// Optional secondary text ("first declared here", a fix hint, ...).
-  std::string Note;
+  std::string Note{};
 
   SourceLoc loc() const { return {File, Line, Column}; }
 

@@ -259,7 +259,7 @@ ExprPtr Parser::parseUnary() {
   if (T.is(TokenKind::Minus) || T.is(TokenKind::Bang)) {
     advance();
     ExprPtr E = makeExpr(ExprKind::Unary, T);
-    E->Op = T.is(TokenKind::Minus) ? "-" : "!";
+    E->Op.assign(1, T.is(TokenKind::Minus) ? '-' : '!');
     E->Children.push_back(parseUnary());
     return E;
   }

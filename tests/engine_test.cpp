@@ -18,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace isq;
 using namespace isq::engine;
 using namespace isq::protocols;
@@ -173,6 +176,116 @@ TEST(OmegaGateCacheTest, CountsLookupsAndHits) {
   EXPECT_EQ(Cache.lookups(), 6u);
   EXPECT_EQ(Cache.hits(), 3u);
   EXPECT_EQ(Evals, 3u);
+}
+
+/// Runs \p Body(ThreadIndex) on four threads at once.
+template <typename F> void onFourThreads(F Body) {
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < 4; ++T)
+    Pool.emplace_back([&Body, T] { Body(T); });
+  for (std::thread &T : Pool)
+    T.join();
+}
+
+TEST(StateArenaTest, HashConsHitsAreCountedAcrossThreads) {
+  // The counters are striped per thread and summed on read; the sums must
+  // be exactly what one shared counter would have reported. Every store
+  // is interned once up front, so each threaded call is a lookup and a
+  // hit.
+  constexpr int64_t NumStores = 64;
+  constexpr size_t Rounds = 50;
+  StateArena Arena;
+  std::vector<Store> Stores;
+  for (int64_t I = 0; I < NumStores; ++I) {
+    Stores.push_back(makeStore({{"x", I}}));
+    Arena.internStore(Stores.back());
+  }
+  ArenaStats Before = Arena.stats();
+  onFourThreads([&](unsigned T) {
+    for (size_t R = 0; R < Rounds; ++R)
+      for (size_t I = 0; I < Stores.size(); ++I)
+        Arena.internStore(Stores[(I + T) % Stores.size()]);
+  });
+  ArenaStats After = Arena.stats();
+  EXPECT_EQ(After.Lookups - Before.Lookups, 4 * Rounds * NumStores);
+  EXPECT_EQ(After.Hits - Before.Hits, 4 * Rounds * NumStores);
+  EXPECT_EQ(After.Stores, static_cast<size_t>(NumStores));
+}
+
+TEST(OmegaGateCacheTest, CountsLookupsAndHitsAcrossThreads) {
+  // Same key sequence on four threads after a serial warm-up: every
+  // threaded get is a lookup and a hit, none re-runs the gate.
+  StateArena Arena;
+  std::atomic<size_t> Evals{0};
+  Action A(
+      "Guard", 0,
+      [&Evals](const GateContext &Ctx) {
+        Evals.fetch_add(1);
+        return Ctx.Omega.size() % 2 == 1;
+      },
+      [](const Store &, const std::vector<Value> &) {
+        return std::vector<Transition>{};
+      },
+      /*GateReadsOmega=*/true);
+  PaId Args = Arena.internPa(PendingAsync(Symbol::get("Guard"), {}));
+  std::vector<std::pair<StoreId, PaSetId>> Points;
+  PaMultiset Pending;
+  for (int64_t Size = 0; Size < 8; ++Size) {
+    PaSetId Omega = Arena.internPaSet(Pending);
+    for (int64_t X = 0; X < 8; ++X)
+      Points.emplace_back(Arena.internStore(makeStore({{"x", X}})), Omega);
+    Pending.insert(PendingAsync(Symbol::get("Guard"), {}));
+  }
+
+  OmegaGateCache Cache(Arena);
+  for (auto [G, Omega] : Points)
+    Cache.get(A, G, Args, Omega);
+  ASSERT_EQ(Cache.lookups(), Points.size());
+  ASSERT_EQ(Cache.hits(), 0u);
+
+  constexpr size_t Rounds = 50;
+  std::atomic<size_t> Wrong{0};
+  onFourThreads([&](unsigned T) {
+    for (size_t R = 0; R < Rounds; ++R)
+      for (size_t I = 0; I < Points.size(); ++I) {
+        auto [G, Omega] = Points[(I + T) % Points.size()];
+        bool Expected = Arena.paSet(Omega).size() % 2 == 1;
+        if (Cache.get(A, G, Args, Omega) != Expected)
+          Wrong.fetch_add(1);
+      }
+  });
+  EXPECT_EQ(Wrong.load(), 0u);
+  EXPECT_EQ(Cache.lookups(), Points.size() * (1 + 4 * Rounds));
+  EXPECT_EQ(Cache.hits(), Points.size() * 4 * Rounds);
+  EXPECT_EQ(Evals.load(), Points.size()) << "hits must not re-run the gate";
+}
+
+TEST(OmegaGateCacheTest, MoreActionsThanIdsStayCorrect) {
+  // Past the cache's dense action ids, gates are evaluated directly:
+  // still correct, merely unmemoized.
+  StateArena Arena;
+  std::vector<Action> Actions;
+  for (int I = 0; I < 80; ++I)
+    Actions.emplace_back(
+        "G" + std::to_string(I), 0,
+        [I](const GateContext &Ctx) { return (Ctx.Omega.size() + I) % 3 == 0; },
+        [](const Store &, const std::vector<Value> &) {
+          return std::vector<Transition>{};
+        },
+        /*GateReadsOmega=*/true);
+  StoreId G = Arena.internStore(makeStore({{"x", 1}}));
+  PaId Args = Arena.internPa(PendingAsync(Symbol::get("G0"), {}));
+  PaMultiset Pending;
+  Pending.insert(PendingAsync(Symbol::get("G0"), {}));
+  PaSetId One = Arena.internPaSet(Pending);
+  OmegaGateCache Cache(Arena);
+  for (int Round = 0; Round < 2; ++Round)
+    for (size_t I = 0; I < Actions.size(); ++I) {
+      EXPECT_EQ(Cache.get(Actions[I], G, Args, One), (1 + I) % 3 == 0);
+      EXPECT_EQ(Cache.get(Actions[I], G, Args, Arena.emptyPaSet()),
+                I % 3 == 0);
+    }
+  EXPECT_EQ(Cache.lookups(), 4 * Actions.size());
 }
 
 TEST(StateArenaTest, PaCountVecOperations) {

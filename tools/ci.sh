@@ -20,7 +20,10 @@
 # one-action edit whose warm run must be bit-identical to the --engine
 # incremental=false oracle with a nonzero hit rate, and a corrupted
 # cache that must degrade to a cold run, never to different answers);
-# finally run the threaded engine + obligation-scheduler + symmetry +
+# check that running out of memory (Paxos N=4 under a `ulimit -v` cap)
+# ends in exit 2 with a resource-exhausted diagnostic;
+# finally run the threaded engine + concurrent memo (FlatMemo stress) +
+# obligation-scheduler + symmetry +
 # serve + driver-re-entrancy tests under ThreadSanitizer, including the
 # symmetry=false differential, a tiny-steal-chunk run that forces
 # cross-worker stealing, a threaded warm run over a shared verdict
@@ -436,12 +439,34 @@ assert ob["disk_hits"] > 0 and ob["cache_misses"] == 0, ob
 print("  self-heal ok")
 '
 
-echo "==== TSan: threaded engine + scheduler + symmetry + serve ===="
+echo "==== out of memory: exit 2 with a located diagnostic ===="
+# Paxos R=2 N=4 peaks near 240 MB at one thread; under a 100 MB
+# address-space cap (set in a subshell, so nothing else runs capped) an
+# allocation fails mid-run. isq-verify must report it and exit 2, never
+# die on an uncaught std::bad_alloc.
+paxos4_flags="--param R=2 --param N=4 --arg-major
+  --eliminate StartRound,Join,Propose,Vote,Conclude
+  --abstract Join=JoinAbs --abstract Propose=ProposeAbs
+  --abstract Vote=VoteAbs --abstract Conclude=ConcludeAbs
+  --weight StartRound=13 --weight Propose=7 --weight Conclude=2"
+oom_status=0
+# shellcheck disable=SC2086
+(ulimit -v 100000
+ build/tools/isq-verify examples/asl/paxos.asl $paxos4_flags \
+   --engine threads=1 >/dev/null 2>"$SERVE_TMP/oom.err") || oom_status=$?
+if [ "$oom_status" -ne 2 ] ||
+   ! grep -qx 'error: resource exhausted (out of memory) verifying examples/asl/paxos.asl' \
+     "$SERVE_TMP/oom.err"; then
+  echo "out-of-memory run: exit $oom_status"; cat "$SERVE_TMP/oom.err"; exit 1
+fi
+echo "  paxos N=4 under ulimit -v 100000: exit 2, resource exhausted"
+
+echo "==== TSan: threaded engine + memos + scheduler + symmetry + serve ===="
 cmake -B build-tsan -S . -DISQ_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target engine_test scheduler_test \
-  symmetry_test cli_test serve_test reentrancy_test isq-verify
+cmake --build build-tsan -j "$JOBS" --target engine_test flat_memo_test \
+  scheduler_test symmetry_test cli_test serve_test reentrancy_test isq-verify
 (cd build-tsan && ctest -j "$JOBS" --output-on-failure \
-  -R 'Engine|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
+  -R 'Engine|FlatMemo|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
 build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
   --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
   --engine threads=4 >/dev/null

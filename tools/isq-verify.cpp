@@ -10,7 +10,7 @@
 /// and report rendering in driver/ReportRender.h, both unit-tested in
 /// the library. See `isq-verify --help` for the option reference and the
 /// documented exit codes (0 accepted, 1 rejected, 2 usage/compile/input
-/// error).
+/// error, or running out of memory).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <new>
 #include <sstream>
 
 using namespace isq;
@@ -52,7 +53,17 @@ int main(int argc, char **argv) {
   // Imports resolve relative to the input file; diagnostics name it.
   Parse.Options.Verify.SourcePath = Parse.Options.InputPath;
 
-  VerifyResult Result = verifyModule(Parse.Options.Verify);
+  VerifyResult Result;
+  try {
+    Result = verifyModule(Parse.Options.Verify);
+  } catch (const std::bad_alloc &) {
+    // The unwinding freed the run's arenas and memos, so reporting is
+    // safe; running out of memory is a resource error, not a crash.
+    std::fprintf(stderr,
+                 "error: resource exhausted (out of memory) verifying %s\n",
+                 Parse.Options.InputPath.c_str());
+    return 2;
+  }
   std::string Report = Parse.Options.Format == OutputFormat::Json
                            ? renderJson(Result)
                            : renderText(Result);
