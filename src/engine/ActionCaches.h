@@ -315,6 +315,24 @@ struct InternedTransition {
   PaCountVec Created;
 };
 
+/// The memo key of an action evaluated at one point: the action instance
+/// and (StoreId << 32) | args PaId.
+struct ActionPointKey {
+  const void *Action;
+  uint64_t Sub;
+  ActionPointKey(const isq::Action &A, StoreId G, PaId ArgsPa)
+      : Action(&A), Sub((static_cast<uint64_t>(G) << 32) | ArgsPa) {}
+  ActionPointKey() = default;
+  bool operator==(const ActionPointKey &O) const {
+    return Action == O.Action && Sub == O.Sub;
+  }
+  uint64_t hash() const {
+    size_t Seed = reinterpret_cast<size_t>(Action);
+    hashCombine(Seed, static_cast<size_t>(Sub));
+    return Seed;
+  }
+};
+
 /// Memoizes Action::transitions per (action instance, StoreId, args PaId)
 /// in interned form. The referenced actions and arena must outlive the
 /// cache. Thread-safe; concurrent misses for distinct keys serialize the
@@ -328,9 +346,8 @@ public:
   /// symbol need not match \p A (abstractions run under the subject's PA).
   const std::vector<InternedTransition> &get(const Action &A, StoreId G,
                                              PaId ArgsPa) {
-    uint64_t Sub = (static_cast<uint64_t>(G) << 32) | ArgsPa;
-    Key K{&A, Sub};
-    uint64_t Hash = hashKey(K);
+    ActionPointKey K(A, G, ArgsPa);
+    uint64_t Hash = K.hash();
     Lookups.add();
     if (const auto *Found = Memo.find(K, Hash)) {
       Hits.add();
@@ -377,21 +394,8 @@ public:
   size_t hits() const { return Hits.load(); }
 
 private:
-  struct Key {
-    const void *Action;
-    uint64_t Sub; // (StoreId << 32) | ArgsPa
-    bool operator==(const Key &O) const {
-      return Action == O.Action && Sub == O.Sub;
-    }
-  };
-  static uint64_t hashKey(const Key &K) {
-    size_t Seed = reinterpret_cast<size_t>(K.Action);
-    hashCombine(Seed, static_cast<size_t>(K.Sub));
-    return Seed;
-  }
-
   StateArena &Arena;
-  StableMemo<Key, std::vector<InternedTransition>> Memo;
+  StableMemo<ActionPointKey, std::vector<InternedTransition>> Memo;
   /// Serializes calls into user transition enumerators.
   std::mutex ComputeMutex;
   StripedCounter Lookups;
@@ -413,9 +417,8 @@ public:
   bool get(const Action &A, StoreId G, PaId ArgsPa,
            const PaMultiset &OmegaForEval) {
     assert(!A.gateReadsOmega() && "GateCache requires an Ω-independent gate");
-    uint64_t Sub = (static_cast<uint64_t>(G) << 32) | ArgsPa;
-    Key K{&A, Sub};
-    uint64_t Hash = hashKey(K);
+    ActionPointKey K(A, G, ArgsPa);
+    uint64_t Hash = K.hash();
     if (std::optional<bool> Found = Memo.find(K, Hash))
       return *Found;
     bool Result =
@@ -424,21 +427,8 @@ public:
   }
 
 private:
-  struct Key {
-    const void *Action;
-    uint64_t Sub;
-    bool operator==(const Key &O) const {
-      return Action == O.Action && Sub == O.Sub;
-    }
-  };
-  static uint64_t hashKey(const Key &K) {
-    size_t Seed = reinterpret_cast<size_t>(K.Action);
-    hashCombine(Seed, static_cast<size_t>(K.Sub));
-    return Seed;
-  }
-
   StateArena &Arena;
-  FlatMemo<Key, bool> Memo;
+  FlatMemo<ActionPointKey, bool> Memo;
 };
 
 /// Memoizes Ω-observing gate evaluations per (action instance, StoreId,

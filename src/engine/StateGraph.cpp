@@ -25,12 +25,11 @@
 #include "engine/StateGraph.h"
 
 #include "engine/ActionCaches.h"
-#include "semantics/Symmetry.h"
+#include "engine/Canonicalizer.h"
 #include "support/Format.h"
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
@@ -233,38 +232,9 @@ struct Engine {
   /// Symbol → action resolution, hoisted out of the hot loop.
   std::unordered_map<Symbol, const Action *> Resolve;
 
-  /// The active symmetry (null = unreduced run). Trivial groups (singleton
-  /// domains) are treated as no symmetry.
-  const SymmetrySpec *Sym = nullptr;
-  /// Memoizes raw (StoreId, PaSetId) → (canonical ConfigId, orbit size)
-  /// without interning the raw configuration, so InternedConfigs counts
-  /// orbit representatives only. Sharded: expansion workers canonicalize
-  /// concurrently. A racing double-compute is benign — canonicalization is
-  /// deterministic, so both racers insert the same entry.
-  struct CanonShard {
-    std::mutex Mutex;
-    std::unordered_map<uint64_t, std::pair<ConfigId, uint32_t>> Map;
-  };
-  static constexpr size_t NumCanonShards = 16;
-  std::array<CanonShard, NumCanonShards> CanonShards;
-  StripedCounter CanonCalls;
-  StripedCounter CanonHits;
-
-  /// Stage-1 memo for canonChild: raw StoreId → (canonical StoreId, the
-  /// permutation indices that reach it). Configurations compare
-  /// store-first, so a raw successor's canonicalization only permutes Ω
-  /// under these (usually one) permutations instead of rebuilding |G|
-  /// full configurations — and distinct raw stores are far rarer than
-  /// distinct (store, Ω) pairs, so this table stays small and hot.
-  struct StoreCanonEntry {
-    StoreId Canon;
-    std::shared_ptr<const std::vector<uint32_t>> MinPerms;
-  };
-  struct StoreCanonShard {
-    std::mutex Mutex;
-    std::unordered_map<StoreId, StoreCanonEntry> Map;
-  };
-  std::array<StoreCanonShard, NumCanonShards> StoreCanonShards;
+  /// The active symmetry's canonicalizer (empty = unreduced run). Trivial
+  /// groups (singleton domains) are treated as no symmetry.
+  std::optional<Canonicalizer> Canon;
 
   /// ConfigId → node index (InvalidId when unexplored). Merger-only.
   std::vector<uint32_t> NodeOf;
@@ -303,67 +273,7 @@ struct Engine {
       Resolve.emplace(Name, &P.action(Name));
     if (Opts.Config.Symmetry && P.symmetry() &&
         P.symmetry()->numPermutations() > 1)
-      Sym = P.symmetry().get();
-  }
-
-  /// Canonicalizes the interned raw pair (G, Omega) through the sharded
-  /// memo. Runs in worker threads.
-  std::pair<ConfigId, uint32_t> canonChild(StoreId G, PaSetId Omega) {
-    CanonCalls.add();
-    uint64_t Key = (static_cast<uint64_t>(G) << 32) | Omega;
-    CanonShard &Shard =
-        CanonShards[(Key ^ (Key >> 17)) % NumCanonShards];
-    {
-      std::lock_guard<std::mutex> Lock(Shard.Mutex);
-      auto It = Shard.Map.find(Key);
-      if (It != Shard.Map.end()) {
-        CanonHits.add();
-        return It->second;
-      }
-    }
-    // Compute outside the lock; the canonical image is a pure function of
-    // the raw configuration. Stage 1 — the store — is memoized per raw
-    // StoreId; stage 2 permutes Ω only under the store-minimizing
-    // permutations. The number of Ω images tying for least is the
-    // stabilizer order of the canonical configuration, so
-    // orbit-stabilizer yields the orbit size as a byproduct.
-    StoreCanonEntry SC = canonStore(G);
-    const PaMultiset &Om = Arena.paSet(Omega);
-    PaMultiset BestOmega;
-    uint32_t Ties = 0;
-    for (uint32_t I : *SC.MinPerms) {
-      PaMultiset Img = I == 0 ? Om : Sym->permuteOmega(Om, Sym->perm(I));
-      if (Ties == 0 || Img < BestOmega) {
-        BestOmega = std::move(Img);
-        Ties = 1;
-      } else if (Img == BestOmega) {
-        ++Ties;
-      }
-    }
-    uint32_t Orbit =
-        static_cast<uint32_t>(Sym->numPermutations()) / Ties;
-    ConfigId Cid =
-        Arena.internConfig(SC.Canon, Arena.internPaSet(BestOmega));
-    std::pair<ConfigId, uint32_t> Entry{Cid, Orbit};
-    std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    return Shard.Map.emplace(Key, Entry).first->second;
-  }
-
-  /// Stage-1 lookup for canonChild. Runs in worker threads; a racing
-  /// double-compute is benign (canonicalization is deterministic).
-  StoreCanonEntry canonStore(StoreId G) {
-    StoreCanonShard &Shard = StoreCanonShards[G % NumCanonShards];
-    {
-      std::lock_guard<std::mutex> Lock(Shard.Mutex);
-      auto It = Shard.Map.find(G);
-      if (It != Shard.Map.end())
-        return It->second;
-    }
-    auto MinPerms = std::make_shared<std::vector<uint32_t>>();
-    Store Canon = Sym->canonicalStore(Arena.store(G), MinPerms.get());
-    StoreCanonEntry Entry{Arena.internStore(Canon), std::move(MinPerms)};
-    std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    return Shard.Map.emplace(G, Entry).first->second;
+      Canon.emplace(Arena, *P.symmetry());
   }
 
   bool known(ConfigId Cid) const {
@@ -384,7 +294,7 @@ struct Engine {
     uint32_t Index = static_cast<uint32_t>(Nodes.size());
     NodeOf[Cid] = Index;
     Nodes.push_back(Cid);
-    if (Sym) {
+    if (Canon) {
       OrbitSizes.push_back(Orbit);
       Stats.OrbitStatesRepresented += Orbit;
     }
@@ -443,10 +353,10 @@ struct Engine {
             Arena.internPaVec(paCountVecUnion(Rest, T.Created));
         ConfigId Child;
         uint32_t Orbit = 1;
-        if (Sym) {
+        if (Canon) {
           // Equivariance makes stepping the representative equivalent to
           // stepping any orbit member: intern the canonical image only.
-          std::tie(Child, Orbit) = canonChild(T.Global, SuccOmega);
+          std::tie(Child, Orbit) = Canon->canon(T.Global, SuccOmega);
         } else {
           Child = Arena.internConfig(T.Global, SuccOmega);
         }
@@ -479,15 +389,11 @@ struct Engine {
   void seed(const std::vector<Configuration> &Inits) {
     for (const Configuration &Init : Inits) {
       assert(!Init.isFailure() && "initial configuration cannot be failure");
-      if (Sym) {
-        uint64_t Orbit = 1;
-        Configuration Canon = Sym->canonical(Init, &Orbit);
-        CanonCalls.add();
-        add(Arena.internConfig(Canon), UINT32_MAX, InvalidId,
-            static_cast<uint32_t>(Orbit));
-      } else {
-        add(Arena.internConfig(Init), UINT32_MAX, InvalidId);
-      }
+      StoreId G = Arena.internStore(Init.global());
+      PaSetId Omega = Arena.internPaSet(Init.pendingAsyncs());
+      auto [Cid, Orbit] = Canon ? Canon->canon(G, Omega)
+                                : std::pair(Arena.internConfig(G, Omega), 1u);
+      add(Cid, UINT32_MAX, InvalidId, Orbit);
     }
   }
 
@@ -703,12 +609,14 @@ StateGraph engine::exploreGraph(const Program &P,
   Stats.HashConsHits = After.Hits - Before.Hits;
   Stats.TransitionCacheLookups = E.TransCache.lookups();
   Stats.TransitionCacheHits = E.TransCache.hits();
-  Stats.SymmetryReduced = E.Sym != nullptr;
-  Stats.CanonCalls = E.CanonCalls.load();
-  Stats.CanonCacheHits = E.CanonHits.load();
+  Stats.SymmetryReduced = E.Canon.has_value();
+  if (E.Canon) {
+    Stats.CanonCalls = E.Canon->calls();
+    Stats.CanonCacheHits = E.Canon->hits();
+  }
   Stats.Shards = After.Shards;
   Stats.ShardOccupancy = After.ShardOccupancy;
-  if (!E.Sym)
+  if (!E.Canon)
     Stats.OrbitStatesRepresented = Stats.NumConfigurations;
   return G;
 }

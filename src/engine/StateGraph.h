@@ -141,7 +141,6 @@ public:
 
   StateArena &arena() { return *Arena; }
   const StateArena &arena() const { return *Arena; }
-  const std::shared_ptr<StateArena> &arenaPtr() const { return Arena; }
 
   /// Reachable non-failure configurations in BFS order.
   const std::vector<ConfigId> &nodes() const { return Nodes; }

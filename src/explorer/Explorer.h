@@ -60,10 +60,6 @@ struct ExploreResult {
   ExploreStats Stats;
   /// Detailed engine observability (interning, caching, phase times).
   engine::EngineStats Engine;
-
-  /// True iff the program can fail from the explored initial
-  /// configuration: ¬Good.
-  bool canFail() const { return FailureReachable; }
 };
 
 /// Explores all configurations reachable from \p Init under \p P.

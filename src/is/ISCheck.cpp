@@ -4,6 +4,7 @@
 
 #include "engine/ActionCaches.h"
 #include "engine/ArenaFingerprints.h"
+#include "engine/Canonicalizer.h"
 #include "engine/ObligationCache.h"
 #include "engine/StateGraph.h"
 #include "is/ISCheckShared.h"
@@ -17,7 +18,6 @@
 #include <mutex>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace isq;
@@ -69,17 +69,17 @@ private:
 };
 
 /// The closure test: whether every step I takes from a point of \p Calls
-/// lands on a node of \p PNodes. \p Sym is the active symmetry when
-/// \p PNodes holds orbit representatives (successors are canonicalized
-/// before the lookup), null otherwise. Steps whose gate fails reach the
-/// failure configuration, never a node, and are skipped like the engine
-/// skips them; τI is enumerated through the invariant itself, so a
-/// memoizing invariant (makeScheduleInvariant) answers the checkers'
-/// later queries at these points from its memo.
+/// lands on a node of \p PNodes. \p Canon canonicalizes successors the
+/// way exploration does when \p PNodes holds orbit representatives, and
+/// is null otherwise. Steps whose gate fails reach the failure
+/// configuration, never a node, and are skipped like the engine skips
+/// them; τI is enumerated through the invariant itself, so a memoizing
+/// invariant (makeScheduleInvariant) answers the checkers' later queries
+/// at these points from its memo.
 bool invariantStaysInside(const Action &Inv,
                           const InternedContextUniverse &Calls,
                           const std::unordered_set<ConfigId> &PNodes,
-                          const SymmetrySpec *Sym) {
+                          Canonicalizer *Canon) {
   StateArena &Arena = *Calls.Arena;
   for (const InternedActionContext &Call : Calls.Items) {
     const Store &G = Arena.store(Call.Global);
@@ -92,10 +92,9 @@ bool invariantStaysInside(const Action &Inv,
       PaSetId Created = Arena.internPaSet(T.createdMultiset());
       PaSetId Omega =
           Arena.internPaVec(paCountVecUnion(Rest, Arena.paVec(Created)));
-      ConfigId Succ =
-          Sym ? Arena.internConfig(Sym->canonical(
-                    Configuration(T.Global, Arena.paSet(Omega))))
-              : Arena.internConfig(Arena.internStore(T.Global), Omega);
+      StoreId Global = Arena.internStore(T.Global);
+      ConfigId Succ = Canon ? Canon->canon(Global, Omega).first
+                            : Arena.internConfig(Global, Omega);
       if (!PNodes.count(Succ))
         return false;
     }
@@ -154,8 +153,17 @@ ISUniverse ISUniverse::build(const ISApplication &App,
   // the universe is P's alone. Otherwise the leg is explored unreduced,
   // as withAction drops the symmetry spec, and its new configurations are
   // appended, each counting as a singleton orbit.
-  if (U.Stats.Truncated ||
-      !invariantStaysInside(App.Invariant, Calls.universe(), Seen, Sym)) {
+  bool Closed = false;
+  if (!U.Stats.Truncated) {
+    // Its successors are mostly images exploration never canonicalized:
+    // a canonicalizer of its own, freed before the P[M ↦ I] leg runs.
+    std::optional<Canonicalizer> Canon;
+    if (Sym)
+      Canon.emplace(*U.Space.Arena, *Sym);
+    Closed = invariantStaysInside(App.Invariant, Calls.universe(), Seen,
+                                  Canon ? &*Canon : nullptr);
+  }
+  if (!Closed) {
     size_t PNodes = U.Space.Configs.size();
     Absorb(App.P.withAction(App.Invariant.withName(App.M.str())), nullptr);
     StateSpace Leg{U.Space.Arena,
@@ -221,12 +229,8 @@ public:
 
   const InvPoint &get(StoreId G, PaId ArgsPa) {
     uint64_t K = packIds(G, ArgsPa);
-    {
-      std::lock_guard<std::mutex> Lock(MapMutex);
-      auto It = Points.find(K);
-      if (It != Points.end())
-        return It->second;
-    }
+    if (const InvPoint *Found = Points.find(K, K))
+      return *Found;
     InvPoint P;
     {
       std::unique_lock<std::mutex> Compute(ComputeMutex, std::defer_lock);
@@ -243,16 +247,14 @@ public:
       P.TCreated.push_back(Arena.paVec(TC));
       P.Index.insert(packIds(TG, TC));
     }
-    std::lock_guard<std::mutex> Lock(MapMutex);
-    return Points.try_emplace(K, std::move(P)).first->second;
+    return Points.insert(K, K, std::move(P));
   }
 
 private:
   const Action &Inv;
   StateArena &Arena;
-  std::mutex MapMutex;
   std::mutex ComputeMutex;
-  std::unordered_map<uint64_t, InvPoint> Points;
+  engine::StableMemo<uint64_t, InvPoint> Points;
 };
 
 /// Thread-safe memo of measure tuples per interned (store, Ω) pair for the
@@ -272,19 +274,6 @@ public:
       return *Found;
     return Memo.insert(
         K, K, M.eval(Configuration(Arena.store(G), Arena.paSet(Omega))));
-  }
-
-  /// Measure::decreases on memoized tuples (lexicographic, zero-padded).
-  static bool decreases(const std::vector<uint64_t> &MA,
-                        const std::vector<uint64_t> &MB) {
-    size_t N = std::max(MA.size(), MB.size());
-    for (size_t I = 0; I < N; ++I) {
-      uint64_t VA = I < MA.size() ? MA[I] : 0;
-      uint64_t VB = I < MB.size() ? MB[I] : 0;
-      if (VA != VB)
-        return VA > VB;
-    }
-    return false;
   }
 
 private:
@@ -635,7 +624,7 @@ ISCheckReport isq::checkIS(const ISApplication &App,
               bool Decreases = false;
               for (const InternedTransition &TA : CacheP->get(Abs, G, Pa)) {
                 PaSetId NextOmega = SuccOmegaP->get(OmegaId, Pa, TA);
-                if (MeasureMemo::decreases(
+                if (Measure::decreases(
                         MC, MeasuresP->get(TA.Global, NextOmega))) {
                   Decreases = true;
                   break;

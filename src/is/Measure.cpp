@@ -4,20 +4,6 @@
 
 using namespace isq;
 
-bool Measure::decreases(const Configuration &A, const Configuration &B) const {
-  std::vector<uint64_t> MA = eval(A);
-  std::vector<uint64_t> MB = eval(B);
-  // Lexicographic comparison; shorter tuples are padded with zeros.
-  size_t N = std::max(MA.size(), MB.size());
-  for (size_t I = 0; I < N; ++I) {
-    uint64_t VA = I < MA.size() ? MA[I] : 0;
-    uint64_t VB = I < MB.size() ? MB[I] : 0;
-    if (VA != VB)
-      return VA > VB;
-  }
-  return false;
-}
-
 Measure Measure::pendingAsyncCount() {
   return Measure("|Ω|", [](const Configuration &C) {
     return std::vector<uint64_t>{C.isFailure() ? 0 : C.pendingAsyncs().size()};

@@ -16,6 +16,7 @@
 #include "semantics/Configuration.h"
 #include "semantics/Fingerprint.h"
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -41,7 +42,21 @@ public:
   }
 
   /// True iff eval(A) > eval(B) lexicographically (A ≫ B).
-  bool decreases(const Configuration &A, const Configuration &B) const;
+  bool decreases(const Configuration &A, const Configuration &B) const {
+    return decreases(eval(A), eval(B));
+  }
+  /// True iff tuple \p MA > tuple \p MB lexicographically, the shorter
+  /// one padded with zeros.
+  static bool decreases(const std::vector<uint64_t> &MA,
+                        const std::vector<uint64_t> &MB) {
+    for (size_t I = 0; I < std::max(MA.size(), MB.size()); ++I) {
+      uint64_t VA = I < MA.size() ? MA[I] : 0;
+      uint64_t VB = I < MB.size() ? MB[I] : 0;
+      if (VA != VB)
+        return VA > VB;
+    }
+    return false;
+  }
 
   /// The paper's generic pattern instantiated with the total PA count:
   /// c ≫ c' iff c has more pending asyncs than c'. Sufficient whenever

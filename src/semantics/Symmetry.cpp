@@ -10,49 +10,31 @@ ValueShape ValueShape::id() {
   return ValueShape(Kind::Id, /*Fixed=*/false, nullptr);
 }
 
+ValueShape ValueShape::compound(Kind K, std::vector<ValueShape> Children) {
+  bool Fixed = std::all_of(Children.begin(), Children.end(),
+                           [](const ValueShape &S) { return S.fixed(); });
+  return ValueShape(K, Fixed,
+                    std::make_shared<const std::vector<ValueShape>>(
+                        std::move(Children)));
+}
+
 ValueShape ValueShape::tuple(std::vector<ValueShape> Elems) {
-  bool Fixed = true;
-  for (const ValueShape &S : Elems)
-    Fixed = Fixed && S.fixed();
-  return ValueShape(Kind::Tuple, Fixed,
-                    std::make_shared<const std::vector<ValueShape>>(
-                        std::move(Elems)));
+  return compound(Kind::Tuple, std::move(Elems));
 }
-
 ValueShape ValueShape::option(ValueShape Payload) {
-  bool Fixed = Payload.fixed();
-  return ValueShape(Kind::Option, Fixed,
-                    std::make_shared<const std::vector<ValueShape>>(
-                        std::vector<ValueShape>{std::move(Payload)}));
+  return compound(Kind::Option, {std::move(Payload)});
 }
-
 ValueShape ValueShape::setOf(ValueShape Elem) {
-  bool Fixed = Elem.fixed();
-  return ValueShape(Kind::Set, Fixed,
-                    std::make_shared<const std::vector<ValueShape>>(
-                        std::vector<ValueShape>{std::move(Elem)}));
+  return compound(Kind::Set, {std::move(Elem)});
 }
-
 ValueShape ValueShape::bagOf(ValueShape Elem) {
-  bool Fixed = Elem.fixed();
-  return ValueShape(Kind::Bag, Fixed,
-                    std::make_shared<const std::vector<ValueShape>>(
-                        std::vector<ValueShape>{std::move(Elem)}));
+  return compound(Kind::Bag, {std::move(Elem)});
 }
-
 ValueShape ValueShape::seqOf(ValueShape Elem) {
-  bool Fixed = Elem.fixed();
-  return ValueShape(Kind::Seq, Fixed,
-                    std::make_shared<const std::vector<ValueShape>>(
-                        std::vector<ValueShape>{std::move(Elem)}));
+  return compound(Kind::Seq, {std::move(Elem)});
 }
-
 ValueShape ValueShape::mapOf(ValueShape Key, ValueShape Val) {
-  bool Fixed = Key.fixed() && Val.fixed();
-  return ValueShape(Kind::Map, Fixed,
-                    std::make_shared<const std::vector<ValueShape>>(
-                        std::vector<ValueShape>{std::move(Key),
-                                                std::move(Val)}));
+  return compound(Kind::Map, {std::move(Key), std::move(Val)});
 }
 
 SymmetrySpec::SymmetrySpec(std::string SortName, std::vector<int64_t> Domain)
@@ -215,22 +197,16 @@ SymmetrySpec::permuteConfiguration(const Configuration &C,
 }
 
 Store SymmetrySpec::canonicalStore(const Store &G,
-                                   std::vector<uint32_t> *MinPerms) const {
+                                   std::vector<uint32_t> &MinPerms) const {
   Store Best = G; // Perms[0] is the identity
-  if (MinPerms) {
-    MinPerms->clear();
-    MinPerms->push_back(0);
-  }
+  MinPerms.assign(1, 0);
   for (size_t I = 1; I < Perms.size(); ++I) {
     Store Img = permuteStore(G, Perms[I]);
     if (Img < Best) {
       Best = std::move(Img);
-      if (MinPerms) {
-        MinPerms->clear();
-        MinPerms->push_back(static_cast<uint32_t>(I));
-      }
-    } else if (MinPerms && Img == Best) {
-      MinPerms->push_back(static_cast<uint32_t>(I));
+      MinPerms.assign(1, static_cast<uint32_t>(I));
+    } else if (Img == Best) {
+      MinPerms.push_back(static_cast<uint32_t>(I));
     }
   }
   return Best;
@@ -238,35 +214,15 @@ Store SymmetrySpec::canonicalStore(const Store &G,
 
 Configuration SymmetrySpec::canonical(const Configuration &C,
                                       uint64_t *OrbitSize) const {
-  if (C.isFailure()) {
-    if (OrbitSize)
-      *OrbitSize = 1;
-    return C;
-  }
-  // Configurations compare store-first, so the minimizing permutation is
-  // drawn from the (usually singleton) set minimizing the store; only
-  // those need to touch Ω. Writing MinPerms = Stab(canonical store)∘π₀,
-  // the Ω images below are exactly the Stab-orbit of π₀·Ω, so the number
-  // of images equal to the least one is |Stab(canonical configuration)|
-  // and orbit-stabilizer gives the true orbit size without enumerating
-  // (or sorting) all |G| configuration images.
-  std::vector<uint32_t> MinPerms;
-  Store CanonStore = canonicalStore(C.global(), &MinPerms);
-  PaMultiset BestOmega;
-  uint64_t Ties = 0;
-  for (uint32_t I : MinPerms) {
-    PaMultiset Img = I == 0 ? C.pendingAsyncs()
-                            : permuteOmega(C.pendingAsyncs(), Perms[I]);
-    if (Ties == 0 || Img < BestOmega) {
-      BestOmega = std::move(Img);
-      Ties = 1;
-    } else if (Img == BestOmega) {
-      ++Ties;
-    }
-  }
+  std::vector<Configuration> Images;
+  Images.reserve(Perms.size());
+  for (const std::vector<int64_t> &Image : Perms)
+    Images.push_back(permuteConfiguration(C, Image));
+  std::sort(Images.begin(), Images.end());
+  Images.erase(std::unique(Images.begin(), Images.end()), Images.end());
   if (OrbitSize)
-    *OrbitSize = static_cast<uint64_t>(Perms.size()) / Ties;
-  return Configuration(std::move(CanonStore), std::move(BestOmega));
+    *OrbitSize = Images.size();
+  return Images.front();
 }
 
 std::vector<Store>

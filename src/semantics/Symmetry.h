@@ -79,6 +79,8 @@ private:
   ValueShape(Kind K, bool Fixed,
              std::shared_ptr<const std::vector<ValueShape>> Children)
       : K(K), Fixed(Fixed), Children(std::move(Children)) {}
+  /// A \p K shape over \p Children, fixed iff every child is.
+  static ValueShape compound(Kind K, std::vector<ValueShape> Children);
 
   Kind K = Kind::Plain;
   bool Fixed = true;
@@ -120,11 +122,6 @@ public:
     auto It = ActionShapes.find(Name);
     return It == ActionShapes.end() ? nullptr : &It->second;
   }
-  /// The declared shape of global variable \p Var, or null when unshaped.
-  const ValueShape *globalShape(Symbol Var) const {
-    auto It = GlobalShapes.find(Var);
-    return It == GlobalShapes.end() ? nullptr : &It->second;
-  }
 
   /// Applies the permutation Domain[i] → Image[i] to \p V along \p Shape.
   /// Ints at Id positions outside the domain are fixed points (the action
@@ -141,20 +138,19 @@ public:
   permuteConfiguration(const Configuration &C,
                        const std::vector<int64_t> &Image) const;
 
-  /// The lexicographically least image of \p G over the full group. When
-  /// \p MinPerms is non-null it receives the indices of every permutation
-  /// achieving that minimum (the coset of the canonical store's
-  /// stabilizer, never empty). Configurations compare store-first, so
-  /// canonicalizing a configuration only has to permute Ω under these
-  /// permutations — the engine caches this per interned store, which is
-  /// what makes the quotient cheaper than the space it saves.
-  Store canonicalStore(const Store &G,
-                       std::vector<uint32_t> *MinPerms = nullptr) const;
+  /// The lexicographically least image of \p G over the full group;
+  /// \p MinPerms receives the indices of every permutation achieving it
+  /// (the coset of the canonical store's stabilizer, never empty).
+  /// Configurations compare store-first, so canonicalizing a
+  /// configuration only has to permute Ω under these permutations
+  /// (engine::Canonicalizer).
+  Store canonicalStore(const Store &G, std::vector<uint32_t> &MinPerms) const;
 
-  /// The orbit representative of \p C: the lexicographically least image
-  /// over the full permutation group. When \p OrbitSize is non-null it
-  /// receives the number of *distinct* images (the true orbit size, by
-  /// orbit-stabilizer). Failure configurations are their own orbit.
+  /// The orbit representative of \p C, the lexicographically least image
+  /// over the full group, found by enumerating every image: the naive
+  /// reference engine::Canonicalizer is tested against. When \p OrbitSize
+  /// is non-null it receives the number of distinct images. Failure
+  /// configurations are their own orbit.
   Configuration canonical(const Configuration &C,
                           uint64_t *OrbitSize = nullptr) const;
 

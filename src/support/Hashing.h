@@ -26,14 +26,6 @@ template <typename T> void hashCombineValue(size_t &Seed, const T &V) {
   hashCombine(Seed, std::hash<T>{}(V));
 }
 
-/// Hashes a range of hashable elements.
-template <typename It> size_t hashRange(It First, It Last) {
-  size_t Seed = 0xcbf29ce484222325ULL;
-  for (; First != Last; ++First)
-    hashCombineValue(Seed, *First);
-  return Seed;
-}
-
 } // namespace isq
 
 #endif // ISQ_SUPPORT_HASHING_H

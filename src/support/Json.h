@@ -1,10 +1,11 @@
-//===- support/Json.h - Minimal JSON emission --------------------*- C++ -*-===//
+//===- support/Json.h - Minimal JSON emission and scanning ------*- C++ -*-===//
 ///
 /// \file
 /// A small streaming JSON writer for the machine-readable verdict report
 /// (isq-verify --format json). Handles comma placement, nesting, string
 /// escaping, and non-finite doubles (emitted as null, which JSON requires).
-/// Writing only — the repo never needs to parse JSON.
+/// Plus two plain scanners over a rendered report, for comparing and
+/// mining reports by key; the repo never needs a full JSON parser.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,18 @@ namespace json {
 
 /// Escapes \p S for inclusion in a JSON string literal (quotes excluded).
 std::string escape(const std::string &S);
+
+/// Returns \p Doc with the number of every member whose key \p Keys names
+/// replaced by 0: the run of digits and '.' right after `"key":`. Values
+/// that do not start with one (null, strings, nested values) are left
+/// alone. A key entry "*suffix" names every key made of lowercase letters
+/// and '_' that ends in suffix, so {"*seconds"} zeroes every timing.
+std::string zeroNumbers(const std::string &Doc,
+                        const std::vector<std::string> &Keys);
+
+/// The unsigned integer right after the first `"Key":` in \p Doc that is
+/// followed by a digit; 0 when there is none.
+uint64_t readUnsigned(const std::string &Doc, const std::string &Key);
 
 /// A streaming writer. Calls must form a well-nested document:
 ///

@@ -75,12 +75,10 @@ struct ShippedExample {
 };
 
 /// Compiles examples/asl/\p File under \p Flags (isq-verify's command
-/// line after the file) and builds its IS universe under the engine
-/// configuration the flags select, as isq-verify does.
-inline ShippedExample
-loadShippedExample(const std::string &File,
-                   const std::vector<std::string> &Flags) {
-  ShippedExample Ex;
+/// line after the file) into \p Ex's options and module; false when the
+/// command line or the frontend rejects it.
+inline bool compileShippedExample(ShippedExample &Ex, const std::string &File,
+                                  const std::vector<std::string> &Flags) {
   std::vector<std::string> Args{examplePath(File)};
   Args.insert(Args.end(), Flags.begin(), Flags.end());
   driver::CliParse Parse = driver::parseCommandLine(Args);
@@ -97,9 +95,21 @@ loadShippedExample(const std::string &File,
       Ex.Options.Frontend, Diags);
   EXPECT_TRUE(Compiled.has_value())
       << File << ": " << (Diags.empty() ? "" : Diags[0].str());
-  if (!Compiled)
-    return Ex;
+  if (!Parse.Ok || !Compiled)
+    return false;
   Ex.Compiled = std::move(*Compiled);
+  return true;
+}
+
+/// Compiles examples/asl/\p File under \p Flags and builds its IS
+/// universe under the engine configuration the flags select, as
+/// isq-verify does.
+inline ShippedExample
+loadShippedExample(const std::string &File,
+                   const std::vector<std::string> &Flags) {
+  ShippedExample Ex;
+  if (!compileShippedExample(Ex, File, Flags))
+    return Ex;
   Ex.App = driver::deriveApplication(Ex.Options, Ex.Compiled.P);
   ExploreOptions Explore;
   Explore.Config = Ex.Options.Engine;

@@ -16,7 +16,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <regex>
 #include <sstream>
 
 using namespace isq;
@@ -47,8 +46,7 @@ std::string readExampleAsl(const std::string &Name) {
 /// Zeroes every timing field so the JSON compares reproducibly; all other
 /// fields are deterministic at one thread.
 std::string scrubTimings(const std::string &Json) {
-  static const std::regex Seconds("(\"[a-z_]*seconds\":)[0-9.]+");
-  return std::regex_replace(Json, Seconds, "$010");
+  return json::zeroNumbers(Json, {"*seconds"});
 }
 
 /// Compares \p Rendered (scrubbed) against tests/golden/\p Name, or

@@ -27,12 +27,12 @@
 #include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
 #include "protocols/TwoPhaseCommit.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
-#include <regex>
 #include <sstream>
 
 using namespace isq;
@@ -54,8 +54,7 @@ std::string readFile(const std::string &Path) {
 }
 
 std::string scrubTimings(const std::string &Json) {
-  static const std::regex Seconds("(\"[a-z_]*seconds\":)[0-9.]+");
-  return std::regex_replace(Json, Seconds, "$010");
+  return json::zeroNumbers(Json, {"*seconds"});
 }
 
 /// With more than one worker thread the cache telemetry (hash-cons and
@@ -64,11 +63,10 @@ std::string scrubTimings(const std::string &Json) {
 /// not. Multithreaded comparisons zero the telemetry, single-threaded
 /// ones stay strict.
 std::string scrubSchedulingCounters(const std::string &Json) {
-  static const std::regex Counter(
-      "(\"(?:hash_cons_lookups|hash_cons_hits|transition_cache_lookups|"
-      "transition_cache_hits|canon_calls|canon_cache_hits|steals)\":)"
-      "[0-9]+");
-  return std::regex_replace(Json, Counter, "$010");
+  return json::zeroNumbers(
+      Json, {"hash_cons_lookups", "hash_cons_hits", "transition_cache_lookups",
+             "transition_cache_hits", "canon_calls", "canon_cache_hits",
+             "steals"});
 }
 
 /// One example with its documented proof artifacts (the "Verify with:"
@@ -310,7 +308,6 @@ TEST(FrontendV2Test, PaxosParamInstancesBitIdenticalAcrossThreads) {
   ASSERT_STREQ(Paxos.File, "paxos.asl");
   // The engine and the scheduler echo their thread budget; nothing else
   // in the report may depend on it.
-  static const std::regex ThreadsEcho("(\"threads\":)[0-9]+");
   std::string Serial;
   for (unsigned Threads : {1u, 2u}) {
     VerifyOptions O = optionsFor(Paxos);
@@ -318,9 +315,8 @@ TEST(FrontendV2Test, PaxosParamInstancesBitIdenticalAcrossThreads) {
     O.Engine.NumThreads = Threads;
     VerifyResult V = verifyModule(O);
     EXPECT_TRUE(V.Accepted) << V.Summary;
-    std::string Json = std::regex_replace(
-        scrubSchedulingCounters(scrubTimings(renderJson(V))), ThreadsEcho,
-        "$010");
+    std::string Json = json::zeroNumbers(
+        scrubSchedulingCounters(scrubTimings(renderJson(V))), {"threads"});
     if (Threads == 1) {
       Serial = Json;
     } else {

@@ -1,6 +1,7 @@
 //===- tests/support_test.cpp - Support library unit tests -----------------===//
 
 #include "support/Format.h"
+#include "support/Json.h"
 #include "support/Multiset.h"
 #include "support/Random.h"
 #include "support/Symbol.h"
@@ -198,6 +199,28 @@ TEST(FormatTest, TableAlignsColumns) {
   std::string T = formatTable({"name", "n"}, {{"alpha", "1"}, {"b", "22"}});
   EXPECT_NE(T.find("alpha  1"), std::string::npos) << T;
   EXPECT_NE(T.find("b      22"), std::string::npos) << T;
+}
+
+// --- Json scanning -----------------------------------------------------------
+
+TEST(JsonScanTest, ZeroNumbersZeroesNamedAndSuffixKeys) {
+  std::string Doc = R"({"total_seconds":1.25,"steals":7,"p99_seconds":3.5,)"
+                    R"("Wall_seconds":2.0,"seconds":0.5,"steals_x":4,)"
+                    R"("idle_seconds":null,"msg":"\"steals\":9"})";
+  // "*seconds" matches keys of lowercase letters and '_' only; an exact
+  // name matches itself alone; non-numeric values stay.
+  EXPECT_EQ(json::zeroNumbers(Doc, {"*seconds", "steals"}),
+            R"({"total_seconds":0,"steals":0,"p99_seconds":3.5,)"
+            R"("Wall_seconds":2.0,"seconds":0,"steals_x":4,)"
+            R"("idle_seconds":null,"msg":"\"steals\":9"})");
+  EXPECT_EQ(json::zeroNumbers(Doc, {}), Doc);
+}
+
+TEST(JsonScanTest, ReadUnsignedTakesTheFirstNumericMember) {
+  std::string Doc = R"({"a":{"hits":null},"hits":12,"more":{"hits":5}})";
+  EXPECT_EQ(json::readUnsigned(Doc, "hits"), 12u);
+  EXPECT_EQ(json::readUnsigned(Doc, "misses"), 0u);
+  EXPECT_EQ(json::readUnsigned(R"({"xhits":3})", "hits"), 0u);
 }
 
 // --- Rng ---------------------------------------------------------------------

@@ -159,7 +159,7 @@ TEST(SymmetrySpecTest, CanonicalStoreIsLexLeastAndReportsAllArgmins) {
   Store Init = makeTwoPhaseCommitInitialStore(Params);
   for (const Configuration &C : sampleConfigs(P, Init, 12)) {
     std::vector<uint32_t> MinPerms;
-    Store Canon = Spec.canonicalStore(C.global(), &MinPerms);
+    Store Canon = Spec.canonicalStore(C.global(), MinPerms);
     ASSERT_FALSE(MinPerms.empty());
     std::vector<uint32_t> Expected;
     for (uint32_t I = 0; I < Spec.numPermutations(); ++I) {

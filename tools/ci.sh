@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build and test the normal configuration, then the
-# sanitized (address + undefined) configuration; verify every shipped
+# sanitized (address + undefined) configuration, which must compile
+# without a single warning; verify every shipped
 # example end-to-end in both report formats (with a JSON schema sanity
 # check); smoke-run the smallest row of every benchmark binary;
 # smoke-test the verification service (isq-serve + isq-loadgen: removed
@@ -23,7 +24,7 @@
 # check that running out of memory (Paxos N=4 under a `ulimit -v` cap)
 # ends in exit 2 with a resource-exhausted diagnostic;
 # finally run the threaded engine + concurrent memo (FlatMemo stress) +
-# obligation-scheduler + symmetry +
+# canonicalizer race + obligation-scheduler + symmetry +
 # serve + driver-re-entrancy tests under ThreadSanitizer, including the
 # symmetry=false differential, a tiny-steal-chunk run that forces
 # cross-worker stealing, a threaded warm run over a shared verdict
@@ -45,7 +46,7 @@ run_config() {
   echo "==== configure $dir ($*) ===="
   cmake -B "$dir" -S . "$@"
   echo "==== build $dir ===="
-  cmake --build "$dir" -j "$JOBS"
+  cmake --build "$dir" -j "$JOBS" 2>&1 | tee "$dir/ci-build.log"
   echo "==== test $dir ===="
   (cd "$dir" && ctest -j "$JOBS" --output-on-failure)
 }
@@ -128,6 +129,13 @@ print("  json ok")
 
 run_config build
 run_config build-asan -DISQ_SANITIZE=ON
+# The sanitized build must compile warning-free, so a real warning there
+# cannot hide among library noise. (The log covers what this run
+# compiled: every file on a fresh checkout.)
+if grep -q 'warning:' build-asan/ci-build.log; then
+  grep 'warning:' build-asan/ci-build.log
+  echo "build-asan: compiler warnings"; exit 1
+fi
 
 echo "==== verify shipped examples (text + json) ===="
 for f in examples/asl/*.asl; do
@@ -464,9 +472,10 @@ echo "  paxos N=4 under ulimit -v 100000: exit 2, resource exhausted"
 echo "==== TSan: threaded engine + memos + scheduler + symmetry + serve ===="
 cmake -B build-tsan -S . -DISQ_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target engine_test flat_memo_test \
-  scheduler_test symmetry_test cli_test serve_test reentrancy_test isq-verify
+  canonicalizer_test scheduler_test symmetry_test cli_test serve_test \
+  reentrancy_test isq-verify
 (cd build-tsan && ctest -j "$JOBS" --output-on-failure \
-  -R 'Engine|FlatMemo|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
+  -R 'Engine|FlatMemo|Canonicalizer|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
 build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
   --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
   --engine threads=4 >/dev/null

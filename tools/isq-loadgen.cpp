@@ -35,7 +35,6 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
-#include <regex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -127,32 +126,12 @@ struct Sample {
   std::string ReportJson;
 };
 
-/// Zeroes timing fields so verdicts compare reproducibly (same scrub as
-/// the golden tests in tests/cli_test.cpp).
-std::string scrubTimings(const std::string &Json) {
-  static const std::regex Seconds("(\"[a-z_]*seconds\":)[0-9.]+");
-  return std::regex_replace(Json, Seconds, "$010");
-}
-
 /// Nearest-rank percentile of an ascending-sorted sample vector.
 double percentile(const std::vector<double> &Sorted, double Q) {
   if (Sorted.empty())
     return 0;
   size_t Rank = static_cast<size_t>(Q * static_cast<double>(Sorted.size()));
   return Sorted[std::min(Rank, Sorted.size() - 1)];
-}
-
-/// Pulls one integer counter out of a verdict report by key. The report
-/// keys this reads ("cache_hits", "cache_misses", "disk_hits" — only the
-/// top-level "obligations" object spells them without a prefix) are part
-/// of the versioned JSON schema, so a regex is enough; a missing key
-/// (older server) reads as 0.
-uint64_t extractCounter(const std::string &Json, const std::string &Key) {
-  std::regex Re("\"" + Key + "\":([0-9]+)");
-  std::smatch M;
-  if (std::regex_search(Json, M, Re))
-    return std::stoull(M[1]);
-  return 0;
 }
 
 } // namespace
@@ -348,7 +327,8 @@ int main(int argc, char **argv) {
       for (const Sample &S : Samples) {
         if (S.Entry != E)
           continue;
-        std::string Scrubbed = scrubTimings(S.ReportJson);
+        // Timings zeroed, as in the golden tests of tests/cli_test.cpp.
+        std::string Scrubbed = json::zeroNumbers(S.ReportJson, {"*seconds"});
         if (Reference.empty()) {
           Reference = std::move(Scrubbed);
         } else if (Scrubbed != Reference) {
@@ -391,9 +371,11 @@ int main(int argc, char **argv) {
     LatenciesMs.push_back(S.Seconds * 1000.0);
     Hits += S.CacheHit ? 1 : 0;
     NonZeroExits += S.ExitCode != 0 ? 1 : 0;
-    ObHits += extractCounter(S.ReportJson, "cache_hits");
-    ObMisses += extractCounter(S.ReportJson, "cache_misses");
-    ObDiskHits += extractCounter(S.ReportJson, "disk_hits");
+    // Only the top-level "obligations" object spells these keys without a
+    // prefix; a missing key (older server) reads as 0.
+    ObHits += json::readUnsigned(S.ReportJson, "cache_hits");
+    ObMisses += json::readUnsigned(S.ReportJson, "cache_misses");
+    ObDiskHits += json::readUnsigned(S.ReportJson, "disk_hits");
   }
   std::sort(LatenciesMs.begin(), LatenciesMs.end());
   double P50 = percentile(LatenciesMs, 0.50);
