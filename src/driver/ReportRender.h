@@ -17,10 +17,10 @@
 ///                       "failures", "issues": [string], "jobs",
 ///                       "orbit_configs", "orbit_states",
 ///                       "seconds" } ],  // one per IS condition;
-///                                       // "seconds" is its jobs' time
-///                                       // summed over workers, so at
-///                                       // threads>1 it is not wall
-///                                       // time
+///                                       // "seconds" is its jobs'
+///                                       // thread CPU time summed over
+///                                       // workers, so at threads>1
+///                                       // it is not wall time
 ///     "cross_check": { "ran", "ok", "obligations", "failures",
 ///                      "issues": [string], "configs_p",
 ///                      "configs_p_prime", "seconds" },
@@ -29,7 +29,8 @@
 ///                  "orbit_states_represented", "steal_chunk",
 ///                  "steals", "shards", "shard_occupancy" },
 ///     "scheduler": { "threads", "jobs", "units", "cpu_seconds",
-///                    "wall_seconds" },
+///                    "wall_seconds" },  // cpu_seconds: every job's
+///                                       // thread CPU time, summed
 ///     "obligations": { "total", "cache_enabled", "cache_hits",
 ///                      "cache_misses", "disk_hits" },
 ///     "diagnostics": [ { "severity", "message", "file", "line", "col",
@@ -66,7 +67,9 @@
 /// one frontier, "engine"."expand_seconds" has one meaning: worker
 /// expansion time summed across threads, which can exceed
 /// "engine"."total_seconds" (wall time) when threaded. Every other field
-/// is unchanged.
+/// is unchanged. (expand_seconds and the per-job times behind "seconds"
+/// and "cpu_seconds" are thread CPU time, CLOCK_THREAD_CPUTIME_ID; they
+/// were summed wall time before, under the same keys and schema.)
 /// Version 8 removed the scheduler's count of discarded speculative
 /// units: the checkers slice their universes at store boundaries, so no
 /// obligation is checked twice and nothing is discarded.

@@ -20,6 +20,7 @@
 #ifndef ISQ_ENGINE_ACTIONCACHES_H
 #define ISQ_ENGINE_ACTIONCACHES_H
 
+#include "engine/OpenTable.h"
 #include "engine/StateArena.h"
 #include "engine/ThreadSlots.h"
 #include "semantics/Action.h"
@@ -44,63 +45,47 @@ namespace engine {
 /// pay a full evaluation), so the read path must not take a lock or chase
 /// unordered_map buckets.
 ///
-/// Stripes. The memo is NumStripes independent tables picked by four
-/// bits of the mixed hash, each with its own insert mutex, so inserts and
-/// growth serialize only the workers that hit the same stripe. The
-/// stripes start at InitialStripeCap slots each (1 024 in all).
+/// Stripes. The memo is NumStripes independent OpenTables (OpenTable.h)
+/// picked by four bits of the mixed hash, so inserts and growth serialize
+/// only the workers that hit the same stripe. The stripes start at
+/// InitialStripeCap slots each (1 024 in all). OpenTable gives the
+/// lock-free probe, the locked insert, and growth that frees the tables
+/// a stripe outgrows (ThreadSlot hazards).
 ///
-/// Reads. Each slot publishes a nonzero 64-bit tag with release order
-/// after its key/value are written; readers probe with acquire loads and
-/// never block. A reader that races an insert at worst misses, evaluates
-/// the pure function itself, and lands on the existing entry under the
-/// stripe lock: a benign double-compute. find() and insertWith() return
-/// the value by copy, so no reference into a table outlives the call.
-///
-/// Growth and reclamation. A stripe above 60% occupancy copies its live
-/// slots into a table twice the size and swaps its atomic table pointer.
-/// The superseded table is freed before the insert returns: a reader
-/// announces the table it probes in its ThreadSlot hazard (seq_cst
-/// exchange, then a re-check of the table pointer), and the grower,
-/// after the swap, waits until no hazard names the old table. Readers
-/// never wait and never call out, so the wait is a few probes long; a
-/// grower's own hazard is always clear (it is inserting, not probing),
-/// so a Make callback may insert into, and grow, another memo.
+/// A reader that races an insert at worst misses, evaluates the pure
+/// function itself, and lands on the existing entry under the stripe
+/// lock: a benign double-compute. find() and insertWith() return the
+/// value by copy, so no reference into a table outlives the call, and a
+/// Make callback may insert into, and grow, another memo.
 ///
 /// Slots. A slot is the 64-bit tag, the key and the value. A bool memo
 /// keeps its value in tag bit 62 and has no value field, so a key of four
 /// 32-bit words makes a 24-byte slot.
 template <typename KeyT, typename ValueT> class FlatMemo {
+  static constexpr bool ValueInTag = std::is_same_v<ValueT, bool>;
+  struct KeyValue {
+    KeyT K{};
+    ValueT V{};
+  };
+  struct KeyOnly {
+    KeyT K{};
+  };
+  using Payload = std::conditional_t<ValueInTag, KeyOnly, KeyValue>;
+  using Stripe = OpenTable<Payload>;
+
 public:
   static constexpr size_t NumStripes = 16;
   static constexpr size_t InitialStripeCap = 64;
 
-  FlatMemo() {
-    for (Stripe &S : Stripes)
-      S.TableP.store(newTable(S, InitialStripeCap), std::memory_order_relaxed);
-  }
-  ~FlatMemo() {
-    for (Stripe &S : Stripes)
-      delete S.TableP.load(std::memory_order_relaxed);
-  }
+  FlatMemo() = default;
   FlatMemo(const FlatMemo &) = delete;
   FlatMemo &operator=(const FlatMemo &) = delete;
 
   /// Lock-free lookup.
   std::optional<ValueT> find(const KeyT &K, uint64_t Hash) const {
-    Hash = mix(Hash);
-    const Stripe &S = Stripes[stripeOf(Hash)];
-    ThreadSlot &Me = ThreadSlot::mine();
-    const Table *T = S.TableP.load(std::memory_order_relaxed);
-    for (;;) {
-      Me.Hazard.exchange(T, std::memory_order_seq_cst);
-      const Table *Now = S.TableP.load(std::memory_order_seq_cst);
-      if (Now == T)
-        break;
-      T = Now;
-    }
-    std::optional<ValueT> Found = probe(*T, K, tagOf(Hash));
-    Me.Hazard.store(nullptr, std::memory_order_release);
-    return Found;
+    Hash = Stripe::mix(Hash);
+    uint64_t Tag = tagOf(Hash);
+    return Stripes[stripeOf(Hash)].find(Tag, matcher(K, Tag));
   }
 
   /// Inserts Make() under the stripe lock unless \p K raced in; returns
@@ -108,26 +93,17 @@ public:
   /// insert, while the lock of stripe stripeOfHash(Hash) is held.
   template <typename MakeV>
   ValueT insertWith(const KeyT &K, uint64_t Hash, MakeV Make) {
-    Hash = mix(Hash);
+    Hash = Stripe::mix(Hash);
     Stripe &S = Stripes[stripeOf(Hash)];
     uint64_t Tag = tagOf(Hash);
-    std::lock_guard<std::mutex> Lock(S.M);
-    Table *T = S.TableP.load(std::memory_order_relaxed);
-    if (std::optional<ValueT> Raced = probe(*T, K, Tag))
+    std::lock_guard<std::mutex> Lock(S.mutex());
+    if (std::optional<ValueT> Raced = S.findLocked(Tag, matcher(K, Tag)))
       return *Raced; // racing miss computed the same pure value
-    // Keep occupancy under 60%.
-    if ((S.Size.load(std::memory_order_relaxed) + 1) * 5 > (T->Mask + 1) * 3)
-      T = grow(S, T);
     ValueT V = Make();
     if constexpr (ValueInTag)
-      Tag |= V ? ValueBit : 0;
-    Slot &Free = T->Slots[freeSlot(*T, Tag)];
-    Free.K = K;
-    if constexpr (!ValueInTag)
-      Free.V = V;
-    Free.Tag.store(Tag, std::memory_order_release);
-    S.Size.store(S.Size.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
+      S.insertLocked(Tag | (V ? ValueBit : 0), KeyOnly{K});
+    else
+      S.insertLocked(Tag, KeyValue{K, V});
     return V;
   }
 
@@ -136,81 +112,38 @@ public:
   }
 
   /// The stripe whose lock insertWith(K, \p Hash, ...) holds around Make.
-  static size_t stripeOfHash(uint64_t Hash) { return stripeOf(mix(Hash)); }
+  static size_t stripeOfHash(uint64_t Hash) {
+    return stripeOf(Stripe::mix(Hash));
+  }
 
   // Occupancy. Exact once no insert is in flight.
   size_t size() const {
-    return sumOver([](const Stripe &S) {
-      return S.Size.load(std::memory_order_relaxed);
-    });
+    return sumOver([](const Stripe &S) { return S.size(); });
   }
   size_t capacity() const {
-    return sumOver([](const Stripe &S) { return stripeCapacity(S); });
+    return sumOver([](const Stripe &S) { return S.capacity(); });
   }
-  size_t stripeCapacity(size_t I) const { return stripeCapacity(Stripes[I]); }
-  static constexpr size_t slotBytes() { return sizeof(Slot); }
+  size_t stripeCapacity(size_t I) const { return Stripes[I].capacity(); }
+  static constexpr size_t slotBytes() { return Stripe::slotBytes(); }
   /// Slot bytes of every table allocated and not yet freed, superseded
   /// ones included; equals capacity() * slotBytes() once growth is done.
   size_t bytesHeld() const {
-    return sumOver([](const Stripe &S) {
-      return S.Bytes.load(std::memory_order_relaxed);
-    });
+    return sumOver([](const Stripe &S) { return S.bytesHeld(); });
   }
 
 private:
-  static constexpr bool ValueInTag = std::is_same_v<ValueT, bool>;
-
   // The tag is the mixed hash with the top bit forced on: nonzero marks
   // the slot live, and the untouched low bits keep the probe start
   // aligned with the hash so growth can re-place slots from tags alone.
   // Bits 58..61 pick the stripe; a bool memo stores its value in bit 62.
-  static constexpr uint64_t TopBit = uint64_t(1) << 63;
   static constexpr uint64_t ValueBit = ValueInTag ? uint64_t(1) << 62 : 0;
   static constexpr unsigned StripeShift = 58;
 
-  struct KeyValueSlot {
-    std::atomic<uint64_t> Tag{0};
-    KeyT K{};
-    ValueT V{};
-  };
-  struct KeySlot {
-    std::atomic<uint64_t> Tag{0};
-    KeyT K{};
-  };
-  using Slot = std::conditional_t<ValueInTag, KeySlot, KeyValueSlot>;
-
-  struct Table {
-    explicit Table(size_t Cap) : Mask(Cap - 1), Slots(new Slot[Cap]) {}
-    size_t Mask;
-    std::unique_ptr<Slot[]> Slots;
-  };
-  struct alignas(64) Stripe {
-    std::atomic<Table *> TableP{nullptr};
-    std::mutex M; // serializes this stripe's inserts and growth
-    // Entries and table bytes held (superseded tables included until
-    // freed); written under M, readable any time.
-    std::atomic<size_t> Size{0};
-    std::atomic<size_t> Bytes{0};
-  };
-
-  /// Murmur3 finalizer. Caller hashes combine structured, near-sequential
-  /// ids whose low bits cluster badly under a power-of-two mask (a prime
-  /// modulus map forgives that; open addressing does not), so the table
-  /// avalanches every probe start itself.
-  static uint64_t mix(uint64_t X) {
-    X ^= X >> 33;
-    X *= 0xff51afd7ed558ccdULL;
-    X ^= X >> 33;
-    X *= 0xc4ceb9fe1a85ec53ULL;
-    X ^= X >> 33;
-    return X;
-  }
   static size_t stripeOf(uint64_t Mixed) {
     return (Mixed >> StripeShift) & (NumStripes - 1);
   }
-  static uint64_t tagOf(uint64_t Mixed) { return (Mixed & ~ValueBit) | TopBit; }
-  static size_t stripeCapacity(const Stripe &S) {
-    return S.TableP.load(std::memory_order_relaxed)->Mask + 1;
+  static uint64_t tagOf(uint64_t Mixed) {
+    return (Mixed & ~ValueBit) | Stripe::LiveBit;
   }
   template <typename F> size_t sumOver(F Of) const {
     size_t Sum = 0;
@@ -219,61 +152,22 @@ private:
     return Sum;
   }
 
-  static std::optional<ValueT> probe(const Table &T, const KeyT &K,
-                                     uint64_t Tag) {
-    for (size_t I = Tag & T.Mask;; I = (I + 1) & T.Mask) {
-      const Slot &S = T.Slots[I];
-      uint64_t Tg = S.Tag.load(std::memory_order_acquire);
-      if (Tg == 0)
+  /// Matches \p K's slot on the probe path of \p Tag.
+  static auto matcher(const KeyT &K, uint64_t Tag) {
+    return [&K, Tag](uint64_t Tg, const Payload &P) -> std::optional<ValueT> {
+      if ((Tg & ~ValueBit) != Tag || !(P.K == K))
         return std::nullopt;
-      if ((Tg & ~ValueBit) == Tag && S.K == K) {
-        if constexpr (ValueInTag)
-          return (Tg & ValueBit) != 0;
-        else
-          return S.V;
-      }
-    }
-  }
-  /// First empty slot on \p Tag's probe path. Caller holds the stripe lock.
-  static size_t freeSlot(const Table &T, uint64_t Tag) {
-    size_t I = Tag & T.Mask;
-    while (T.Slots[I].Tag.load(std::memory_order_relaxed) != 0)
-      I = (I + 1) & T.Mask;
-    return I;
+      if constexpr (ValueInTag)
+        return (Tg & ValueBit) != 0;
+      else
+        return P.V;
+    };
   }
 
-  static Table *newTable(Stripe &S, size_t Cap) {
-    Table *T = new Table(Cap);
-    S.Bytes.fetch_add(Cap * sizeof(Slot), std::memory_order_relaxed);
-    return T;
-  }
-
-  /// Moves stripe \p S from \p Old to a table twice its size and frees
-  /// \p Old once no reader can still be probing it. Caller holds S.M.
-  static Table *grow(Stripe &S, Table *Old) {
-    Table *N = newTable(S, 2 * (Old->Mask + 1));
-    for (size_t I = 0; I <= Old->Mask; ++I) {
-      const Slot &From = Old->Slots[I];
-      uint64_t Tg = From.Tag.load(std::memory_order_relaxed);
-      if (!Tg)
-        continue;
-      Slot &To = N->Slots[freeSlot(*N, Tg)];
-      To.K = From.K;
-      if constexpr (!ValueInTag)
-        To.V = From.V;
-      To.Tag.store(Tg, std::memory_order_relaxed);
-    }
-    // Publishes every (relaxed) write to N above: readers load the table
-    // pointer with seq_cst (acquire) before touching slots.
-    S.TableP.store(N, std::memory_order_seq_cst);
-    ThreadSlot::waitUntilUnprotected(Old);
-    S.Bytes.fetch_sub((Old->Mask + 1) * sizeof(Slot),
-                      std::memory_order_relaxed);
-    delete Old;
-    return N;
-  }
-
-  Stripe Stripes[NumStripes];
+  struct DefaultStripe : Stripe {
+    DefaultStripe() : Stripe(InitialStripeCap) {}
+  };
+  DefaultStripe Stripes[NumStripes];
 };
 
 /// A FlatMemo whose values live outside the table, at addresses that stay
@@ -367,23 +261,8 @@ public:
       for (const Transition &T : A.transitions(Global, Args)) {
         InternedTransition IT;
         IT.Global = Arena.internStore(T.Global);
-        PaCountVec Created;
-        Created.reserve(T.Created.size());
-        for (const PendingAsync &New : T.Created) {
-          PaId Id = Arena.internPa(New);
-          bool Merged = false;
-          for (auto &[Existing, Count] : Created)
-            if (Existing == Id) {
-              ++Count;
-              Merged = true;
-              break;
-            }
-          if (!Merged)
-            Created.emplace_back(Id, 1);
-        }
-        std::sort(Created.begin(), Created.end());
-        IT.CreatedSet = Arena.internPaVec(Created);
-        IT.Created = std::move(Created);
+        IT.Created = Arena.internPaList(T.Created);
+        IT.CreatedSet = Arena.internPaVec(IT.Created);
         Interned.push_back(std::move(IT));
       }
     }
@@ -412,17 +291,17 @@ public:
   explicit GateCache(StateArena &Arena) : Arena(Arena) {}
 
   /// Evaluates (and memoizes) \p A's gate at (\p G, args of \p ArgsPa).
-  /// \p OmegaForEval is passed through to the gate on a miss — the result
-  /// must not depend on it (gateReadsOmega() == false).
-  bool get(const Action &A, StoreId G, PaId ArgsPa,
-           const PaMultiset &OmegaForEval) {
+  /// \p OmegaForEval is materialized and passed through to the gate only
+  /// on a miss — the result must not depend on it (gateReadsOmega() ==
+  /// false).
+  bool get(const Action &A, StoreId G, PaId ArgsPa, PaSetId OmegaForEval) {
     assert(!A.gateReadsOmega() && "GateCache requires an Ω-independent gate");
     ActionPointKey K(A, G, ArgsPa);
     uint64_t Hash = K.hash();
     if (std::optional<bool> Found = Memo.find(K, Hash))
       return *Found;
-    bool Result =
-        A.evalGate(Arena.store(G), Arena.pa(ArgsPa).Args, OmegaForEval);
+    bool Result = A.evalGate(Arena.store(G), Arena.pa(ArgsPa).Args,
+                             Arena.paSet(OmegaForEval));
     return Memo.insert(K, Hash, Result);
   }
 

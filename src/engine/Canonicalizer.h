@@ -7,10 +7,17 @@
 /// Exploration and the IS closure test use it; SymmetrySpec::canonical
 /// is the value-level reference. Configurations compare store-first, so
 /// only the permutations minimizing the store (usually one) touch Ω.
+///
 /// Stage 1 memoizes raw StoreId → (canonical StoreId, those
-/// permutations); stage 2 memoizes the raw pair → (representative, orbit
-/// size), the orbit size by orbit-stabilizer from the Ω images tying for
-/// least. Thread-safe; a racing double-compute is benign (purity).
+/// permutations). Stage 2 works on handles: it maps Ω's PaCountVec
+/// through a memoized (PaId, permutation) → PaId image table, orders the
+/// images exactly as PaMultiset's operator< orders their values (entries
+/// in PA value order, never PaId order, which depends on interning
+/// order), and interns the least one with internPaVec, so no value-level
+/// multiset is built, permuted or re-interned. Stage 2 memoizes the raw
+/// pair → (representative, orbit size), the orbit size by
+/// orbit-stabilizer from the Ω images tying for least. Thread-safe; a
+/// racing double-compute is benign (purity).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +43,14 @@ public:
   /// interned, and the orbit's size.
   std::pair<ConfigId, uint32_t> canon(StoreId G, PaSetId Omega);
 
+  /// The image of \p Pa under permutation Sym.perm(\p Perm), interned and
+  /// memoized.
+  PaId paImage(PaId Pa, uint32_t Perm);
+  /// The image of \p Omega under permutation Sym.perm(\p Perm), interned.
+  PaSetId paSetImage(PaSetId Omega, uint32_t Perm);
+
+  const SymmetrySpec &symmetry() const { return Sym; }
+
   /// canon() calls, and those answered by stage 2's memo.
   uint64_t calls() const { return Calls.load(); }
   uint64_t hits() const { return Hits.load(); }
@@ -46,9 +61,13 @@ private:
     std::vector<uint32_t> MinPerms;
   };
 
+  /// \p Omega's entries mapped through permutation \p Perm, unsorted.
+  PaCountVec mapped(const PaCountVec &Omega, uint32_t Perm);
+
   StateArena &Arena;
   const SymmetrySpec &Sym;
   StableMemo<StoreId, StoreCanon> Stores;
+  FlatMemo<uint64_t, PaId> PaImages;
   FlatMemo<uint64_t, std::pair<ConfigId, uint32_t>> Configs;
   StripedCounter Calls;
   StripedCounter Hits;

@@ -282,7 +282,7 @@ void ObligationScheduler::run() {
   // fingerprinting (KeyFn) and the blob encode/decode happen here on the
   // worker, so cache overhead parallelizes with the checking itself.
   auto RunOne = [this](JobSlot &J) {
-    Timer T;
+    ThreadCpuTimer T;
     Fingerprint Key;
     if (Cache && J.KeyFn) {
       Key = J.KeyFn();

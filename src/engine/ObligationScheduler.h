@@ -221,7 +221,8 @@ struct ObligationStats {
     /// did not annotate the condition.
     uint64_t OrbitConfigs = 0;
     uint64_t OrbitStates = 0;
-    /// Summed per-job wall time (CPU-side cost of the condition).
+    /// Summed per-job thread CPU time (the condition's CPU cost; time a
+    /// worker sat descheduled does not count).
     double JobSeconds = 0;
   };
   Bucket PerCondition[NumObConditions];

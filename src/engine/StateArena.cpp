@@ -71,41 +71,51 @@ StateArena::StateArena(unsigned Shards) : NumShardsRt(Shards) {
   EmptyPaSet = internPaVec({});
 }
 
+template <typename Item, typename SameF, typename MakeF>
+uint32_t StateArena::intern(Shard<Item> &S, size_t ShardIdx, uint64_t Hash,
+                            SameF Same, MakeF Make) {
+  uint64_t Tag = OpenTable<uint32_t>::mix(Hash) | OpenTable<uint32_t>::LiveBit;
+  auto Match = [&](uint64_t SlotTag,
+                   uint32_t Local) -> std::optional<uint32_t> {
+    if (SlotTag == Tag && Same(S.Items[Local]))
+      return Local;
+    return std::nullopt;
+  };
+  Lookups.add();
+  std::optional<uint32_t> Local = S.Index.find(Tag, Match);
+  if (!Local) {
+    std::lock_guard<std::mutex> Lock(S.Index.mutex());
+    Local = S.Index.findLocked(Tag, Match);
+    if (!Local) {
+      // The item is complete before its slot is published.
+      Local = static_cast<uint32_t>(S.Items.push_back(Make()));
+      S.Index.insertLocked(Tag, *Local);
+      return makeId(ShardIdx, *Local);
+    }
+  }
+  Hits.add();
+  return makeId(ShardIdx, *Local);
+}
+
 StoreId StateArena::internStore(const Store &S) {
   size_t Hash = S.hash(); // memoized inside Store
-  Lookups.add();
-  size_t SIdx = shardFor(Hash);
-  auto &Shard = StoreShards[SIdx];
-  std::lock_guard<std::mutex> Lock(Shard.M);
-  std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
-  for (uint32_t Local : Bucket)
-    if (Shard.Items[Local].Value == S) {
-      Hits.add();
-      return makeId(SIdx, Local);
-    }
-  size_t Local = Shard.Items.push_back({S, Hash});
-  Shard.Items[Local].Value.hash(); // memoize before sharing
-  Bucket.push_back(static_cast<uint32_t>(Local));
-  return makeId(SIdx, Local);
+  size_t ShardIdx = shardFor(Hash);
+  return intern(
+      StoreShards[ShardIdx], ShardIdx, Hash,
+      [&](const StoreItem &It) { return It.Value == S; },
+      // The copy carries the memoized hash, so concurrent hash() calls on
+      // the shared item are pure reads.
+      [&]() { return StoreItem{S, Hash}; });
 }
 
 PaId StateArena::internPa(const PendingAsync &PA) {
+  // Memoizes the argument-value hashes, which the stored copy shares, so
+  // later concurrent hash() calls are pure reads.
   size_t Hash = PA.hash();
-  Lookups.add();
-  auto &Shard = PaShards[shardFor(Hash)];
-  std::lock_guard<std::mutex> Lock(Shard.M);
-  std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
-  for (uint32_t Local : Bucket)
-    if (Shard.Items[Local] == PA) {
-      Hits.add();
-      return makeId(shardFor(Hash), Local);
-    }
-  size_t Local = Shard.Items.push_back(PA);
-  // Memoize the argument-value hashes on the stored copy before any other
-  // thread can reach it, so later concurrent hash() calls are pure reads.
-  Shard.Items[Local].hash();
-  Bucket.push_back(static_cast<uint32_t>(Local));
-  return makeId(shardFor(Hash), Local);
+  size_t ShardIdx = shardFor(Hash);
+  return intern(
+      PaShards[ShardIdx], ShardIdx, Hash,
+      [&](const PendingAsync &It) { return It == PA; }, [&]() { return PA; });
 }
 
 PaSetId StateArena::internPaSet(const PaMultiset &Omega) {
@@ -129,64 +139,60 @@ PaSetId StateArena::internPaSet(const PaMultiset &Omega) {
   return Id;
 }
 
+PaCountVec StateArena::internPaList(const std::vector<PendingAsync> &List) {
+  PaCountVec Vec;
+  Vec.reserve(List.size());
+  for (const PendingAsync &PA : List)
+    Vec.emplace_back(internPa(PA), 1);
+  std::sort(Vec.begin(), Vec.end());
+  // Fold repeats of one PA into a count.
+  size_t Out = 0;
+  for (size_t I = 0; I < Vec.size(); ++I) {
+    if (Out > 0 && Vec[Out - 1].first == Vec[I].first)
+      Vec[Out - 1].second += Vec[I].second;
+    else
+      Vec[Out++] = Vec[I];
+  }
+  Vec.resize(Out);
+  return Vec;
+}
+
 PaSetId StateArena::internPaVec(PaCountVec Vec) {
   assert(std::is_sorted(Vec.begin(), Vec.end()) && "PaCountVec not canonical");
   size_t Hash = hashPaCountVec(Vec);
-  Lookups.add();
-  size_t SIdx = shardFor(Hash);
-  auto &Shard = PaSetShards[SIdx];
-  std::lock_guard<std::mutex> Lock(Shard.M);
-  std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
-  for (uint32_t Local : Bucket)
-    if (Shard.Items[Local].Vec == Vec) {
-      Hits.add();
-      return makeId(SIdx, Local);
-    }
-  PaSetItem Item;
-  // pa() reads are lock-free, so computing the value hash under this
-  // shard's mutex cannot deadlock.
-  Item.ValueHash = paValueHash(Vec);
-  Item.Vec = std::move(Vec);
-  size_t Local = Shard.Items.push_back(std::move(Item));
-  Bucket.push_back(static_cast<uint32_t>(Local));
-  return makeId(SIdx, Local);
+  size_t ShardIdx = shardFor(Hash);
+  return intern(
+      PaSetShards[ShardIdx], ShardIdx, Hash,
+      [&](const PaSetItem &It) { return It.Vec == Vec; },
+      [&]() {
+        PaSetItem Item;
+        // pa() reads are lock-free, so computing the value hash under
+        // this shard's mutex cannot deadlock.
+        Item.ValueHash = paValueHash(Vec);
+        Item.Vec = std::move(Vec);
+        return Item;
+      });
 }
 
 ConfigId StateArena::internConfig(StoreId G, PaSetId Omega) {
   // Shard by the configuration's value hash — ids depend on interning
   // order (racy under parallel interning), values do not, so per-shard
   // populations (and the shard-occupancy stat) stay deterministic.
-  size_t Hash = StoreShards[shardOf(G)].Items[localOf(G)].ValueHash;
-  hashCombine(Hash, PaSetShards[shardOf(Omega)].Items[localOf(Omega)].ValueHash);
-  uint64_t Key = (static_cast<uint64_t>(G) << 32) | Omega;
-  Lookups.add();
-  auto &Shard = ConfigShards[shardFor(Hash)];
-  std::lock_guard<std::mutex> Lock(Shard.M);
-  auto It = Shard.Index.find(Key);
-  if (It != Shard.Index.end()) {
-    Hits.add();
-    return makeId(shardFor(Hash), It->second);
-  }
-  size_t Local = Shard.Items.push_back({G, Omega});
-  Shard.Index.emplace(Key, static_cast<uint32_t>(Local));
-  return makeId(shardFor(Hash), Local);
+  size_t ValueHash = StoreShards[shardOf(G)].Items[localOf(G)].ValueHash;
+  hashCombine(ValueHash,
+              PaSetShards[shardOf(Omega)].Items[localOf(Omega)].ValueHash);
+  std::pair<StoreId, PaSetId> Key{G, Omega};
+  size_t ShardIdx = shardFor(ValueHash);
+  return intern(
+      ConfigShards[ShardIdx], ShardIdx,
+      (static_cast<uint64_t>(G) << 32) | Omega,
+      [&](const std::pair<StoreId, PaSetId> &It) { return It == Key; },
+      [&]() { return Key; });
 }
 
 ConfigId StateArena::internConfig(const Configuration &C) {
   assert(!C.isFailure() && "cannot intern the failure configuration");
   return internConfig(internStore(C.global()), internPaSet(C.pendingAsyncs()));
-}
-
-const Store &StateArena::store(StoreId Id) const {
-  return StoreShards[shardOf(Id)].Items[localOf(Id)].Value;
-}
-
-const PendingAsync &StateArena::pa(PaId Id) const {
-  return PaShards[shardOf(Id)].Items[localOf(Id)];
-}
-
-const PaCountVec &StateArena::paVec(PaSetId Id) const {
-  return PaSetShards[shardOf(Id)].Items[localOf(Id)].Vec;
 }
 
 PaMultiset StateArena::materialize(const PaCountVec &Vec) const {
@@ -241,10 +247,6 @@ const std::vector<PaId> &StateArena::paOrder(PaSetId Id) const {
   return *Fresh;
 }
 
-std::pair<StoreId, PaSetId> StateArena::config(ConfigId Id) const {
-  return ConfigShards[shardOf(Id)].Items[localOf(Id)];
-}
-
 Configuration StateArena::configuration(ConfigId Id) const {
   auto [G, Omega] = config(Id);
   return Configuration(store(G), paSet(Omega));
@@ -254,21 +256,12 @@ ArenaStats StateArena::stats() const {
   ArenaStats S;
   S.Shards = NumShardsRt;
   for (size_t I = 0; I < NumShardsRt; ++I) {
-    std::lock_guard<std::mutex> LS(StoreShards[I].M);
-    S.Stores += StoreShards[I].Items.size();
-  }
-  for (size_t I = 0; I < NumShardsRt; ++I) {
-    std::lock_guard<std::mutex> LP(PaShards[I].M);
-    S.Pas += PaShards[I].Items.size();
-  }
-  for (size_t I = 0; I < NumShardsRt; ++I) {
-    std::lock_guard<std::mutex> LO(PaSetShards[I].M);
-    S.PaSets += PaSetShards[I].Items.size();
-  }
-  for (size_t I = 0; I < NumShardsRt; ++I) {
-    std::lock_guard<std::mutex> LC(ConfigShards[I].M);
-    S.Configs += ConfigShards[I].Items.size();
-    if (ConfigShards[I].Items.size() > 0)
+    S.Stores += StoreShards[I].Index.size();
+    S.Pas += PaShards[I].Index.size();
+    S.PaSets += PaSetShards[I].Index.size();
+    size_t Configs = ConfigShards[I].Index.size();
+    S.Configs += Configs;
+    if (Configs > 0)
       ++S.ShardOccupancy;
   }
   S.Lookups = Lookups.load();

@@ -8,14 +8,20 @@
 /// structural hashing.
 ///
 /// Sharding and lock-free reads. Every table is split into a runtime
-/// number of shards (a power of two, at most 16) keyed by value hash;
-/// interning appends under the shard mutex, but *reads never lock*: each
-/// shard stores its items in exponentially-growing blocks published
+/// number of shards (a power of two, at most 16) keyed by value hash.
+/// Each shard stores its items in exponentially-growing blocks published
 /// through atomic pointers, so an item, once placed, never moves and can
 /// be addressed from any thread. A handle obtained through any
 /// release/acquire channel (a mutex, a chunk's done flag) is safe to
 /// dereference — the placing thread's writes happen-before the handle's
 /// publication.
+///
+/// Lock-free hits. Each shard's index is an OpenTable of (hash tag,
+/// local id) slots, the table FlatMemo's stripes use. An intern call
+/// probes it without a lock and compares the candidates' items; most
+/// calls are hits and end there. A miss takes the shard mutex, probes
+/// again, appends the item and then publishes its slot with release
+/// order, so a reader that sees the slot sees the item.
 ///
 /// Handle layout: the low 4 bits hold the shard, the remaining 28 bits
 /// index into the shard (≈268M entries per shard). The layout is fixed
@@ -28,6 +34,7 @@
 #ifndef ISQ_ENGINE_STATEARENA_H
 #define ISQ_ENGINE_STATEARENA_H
 
+#include "engine/OpenTable.h"
 #include "engine/ThreadSlots.h"
 #include "semantics/Configuration.h"
 #include "support/Hashing.h"
@@ -38,7 +45,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -90,7 +96,7 @@ struct ArenaStats {
 /// exponentially-growing blocks (block k holds BaseSize<<k items)
 /// published through atomic pointers, so a placed item never moves and
 /// operator[] takes no lock. push_back must be externally serialized
-/// (the owning shard's mutex).
+/// (the owning shard's index mutex).
 template <typename Item> class BlockStore {
 public:
   /// 18 blocks of 1024<<k items cover the 2^28 ids a shard can issue.
@@ -170,15 +176,25 @@ public:
   PaSetId internPaSet(const PaMultiset &Omega);
   /// Interns an engine-form multiset; \p Vec must be sorted by PaId.
   PaSetId internPaVec(PaCountVec Vec);
+  /// Interns each PA of \p List and returns the engine form of the
+  /// multiset they make up (not itself interned).
+  PaCountVec internPaList(const std::vector<PendingAsync> &List);
   ConfigId internConfig(StoreId G, PaSetId Omega);
   /// Interns a non-failure configuration.
   ConfigId internConfig(const Configuration &C);
 
   // Lookup -----------------------------------------------------------------
 
-  const Store &store(StoreId Id) const;
-  const PendingAsync &pa(PaId Id) const;
-  const PaCountVec &paVec(PaSetId Id) const;
+  // The hot accessors are inline: every checker loop dereferences handles.
+  const Store &store(StoreId Id) const {
+    return StoreShards[shardOf(Id)].Items[localOf(Id)].Value;
+  }
+  const PendingAsync &pa(PaId Id) const {
+    return PaShards[shardOf(Id)].Items[localOf(Id)];
+  }
+  const PaCountVec &paVec(PaSetId Id) const {
+    return PaSetShards[shardOf(Id)].Items[localOf(Id)].Vec;
+  }
   /// The multiset as a value-level PaMultiset; materialized on first use
   /// and cached for the arena's lifetime.
   const PaMultiset &paSet(PaSetId Id) const;
@@ -188,7 +204,9 @@ public:
   /// iterating it keeps exploration deterministic regardless of which
   /// worker thread interned a PA first. Materialized on first use.
   const std::vector<PaId> &paOrder(PaSetId Id) const;
-  std::pair<StoreId, PaSetId> config(ConfigId Id) const;
+  std::pair<StoreId, PaSetId> config(ConfigId Id) const {
+    return ConfigShards[shardOf(Id)].Items[localOf(Id)];
+  }
   /// Materializes the full (g, Ω) configuration (copies).
   Configuration configuration(ConfigId Id) const;
 
@@ -248,27 +266,25 @@ private:
     }
   };
 
-  /// One shard of a hash-consing table: hash → candidate local indices
-  /// (guarded by the shard mutex), plus lock-free-readable item storage.
+  /// One shard of a hash-consing table: the lock-free index of local ids
+  /// by hash tag, and the items themselves. The index's mutex serializes
+  /// appends to Items.
   template <typename Item> struct Shard {
-    mutable std::mutex M;
-    std::unordered_map<size_t, std::vector<uint32_t>> Buckets;
+    /// Slots in a fresh shard's index (16 bytes each).
+    static constexpr size_t InitialIndexCap = 16;
+    Shard() : Index(InitialIndexCap) {}
+    OpenTable<uint32_t> Index;
     BlockStore<Item> Items;
   };
 
   Shard<StoreItem> StoreShards[MaxShards];
   Shard<PendingAsync> PaShards[MaxShards];
   Shard<PaSetItem> PaSetShards[MaxShards];
-  /// Config identity is the exact (StoreId, PaSetId) pair, so the bucket
-  /// map is keyed directly by the packed pair (no collision chains). The
-  /// shard, however, is chosen by the configuration's *value* hash so
-  /// per-shard populations do not depend on interning order.
-  struct ConfigShard {
-    mutable std::mutex M;
-    std::unordered_map<uint64_t, uint32_t> Index;
-    BlockStore<std::pair<StoreId, PaSetId>> Items;
-  };
-  ConfigShard ConfigShards[MaxShards];
+  /// Config identity is the exact (StoreId, PaSetId) pair, which is also
+  /// what the index hashes. The shard, however, is chosen by the
+  /// configuration's *value* hash so per-shard populations do not depend
+  /// on interning order.
+  Shard<std::pair<StoreId, PaSetId>> ConfigShards[MaxShards];
 
   unsigned NumShardsRt;
 
@@ -276,6 +292,13 @@ private:
 
   StripedCounter Lookups;
   StripedCounter Hits;
+
+  /// Hash-conses into \p S, shard number \p ShardIdx of its table: the
+  /// handle of the item on \p Hash's probe path that \p Same accepts, or
+  /// of Make()'s item, appended under the shard mutex. Hits take no lock.
+  template <typename Item, typename SameF, typename MakeF>
+  uint32_t intern(Shard<Item> &S, size_t ShardIdx, uint64_t Hash, SameF Same,
+                  MakeF Make);
 
   static size_t hashPaCountVec(const PaCountVec &Vec);
   size_t paValueHash(const PaCountVec &Vec) const;

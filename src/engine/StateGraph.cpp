@@ -322,7 +322,6 @@ struct Engine {
     const PaCountVec &Entries = Arena.paVec(PaSetIdOf);
     if (Entries.empty())
       return; // terminating configuration
-    const PaMultiset &OmegaVal = Arena.paSet(PaSetIdOf);
     const Store &Global = Arena.store(StoreIdOf);
     // Iterate PAs in canonical value order, not PaId order: PaIds depend
     // on interning order (racy under parallel interning), so value order
@@ -331,9 +330,10 @@ struct Engine {
     for (PaId PaIdOf : Arena.paOrder(PaSetIdOf)) {
       const PendingAsync &PA = Arena.pa(PaIdOf);
       const Action &A = *Resolve.at(PA.Action);
-      bool GateOk = A.gateReadsOmega()
-                        ? A.evalGate(Global, PA.Args, OmegaVal)
-                        : Gates.get(A, StoreIdOf, PaIdOf, OmegaVal);
+      bool GateOk =
+          A.gateReadsOmega()
+              ? A.evalGate(Global, PA.Args, Arena.paSet(PaSetIdOf))
+              : Gates.get(A, StoreIdOf, PaIdOf, PaSetIdOf);
       if (!GateOk) {
         ++Out.Transitions;
         Out.AnyMove = true;
@@ -446,7 +446,7 @@ struct Engine {
   }
 
   void expandChunk(Chunk &C) {
-    Timer T;
+    ThreadCpuTimer T;
     for (size_t I = 0; I < C.Cids.size(); ++I)
       expand(C.Cids[I], C.Outs[I]);
     ExpandNanos.fetch_add(static_cast<uint64_t>(T.elapsed() * 1e9),

@@ -92,9 +92,10 @@ struct EngineStats {
   unsigned Shards = 0;
   unsigned ShardOccupancy = 0;
 
-  // Phase times (support/Timer). ExpandSeconds is worker expansion time
-  // summed across threads (it can exceed TotalSeconds when threaded);
-  // MergeSeconds and TotalSeconds are wall time.
+  // Phase times (support/Timer). ExpandSeconds is the workers' thread CPU
+  // time spent expanding, summed across threads (it can exceed
+  // TotalSeconds when threaded); MergeSeconds and TotalSeconds are wall
+  // time.
   double ExpandSeconds = 0;
   double MergeSeconds = 0;
   double TotalSeconds = 0;

@@ -33,25 +33,23 @@ public:
     Calls.Arena = std::move(Arena);
   }
 
-  /// Adds every point of \p Ctxs in order. With a non-null \p Sym each
-  /// point is followed by its permutation images (store, args and Ω
-  /// permuted together) in permutation order.
+  /// Adds every point of \p Ctxs in order. With a non-null \p Canon
+  /// each point is followed by its images under the symmetry's
+  /// permutations (store, args and Ω permuted together) in permutation
+  /// order.
   void add(const InternedContextUniverse &Ctxs,
-           const SymmetrySpec *Sym = nullptr) {
+           Canonicalizer *Canon = nullptr) {
     StateArena &Arena = *Calls.Arena;
     for (const InternedActionContext &Call : Ctxs.Items) {
       addPoint(Call);
-      if (!Sym)
+      if (!Canon)
         continue;
+      const SymmetrySpec &Sym = Canon->symmetry();
       const Store &G = Arena.store(Call.Global);
-      const PendingAsync &Pa = Arena.pa(Call.ArgsPa);
-      const PaMultiset &Omega = Arena.paSet(Call.Omega);
-      for (size_t I = 1; I < Sym->numPermutations(); ++I) {
-        const std::vector<int64_t> &Image = Sym->perm(I);
-        addPoint({Arena.internStore(Sym->permuteStore(G, Image)),
-                  Arena.internPa(Sym->permutePendingAsync(Pa, Image)),
-                  Arena.internPaSet(Sym->permuteOmega(Omega, Image))});
-      }
+      for (uint32_t I = 1; I < Sym.numPermutations(); ++I)
+        addPoint({Arena.internStore(Sym.permuteStore(G, Sym.perm(I))),
+                  Canon->paImage(Call.ArgsPa, I),
+                  Canon->paSetImage(Call.Omega, I)});
     }
   }
 
@@ -89,9 +87,8 @@ bool invariantStaysInside(const Action &Inv,
     PaCountVec Rest(Arena.paVec(Call.Omega));
     paCountVecErase(Rest, Call.ArgsPa);
     for (const Transition &T : Inv.transitions(G, Args)) {
-      PaSetId Created = Arena.internPaSet(T.createdMultiset());
-      PaSetId Omega =
-          Arena.internPaVec(paCountVecUnion(Rest, Arena.paVec(Created)));
+      PaSetId Omega = Arena.internPaVec(
+          paCountVecUnion(Rest, Arena.internPaList(T.Created)));
       StoreId Global = Arena.internStore(T.Global);
       ConfigId Succ = Canon ? Canon->canon(Global, Omega).first
                             : Arena.internConfig(Global, Omega);
@@ -143,8 +140,14 @@ ISUniverse ISUniverse::build(const ISApplication &App,
   // equivariant P), and so is its set of call points.
   const SymmetrySpec *Sym =
       U.Stats.SymmetryReduced ? App.P.symmetry().get() : nullptr;
+  // The orbit expansion and the closure test's successors are mostly
+  // images exploration never canonicalized: a canonicalizer of their
+  // own, freed before the P[M ↦ I] leg runs.
+  std::optional<Canonicalizer> Canon;
+  if (Sym)
+    Canon.emplace(*U.Space.Arena, *Sym);
   CallPoints Calls(U.Space.Arena);
-  Calls.add(collectContexts(U.Space, App.M), Sym);
+  Calls.add(collectContexts(U.Space, App.M), Canon ? &*Canon : nullptr);
 
   // The partial sequentializations P[M ↦ I]. When P was explored in full
   // and every I step from a call point of Reach(P) lands in Reach(P), then
@@ -154,15 +157,10 @@ ISUniverse ISUniverse::build(const ISApplication &App,
   // as withAction drops the symmetry spec, and its new configurations are
   // appended, each counting as a singleton orbit.
   bool Closed = false;
-  if (!U.Stats.Truncated) {
-    // Its successors are mostly images exploration never canonicalized:
-    // a canonicalizer of its own, freed before the P[M ↦ I] leg runs.
-    std::optional<Canonicalizer> Canon;
-    if (Sym)
-      Canon.emplace(*U.Space.Arena, *Sym);
+  if (!U.Stats.Truncated)
     Closed = invariantStaysInside(App.Invariant, Calls.universe(), Seen,
                                   Canon ? &*Canon : nullptr);
-  }
+  Canon.reset();
   if (!Closed) {
     size_t PNodes = U.Space.Configs.size();
     Absorb(App.P.withAction(App.Invariant.withName(App.M.str())), nullptr);
@@ -521,7 +519,7 @@ ISCheckReport isq::checkIS(const ISApplication &App,
                     ? OmegaGatesP->get(Abs, Point.TGlobal[TI], ChosenPa,
                                        OmegaAfter)
                     : GatesP->get(Abs, Point.TGlobal[TI], ChosenPa,
-                                  Arena.paSet(OmegaAfter));
+                                  OmegaAfter);
             if (!AbsGateOk) {
               Sink.fail("gate of α(" + Chosen.Action.str() +
                         ") fails after invariant transition at " +
@@ -615,7 +613,7 @@ ISCheckReport isq::checkIS(const ISApplication &App,
               bool GateOk =
                   Abs.gateReadsOmega()
                       ? OmegaGatesP->get(Abs, G, Pa, OmegaId)
-                      : GatesP->get(Abs, G, Pa, Arena.paSet(OmegaId));
+                      : GatesP->get(Abs, G, Pa, OmegaId);
               if (!GateOk)
                 continue;
               Sink.begin();

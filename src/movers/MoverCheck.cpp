@@ -126,32 +126,30 @@ CheckResult checkMover(Symbol Subject, const Action &SubjectAction,
 
   // Evaluates a gate at an interned point; Ω-independent gates hit the
   // gate cache.
-  auto gateAt = [&](const Action &A, StoreId G, PaId Pa,
-                    const PaMultiset &Omega) {
-    return A.gateReadsOmega()
-               ? A.evalGate(Arena.store(G), Arena.pa(Pa).Args, Omega)
-               : Gates.get(A, G, Pa, Omega);
+  auto gateAt = [&](const Action &A, StoreId G, PaId Pa, PaSetId Omega) {
+    return A.gateReadsOmega() ? A.evalGate(Arena.store(G), Arena.pa(Pa).Args,
+                                           Arena.paSet(Omega))
+                              : Gates.get(A, G, Pa, Omega);
   };
-  // Interns Ω − Executed ⊎ Created and returns its value form (for gates
-  // that observe Ω after a step).
+  // Interns Ω − Executed ⊎ Created (for gates that observe Ω after a
+  // step).
   auto omegaAfter = [&](const PaCountVec &Entries, PaId Executed,
-                        const InternedTransition &T) -> const PaMultiset & {
+                        const InternedTransition &T) {
     PaCountVec Rest(Entries);
     paCountVecErase(Rest, Executed);
-    return Arena.paSet(Arena.internPaVec(paCountVecUnion(Rest, T.Created)));
+    return Arena.internPaVec(paCountVecUnion(Rest, T.Created));
   };
 
   for (ConfigId Cid : Universe.Configs) {
     auto [G, OmegaId] = Arena.config(Cid);
     const PaCountVec &Entries = Arena.paVec(OmegaId);
-    const PaMultiset &Omega = Arena.paSet(OmegaId);
 
     // (4) Non-blocking, checked once per subject occurrence.
     if (RequireNonBlocking) {
       for (PaId SubjectPa : Arena.paOrder(OmegaId)) {
         if (Arena.pa(SubjectPa).Action != Subject)
           continue;
-        if (!gateAt(SubjectAction, G, SubjectPa, Omega))
+        if (!gateAt(SubjectAction, G, SubjectPa, OmegaId))
           continue;
         if (!NonBlockDone.insert({G, SubjectPa, SubjectPa}).second)
           continue;
@@ -165,8 +163,8 @@ CheckResult checkMover(Symbol Subject, const Action &SubjectAction,
 
     forEachPair(Arena, OmegaId, Subject, [&](PaId SubjectPa, PaId OtherPa) {
       const Action &Other = P.action(Arena.pa(OtherPa).Action);
-      bool SubjectGate = gateAt(SubjectAction, G, SubjectPa, Omega);
-      bool OtherGate = gateAt(Other, G, OtherPa, Omega);
+      bool SubjectGate = gateAt(SubjectAction, G, SubjectPa, OmegaId);
+      bool OtherGate = gateAt(Other, G, OtherPa, OmegaId);
 
       // (1) Gate of the subject is forward-preserved by the other action.
       // When the subject's gate does not read Ω, the obligation only
@@ -180,7 +178,7 @@ CheckResult checkMover(Symbol Subject, const Action &SubjectAction,
               SubjectAction.gateReadsOmega()
                   ? gateAt(SubjectAction, TO.Global, SubjectPa,
                            omegaAfter(Entries, OtherPa, TO))
-                  : gateAt(SubjectAction, TO.Global, SubjectPa, Omega);
+                  : gateAt(SubjectAction, TO.Global, SubjectPa, OmegaId);
           if (!Preserved)
             Result.fail("gate not forward-preserved: " +
                         describePair(Arena, Cid, SubjectPa, OtherPa));
@@ -198,7 +196,7 @@ CheckResult checkMover(Symbol Subject, const Action &SubjectAction,
               Other.gateReadsOmega()
                   ? gateAt(Other, TS.Global, OtherPa,
                            omegaAfter(Entries, SubjectPa, TS))
-                  : gateAt(Other, TS.Global, OtherPa, Omega);
+                  : gateAt(Other, TS.Global, OtherPa, OmegaId);
           if (GateAfter && !OtherGate)
             Result.fail("gate not backward-preserved: " +
                         describePair(Arena, Cid, SubjectPa, OtherPa));
@@ -369,7 +367,7 @@ scheduleMover(ObligationScheduler &Sched, ObCondition Cond, Symbol Subject,
       auto gateAt = [&](const Action &A, StoreId G, PaId Pa, PaSetId Omega) {
         return A.gateReadsOmega()
                    ? OmegaGates.get(A, G, Pa, Omega)
-                   : Gates.get(A, G, Pa, Arena.paSet(Omega));
+                   : Gates.get(A, G, Pa, Omega);
       };
       // Per-configuration memo. Pre-state gate verdicts, transition
       // lists, and successor-Ω ids (Ω − Pa ⊎ Created) are functions of

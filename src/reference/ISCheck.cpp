@@ -160,7 +160,7 @@ ISCheckReport reference::checkIS(const ISApplication &App,
           const PaMultiset &Omega = Arena.paSet(OmegaId);
           bool GateOk = Abs.gateReadsOmega()
                             ? Abs.evalGate(Arena.store(G), PA.Args, Omega)
-                            : Gates.get(Abs, G, Pa, Omega);
+                            : Gates.get(Abs, G, Pa, OmegaId);
           if (!GateOk)
             continue;
           Report.Cooperation.countObligation();

@@ -199,8 +199,7 @@ isq::scheduleActionRefinement(ObligationScheduler &Sched, ObCondition Cond,
       auto gateAt = [&](const Action &A, const InternedActionContext &Ctx) {
         return A.gateReadsOmega()
                    ? OmegaGatesP->get(A, Ctx.Global, Ctx.ArgsPa, Ctx.Omega)
-                   : GatesP->get(A, Ctx.Global, Ctx.ArgsPa,
-                                 Arena.paSet(Ctx.Omega));
+                   : GatesP->get(A, Ctx.Global, Ctx.ArgsPa, Ctx.Omega);
       };
       auto describe = [&](const InternedActionContext &Ctx) {
         return describeContext({Arena.store(Ctx.Global),

@@ -29,5 +29,12 @@ size_t Configuration::hash() const {
 std::string Configuration::str() const {
   if (IsFailure)
     return "FAIL";
-  return "(" + Global.str() + ", " + toString(Pas) + ")";
+  // Appends rather than "(" + std::string&&, which GCC 12 at -O3 flags
+  // with a false -Wrestrict.
+  std::string Out = "(";
+  Out += Global.str();
+  Out += ", ";
+  Out += toString(Pas);
+  Out += ")";
+  return Out;
 }

@@ -2,7 +2,10 @@
 ///
 /// \file
 /// A monotonic wall-clock stopwatch used by the verification pipeline and
-/// the benchmark harness to report per-check times (Table 1 column "Time").
+/// the benchmark harness to report per-check times (Table 1 column "Time"),
+/// and a stopwatch of the calling thread's CPU time for work that runs on
+/// pool threads, where summed wall time would also count the time a
+/// worker sat descheduled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -10,6 +13,7 @@
 #define ISQ_SUPPORT_TIMER_H
 
 #include <chrono>
+#include <ctime>
 
 namespace isq {
 
@@ -29,6 +33,24 @@ public:
 private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point Start;
+};
+
+/// Starts on construction; elapsed() reports the CPU seconds the calling
+/// thread has used since (CLOCK_THREAD_CPUTIME_ID). Start and read it on
+/// the same thread.
+class ThreadCpuTimer {
+public:
+  ThreadCpuTimer() : Start(now()) {}
+
+  double elapsed() const { return now() - Start; }
+
+private:
+  static double now() {
+    timespec Ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts);
+    return static_cast<double>(Ts.tv_sec) + 1e-9 * static_cast<double>(Ts.tv_nsec);
+  }
+  double Start;
 };
 
 } // namespace isq

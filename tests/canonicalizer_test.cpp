@@ -6,7 +6,9 @@
 // declares a symmetric sort, both must pick the same representative and
 // the same orbit size. A 4-thread variant races every thread over the
 // same inputs; run under -DISQ_SANITIZE=thread it is the canonicalizer's
-// race check.
+// race check. A hand-built case makes several permutations tie on the
+// store with differing Ω images, under PaIds that disagree with value
+// order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <set>
 #include <thread>
 
 using namespace isq;
@@ -150,6 +154,80 @@ TEST(CanonicalizerTest, ThreadsCanonicalizingTheSameInputsAgree) {
     EXPECT_EQ(Canon.calls(), NumThreads * In.size()) << S->File;
     EXPECT_LE(Canon.hits(), Canon.calls()) << S->File;
   }
+}
+
+TEST(CanonicalizerTest, StoreTiesBreakOnOmegaInValueOrder) {
+  // Node IDs 1..3. A store whose shaped variable is unset is fixed by all
+  // six permutations, and leader=3 by the two that send 3 to 1, so in
+  // both cases several permutations tie on the store and Ω decides. The
+  // PAs are interned in reverse value order first, so PaId order is the
+  // reverse of value order: a tie-break that compared images by PaId
+  // would pick other representatives than SymmetrySpec::canonical.
+  SymmetrySpec Sym("Node", {1, 2, 3});
+  Symbol Leader = Symbol::get("leader");
+  Symbol A = Symbol::get("A"), B = Symbol::get("B");
+  Sym.setGlobalShape(Leader, ValueShape::id());
+  Sym.setActionShape(A, {ValueShape::id()});
+  Sym.setActionShape(B, {ValueShape::id(), ValueShape::id()});
+  auto a = [&](int64_t I) { return PendingAsync(A, {Value::integer(I)}); };
+  auto b = [&](int64_t I, int64_t J) {
+    return PendingAsync(B, {Value::integer(I), Value::integer(J)});
+  };
+
+  // One shard: handles then grow in interning order.
+  StateArena Arena(1);
+  std::vector<PendingAsync> All;
+  for (int64_t I = 1; I <= 3; ++I) {
+    All.push_back(a(I));
+    for (int64_t J = 1; J <= 3; ++J)
+      All.push_back(b(I, J));
+  }
+  std::sort(All.rbegin(), All.rend());
+  for (const PendingAsync &Pa : All)
+    Arena.internPa(Pa);
+  ASSERT_GT(Arena.internPa(a(1)), Arena.internPa(a(3)));
+
+  auto omega = [](std::vector<std::pair<PendingAsync, uint64_t>> Entries) {
+    PaMultiset Omega;
+    for (const auto &[Pa, Count] : Entries)
+      Omega.insert(Pa, Count);
+    return Omega;
+  };
+  std::vector<Store> Stores = {
+      Store(), Store().set(Symbol::get("round"), Value::integer(1)),
+      Store().set(Leader, Value::integer(3))};
+  std::vector<PaMultiset> Omegas = {
+      omega({{a(1), 1}, {a(2), 2}}),
+      omega({{a(2), 1}, {b(1, 3), 1}}),
+      omega({{a(1), 1}, {a(2), 1}, {a(3), 1}}),
+      omega({{b(1, 2), 1}, {b(2, 1), 1}}),
+      omega({{a(3), 2}, {b(2, 3), 1}, {b(3, 1), 3}}),
+      omega({{a(1), 1}, {a(3), 1}, {b(2, 2), 2}})};
+
+  Canonicalizer Canon(Arena, Sym);
+  size_t TiesWithDistinctImages = 0;
+  for (const Store &G : Stores)
+    for (const PaMultiset &Omega : Omegas) {
+      std::vector<uint32_t> MinPerms;
+      Sym.canonicalStore(G, MinPerms);
+      ASSERT_GT(MinPerms.size(), 1u) << G.str();
+      std::set<PaMultiset> Images;
+      for (uint32_t I : MinPerms)
+        Images.insert(Sym.permuteOmega(Omega, Sym.perm(I)));
+      TiesWithDistinctImages += Images.size() > 1;
+
+      uint64_t Orbit = 0;
+      Configuration Want = Sym.canonical(Configuration(G, Omega), &Orbit);
+      std::pair<ConfigId, uint32_t> Got =
+          Canon.canon(Arena.internStore(G), Arena.internPaSet(Omega));
+      EXPECT_EQ(Got.first, Arena.internConfig(Want))
+          << "representative of " << Configuration(G, Omega).str()
+          << ": got " << Arena.configuration(Got.first).str() << ", want "
+          << Want.str();
+      EXPECT_EQ(Got.second, Orbit) << Configuration(G, Omega).str();
+    }
+  // Most cases make the tie-break choose between distinct Ω images.
+  EXPECT_GT(TiesWithDistinctImages, Stores.size() * Omegas.size() / 2);
 }
 
 } // namespace

@@ -1,10 +1,11 @@
 //===- tests/engine_test.cpp - Hash-consed engine tests ----------------------===//
 //
 // Tests for the interning arena (engine/StateArena.h) and the parallel
-// frontier engine (engine/StateGraph.h): interning round-trips, determinism
-// of parallel exploration across thread counts, differential equivalence
-// with the value-level reference BFS (reference/Explorer.h), and
-// truncation reporting.
+// frontier engine (engine/StateGraph.h): interning round-trips, racing
+// interns through index growth (under -DISQ_SANITIZE=thread, the arena's
+// race check), determinism of parallel exploration across thread counts,
+// differential equivalence with the value-level reference BFS
+// (reference/Explorer.h), and truncation reporting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 
 using namespace isq;
@@ -212,6 +214,78 @@ TEST(StateArenaTest, HashConsHitsAreCountedAcrossThreads) {
   EXPECT_EQ(After.Stores, static_cast<size_t>(NumStores));
 }
 
+TEST(StateArenaTest, ConcurrentInternsAgreeThroughGrowth) {
+  // Every thread interns every value, each in its own order (the strides
+  // are prime to NumValues), so first interns race hits and each other
+  // on every table. A shard's index starts at 16 slots and grows at 60%
+  // occupancy: 4 000 values of each kind put about 250 in each of 16
+  // shards (16 → 512 slots, five growths) and all of them in the one
+  // shard at shards=1 (16 → 8 192 slots, nine growths).
+  constexpr int64_t NumValues = 4000;
+  constexpr unsigned NumThreads = 4;
+  constexpr int64_t Stride[NumThreads] = {1, 7, 11, 13};
+  for (unsigned Shards : {1u, 16u}) {
+    StateArena Arena(Shards);
+    ArenaStats Before = Arena.stats(); // holds the empty PA set
+    using Ids = std::vector<uint32_t>;
+    std::vector<Ids> StoreIds(NumThreads, Ids(NumValues)),
+        PaIds(NumThreads, Ids(NumValues)), SetIds(NumThreads, Ids(NumValues)),
+        ConfigIds(NumThreads, Ids(NumValues));
+    std::atomic<unsigned> Ready{0};
+    std::vector<std::thread> Pool;
+    for (unsigned T = 0; T < NumThreads; ++T)
+      Pool.emplace_back([&, T] {
+        Ready.fetch_add(1);
+        while (Ready.load() < NumThreads)
+          std::this_thread::yield();
+        for (int64_t K = 0; K < NumValues; ++K) {
+          int64_t I = (K * Stride[T] + T * NumValues / NumThreads) % NumValues;
+          StoreId G = Arena.internStore(makeStore({{"x", I}}));
+          PaId Pa =
+              Arena.internPa(PendingAsync(Symbol::get("P"), {Value::integer(I)}));
+          PaSetId Set = Arena.internPaVec({{Pa, 1 + I % 3}});
+          StoreIds[T][I] = G;
+          PaIds[T][I] = Pa;
+          SetIds[T][I] = Set;
+          ConfigIds[T][I] = Arena.internConfig(G, Set);
+        }
+      });
+    for (std::thread &T : Pool)
+      T.join();
+
+    for (unsigned T = 1; T < NumThreads; ++T) {
+      EXPECT_EQ(StoreIds[T], StoreIds[0]) << "shards=" << Shards;
+      EXPECT_EQ(PaIds[T], PaIds[0]) << "shards=" << Shards;
+      EXPECT_EQ(SetIds[T], SetIds[0]) << "shards=" << Shards;
+      EXPECT_EQ(ConfigIds[T], ConfigIds[0]) << "shards=" << Shards;
+    }
+    for (const Ids *Kind : {&StoreIds[0], &PaIds[0], &SetIds[0], &ConfigIds[0]})
+      EXPECT_EQ(std::set<uint32_t>(Kind->begin(), Kind->end()).size(),
+                static_cast<size_t>(NumValues))
+          << "one id per distinct value, shards=" << Shards;
+    for (int64_t I = 0; I < NumValues; ++I) {
+      ASSERT_EQ(Arena.store(StoreIds[0][I]), makeStore({{"x", I}}));
+      ASSERT_EQ(Arena.pa(PaIds[0][I]).Args[0], Value::integer(I));
+      ASSERT_EQ(Arena.paVec(SetIds[0][I]),
+                (PaCountVec{{PaIds[0][I], 1 + I % 3}}));
+      ASSERT_EQ(Arena.config(ConfigIds[0][I]),
+                std::make_pair(StoreIds[0][I], SetIds[0][I]));
+    }
+
+    ArenaStats After = Arena.stats();
+    const size_t N = NumValues;
+    EXPECT_EQ(After.Stores, N);
+    EXPECT_EQ(After.Pas, N);
+    EXPECT_EQ(After.PaSets, Before.PaSets + N);
+    EXPECT_EQ(After.Configs, N);
+    // Four intern calls per value and thread; all but the first of each
+    // value's four calls per kind are hits.
+    EXPECT_EQ(After.Lookups - Before.Lookups, 4 * NumThreads * N);
+    EXPECT_EQ(After.Hits - Before.Hits, 4 * (NumThreads - 1) * N);
+    EXPECT_EQ(After.ShardOccupancy, Shards);
+  }
+}
+
 TEST(OmegaGateCacheTest, CountsLookupsAndHitsAcrossThreads) {
   // Same key sequence on four threads after a serial warm-up: every
   // threaded get is a lookup and a hit, none re-runs the gate.
@@ -267,7 +341,7 @@ TEST(OmegaGateCacheTest, MoreActionsThanIdsStayCorrect) {
   std::vector<Action> Actions;
   for (int I = 0; I < 80; ++I)
     Actions.emplace_back(
-        "G" + std::to_string(I), 0,
+        std::string("G").append(std::to_string(I)), 0,
         [I](const GateContext &Ctx) { return (Ctx.Omega.size() + I) % 3 == 0; },
         [](const Store &, const std::vector<Value> &) {
           return std::vector<Transition>{};

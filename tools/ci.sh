@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: build and test the normal configuration, then the
 # sanitized (address + undefined) configuration, which must compile
-# without a single warning; verify every shipped
+# without a single warning; build the optimized (Release) configuration,
+# which must compile without a single warning too; verify every shipped
 # example end-to-end in both report formats (with a JSON schema sanity
 # check); smoke-run the smallest row of every benchmark binary;
 # smoke-test the verification service (isq-serve + isq-loadgen: removed
@@ -23,7 +24,8 @@
 # cache that must degrade to a cold run, never to different answers);
 # check that running out of memory (Paxos N=4 under a `ulimit -v` cap)
 # ends in exit 2 with a resource-exhausted diagnostic;
-# finally run the threaded engine + concurrent memo (FlatMemo stress) +
+# finally run the threaded engine + arena interning race (StateArena
+# stress) + concurrent memo (FlatMemo stress) +
 # canonicalizer race + obligation-scheduler + symmetry +
 # serve + driver-re-entrancy tests under ThreadSanitizer, including the
 # symmetry=false differential, a tiny-steal-chunk run that forces
@@ -135,6 +137,17 @@ run_config build-asan -DISQ_SANITIZE=ON
 if grep -q 'warning:' build-asan/ci-build.log; then
   grep 'warning:' build-asan/ci-build.log
   echo "build-asan: compiler warnings"; exit 1
+fi
+
+echo "==== Release build: no compiler warnings ===="
+# -O3 inlines more than the RelWithDebInfo default, and GCC's
+# optimization-dependent warnings (-Wrestrict, -Wmaybe-uninitialized,
+# ...) only fire there. Built, not tested: the tier-1 tree runs the tests.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j "$JOBS" 2>&1 | tee build-release/ci-build.log
+if grep -q 'warning:' build-release/ci-build.log; then
+  grep 'warning:' build-release/ci-build.log
+  echo "build-release: compiler warnings"; exit 1
 fi
 
 echo "==== verify shipped examples (text + json) ===="
@@ -475,7 +488,7 @@ cmake --build build-tsan -j "$JOBS" --target engine_test flat_memo_test \
   canonicalizer_test scheduler_test symmetry_test cli_test serve_test \
   reentrancy_test isq-verify
 (cd build-tsan && ctest -j "$JOBS" --output-on-failure \
-  -R 'Engine|FlatMemo|Canonicalizer|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
+  -R 'Engine|StateArena|OmegaGateCache|ParallelExplore|WorkStealing|FlatMemo|Canonicalizer|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
 build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
   --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
   --engine threads=4 >/dev/null
