@@ -191,6 +191,14 @@ public:
     });
   }
 
+  /// Indexes \p External, which the caller keeps alive and unchanged for
+  /// the memo's lifetime, unless \p K raced in; returns the indexed value
+  /// either way.
+  const ValueT &insertExternal(const KeyT &K, uint64_t Hash,
+                               const ValueT &External) {
+    return *Memo.insertWith(K, Hash, [&]() { return &External; });
+  }
+
 private:
   using Index = FlatMemo<KeyT, const ValueT *>;
   Index Memo;
@@ -267,6 +275,16 @@ public:
       }
     }
     return Memo.insert(K, Hash, std::move(Interned));
+  }
+
+  /// Answers get(\p A, \p G, \p ArgsPa) from \p Interned: \p A's
+  /// transitions from that point, interned by the caller, who keeps them
+  /// alive and unchanged for the cache's lifetime. Counts as neither a
+  /// lookup nor a hit.
+  void seed(const Action &A, StoreId G, PaId ArgsPa,
+            const std::vector<InternedTransition> &Interned) {
+    ActionPointKey K(A, G, ArgsPa);
+    Memo.insertExternal(K, K.hash(), Interned);
   }
 
   size_t lookups() const { return Lookups.load(); }

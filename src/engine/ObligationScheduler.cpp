@@ -3,16 +3,13 @@
 #include "engine/ObligationScheduler.h"
 
 #include "engine/ObligationCache.h"
+#include "engine/ParallelFor.h"
 #include "refine/Refinement.h"
 #include "support/Format.h"
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 
@@ -260,7 +257,7 @@ bool fitsSlice(const std::vector<ObAggregate> &Out, const ObSlice &Slice,
   for (const ObAggregate &A : Out) {
     if (A.Issues.size() > A.Failures)
       return false;
-    if (Slice.Universe)
+    if (Size > 0)
       for (const ObIssue &I : A.Issues)
         if (I.Local >= Size)
           return false;
@@ -275,9 +272,6 @@ void ObligationScheduler::run() {
   Ran = true;
   Timer Wall;
 
-  size_t NumJobs = Jobs.size();
-  unsigned Workers =
-      static_cast<unsigned>(std::min<size_t>(Threads, NumJobs));
   // One job, cache-aware: probe before running, record after. Both the
   // fingerprinting (KeyFn) and the blob encode/decode happen here on the
   // worker, so cache overhead parallelizes with the checking itself.
@@ -304,34 +298,7 @@ void ObligationScheduler::run() {
       Cache->insert(Key, J.Out);
     J.Seconds = T.elapsed();
   };
-  if (Workers <= 1) {
-    for (JobSlot &J : Jobs)
-      RunOne(J);
-  } else {
-    std::atomic<size_t> Next{0};
-    std::exception_ptr Error;
-    std::mutex ErrorMutex;
-    auto Work = [&]() {
-      try {
-        for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-             I < NumJobs; I = Next.fetch_add(1, std::memory_order_relaxed))
-          RunOne(Jobs[I]);
-      } catch (...) {
-        std::lock_guard<std::mutex> Lock(ErrorMutex);
-        if (!Error)
-          Error = std::current_exception();
-      }
-    };
-    std::vector<std::thread> Pool;
-    Pool.reserve(Workers - 1);
-    for (unsigned I = 0; I + 1 < Workers; ++I)
-      Pool.emplace_back(Work);
-    Work();
-    for (std::thread &T : Pool)
-      T.join();
-    if (Error)
-      std::rethrow_exception(Error);
-  }
+  parallelFor(Threads, Jobs.size(), [&](size_t I) { RunOne(Jobs[I]); });
 
   Stats.Cache.Enabled = Cache != nullptr;
   for (JobSlot &J : Jobs) {

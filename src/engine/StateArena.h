@@ -62,6 +62,12 @@ using ConfigId = uint32_t;
 
 constexpr uint32_t InvalidId = UINT32_MAX;
 
+/// Two handles as one integer key, \p Hi in the upper half: e.g. a
+/// (StoreId, PaId) point or a transition's (StoreId, PaSetId) image.
+inline uint64_t packIds(uint32_t Hi, uint32_t Lo) {
+  return (static_cast<uint64_t>(Hi) << 32) | Lo;
+}
+
 /// The interned form of a PA multiset: (PaId, multiplicity) pairs sorted by
 /// PaId with strictly positive multiplicities. Canonical within one arena.
 using PaCountVec = std::vector<std::pair<PaId, uint64_t>>;

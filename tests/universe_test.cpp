@@ -10,6 +10,8 @@
 //    is the set of M's call points there;
 //  - an invariant with a step outside Reach(P) makes build explore the
 //    leg, and the checkers agree with the serial reference loops on it;
+//  - the universe's τI table is the invariant's transitions at every
+//    call point, interned, for every thread count;
 //  - a truncated P never skips the leg;
 //  - a symmetric module whose M carries a node ID: (I1)–(I3) see every
 //    call point of an orbit, so their counts do not depend on symmetry.
@@ -23,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 
@@ -31,6 +34,7 @@ namespace isq {
 void PrintTo(const Configuration &C, std::ostream *OS) { *OS << C.str(); }
 void PrintTo(const Store &G, std::ostream *OS) { *OS << G.str(); }
 void PrintTo(const Value &V, std::ostream *OS) { *OS << V.str(); }
+void PrintTo(const Transition &T, std::ostream *OS) { *OS << T.str(); }
 void PrintTo(const PaMultiset &Omega, std::ostream *OS) {
   *OS << toString(Omega);
 }
@@ -160,6 +164,85 @@ TEST(ISUniverseTest, SpaceAndCallsMatchReferenceOnShippedExamples) {
   }
 }
 
+namespace {
+
+/// U's τI table against \p Inv enumerated afresh at each call point and
+/// interned into U's arena, in enumeration order.
+void expectTauIMatchesInvariant(const Action &Inv, const ISUniverse &U) {
+  engine::StateArena &Arena = *U.MCalls.Arena;
+  const TauITable &Tab = U.TauI;
+  ASSERT_EQ(Tab.PointOf.size(), U.MCalls.Items.size());
+  ASSERT_EQ(Tab.Offsets.size(), U.MCalls.Items.size() + 1);
+  EXPECT_EQ(Tab.Offsets.front(), 0u);
+  std::vector<bool> Used(Tab.Points.size(), false);
+  for (size_t K = 0; K < U.MCalls.Items.size(); ++K) {
+    const InternedActionContext &Call = U.MCalls.Items[K];
+    const Store &G = Arena.store(Call.Global);
+    const std::vector<Value> &Args = Arena.pa(Call.ArgsPa).Args;
+    if (!Inv.evalGate(G, Args, Arena.paSet(Call.Omega))) {
+      EXPECT_EQ(Tab.PointOf[K], TauITable::NoPoint) << K;
+      EXPECT_EQ(Tab.Offsets[K + 1], Tab.Offsets[K]) << K;
+      continue;
+    }
+    ASSERT_LT(Tab.PointOf[K], Tab.Points.size()) << K;
+    Used[Tab.PointOf[K]] = true;
+    const TauIPoint &Point = Tab.Points[Tab.PointOf[K]];
+    EXPECT_EQ(Point.Global, Call.Global);
+    EXPECT_EQ(Point.ArgsPa, Call.ArgsPa);
+    std::vector<Transition> Trans = Inv.transitions(G, Args);
+    EXPECT_EQ(Tab.Offsets[K + 1] - Tab.Offsets[K], Trans.size()) << K;
+    ASSERT_EQ(Point.Trans.size(), Trans.size());
+    ASSERT_EQ(Point.Interned.size(), Trans.size());
+    std::set<uint64_t> Index;
+    for (size_t I = 0; I < Trans.size(); ++I) {
+      EXPECT_EQ(Point.Trans[I], Trans[I]) << I;
+      EXPECT_TRUE(Point.Trans[I].Created == Trans[I].Created)
+          << "created-PA order differs at " << I;
+      const engine::InternedTransition &IT = Point.Interned[I];
+      EXPECT_EQ(IT.Global, Arena.internStore(Trans[I].Global)) << I;
+      EXPECT_EQ(IT.CreatedSet, Arena.internPaSet(Trans[I].createdMultiset()))
+          << I;
+      EXPECT_EQ(IT.Created, Arena.paVec(IT.CreatedSet)) << I;
+      EXPECT_TRUE(Point.contains(IT.Global, IT.CreatedSet)) << I;
+      Index.insert(engine::packIds(IT.Global, IT.CreatedSet));
+    }
+    EXPECT_EQ(Point.Index, std::vector<uint64_t>(Index.begin(), Index.end()));
+  }
+  EXPECT_EQ(std::count(Used.begin(), Used.end(), false), 0)
+      << "a τI entry no call point uses";
+}
+
+/// The value-level call points of \p U in order.
+std::vector<ValueCall> orderedCalls(const ISUniverse &U) {
+  const engine::StateArena &Arena = *U.MCalls.Arena;
+  std::vector<ValueCall> Out;
+  for (const InternedActionContext &Call : U.MCalls.Items)
+    Out.emplace_back(Arena.store(Call.Global), Arena.pa(Call.ArgsPa).Args,
+                     Arena.paSet(Call.Omega));
+  return Out;
+}
+
+} // namespace
+
+TEST(ISUniverseTest, TauITableMatchesInvariantOnShippedExamples) {
+  for (const std::string &File : shippedExampleFiles()) {
+    for (bool Symmetry : {true, false}) {
+      for (const char *Threads : {"threads=1", "threads=4"}) {
+        SCOPED_TRACE(File + (Symmetry ? " symmetry=true " : " symmetry=false ") +
+                     Threads);
+        std::vector<std::string> Flags =
+            withSymmetry(documentedFlags(File), Symmetry);
+        Flags.push_back("--engine");
+        Flags.push_back(Threads);
+        ShippedExample Ex = loadShippedExample(File, Flags);
+        ASSERT_TRUE(Ex.Universe.Space.Arena);
+        ASSERT_GT(Ex.Universe.TauI.size(), 0u);
+        expectTauIMatchesInvariant(Ex.App.Invariant, Ex.Universe);
+      }
+    }
+  }
+}
+
 TEST(ISUniverseTest, InvariantLeavingPExploresTheLeg) {
   ShippedExample Ex =
       loadShippedExample("ping_pong.asl", documentedFlags("ping_pong.asl"));
@@ -188,11 +271,33 @@ TEST(ISUniverseTest, InvariantLeavingPExploresTheLeg) {
   EXPECT_TRUE(Space.count(Escaped)) << Escaped.str();
   EXPECT_EQ(Space, referenceUniverse(App, Ex.Compiled.InitialStore));
   EXPECT_EQ(valueCalls(U.MCalls), referenceCalls(Space, App.M));
+  // The leg's call points have their τI too.
+  expectTauIMatchesInvariant(App.Invariant, U);
 
   ISCheckReport Scheduled = checkIS(App, U);
   ISCheckReport Serial = reference::checkIS(App, U);
   EXPECT_EQ(Scheduled.ok(), Serial.ok());
   EXPECT_EQ(Scheduled.str(), Serial.str());
+
+  // The failing closure test runs its slices on four threads: the same
+  // universe, call points and arena occupancy as on one.
+  ExploreOptions Four;
+  Four.Config.NumThreads = 4;
+  ISUniverse U4 =
+      ISUniverse::build(App, {{Ex.Compiled.InitialStore, {}}}, Four);
+  EXPECT_EQ(orbitExpandedSpace(App.P, U4), Space);
+  EXPECT_EQ(orderedCalls(U4), orderedCalls(U));
+  EXPECT_EQ(U4.Space.Configs.size(), U.Space.Configs.size());
+  EXPECT_EQ(U4.Stats.InternedStores, U.Stats.InternedStores);
+  EXPECT_EQ(U4.Stats.InternedPas, U.Stats.InternedPas);
+  EXPECT_EQ(U4.Stats.InternedPaSets, U.Stats.InternedPaSets);
+  EXPECT_EQ(U4.Stats.InternedConfigs, U.Stats.InternedConfigs);
+  EXPECT_EQ(U4.Stats.ShardOccupancy, U.Stats.ShardOccupancy);
+  EXPECT_EQ(U4.TauI.size(), U.TauI.size());
+  expectTauIMatchesInvariant(App.Invariant, U4);
+  ISCheckOptions Opts;
+  Opts.Config.NumThreads = 4;
+  EXPECT_EQ(checkIS(App, U4, Opts).str(), Serial.str());
 }
 
 TEST(ISUniverseTest, TruncatedPNeverSkipsTheLeg) {

@@ -23,10 +23,13 @@
 # incremental=false oracle with a nonzero hit rate, and a corrupted
 # cache that must degrade to a cold run, never to different answers);
 # check that running out of memory (Paxos N=4 under a `ulimit -v` cap)
-# ends in exit 2 with a resource-exhausted diagnostic;
+# ends in exit 2 with a resource-exhausted diagnostic; verify Paxos R=2
+# N=4 at one and four threads (ACCEPTED, its configuration and
+# obligation counts, (I3) in several jobs, bit-identical verdict JSON);
 # finally run the threaded engine + arena interning race (StateArena
 # stress) + concurrent memo (FlatMemo stress) +
-# canonicalizer race + obligation-scheduler + symmetry +
+# canonicalizer race + obligation-scheduler + scheduled IS checker +
+# IS universe (threaded τI table and closure test) + symmetry +
 # serve + driver-re-entrancy tests under ThreadSanitizer, including the
 # symmetry=false differential, a tiny-steal-chunk run that forces
 # cross-worker stealing, a threaded warm run over a shared verdict
@@ -482,13 +485,41 @@ if [ "$oom_status" -ne 2 ] ||
 fi
 echo "  paxos N=4 under ulimit -v 100000: exit 2, resource exhausted"
 
+echo "==== paxos N=4: threads=1 vs threads=4 ===="
+# The largest instance CI verifies in full: Paxos R=2 N=4 must be
+# ACCEPTED with its known universe and obligation counts, (I3) must run
+# as more than one job (its slices cover τI, not call points), and the
+# verdict JSON must be bit-identical at one and four threads after the
+# determinism stage's scrub.
+for threads in 1 4; do
+  # shellcheck disable=SC2086
+  build/tools/isq-verify examples/asl/paxos.asl $paxos4_flags \
+    --engine threads=$threads,incremental=false --format json \
+    > "$SERVE_TMP/paxos4-t$threads.json"
+done
+if ! diff <(scrub_engine "$SERVE_TMP/paxos4-t1.json") \
+          <(scrub_engine "$SERVE_TMP/paxos4-t4.json") >/dev/null; then
+  echo "paxos N=4: threads=1 != threads=4"; exit 1
+fi
+python3 - "$SERVE_TMP/paxos4-t4.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["accepted"] is True and doc["exit_code"] == 0, doc["accepted"]
+assert doc["engine"]["configurations"] == 174227, doc["engine"]["configurations"]
+assert doc["obligations"]["total"] == 4669461, doc["obligations"]["total"]
+step = {c["name"]: c for c in doc["conditions"]}["inductive_step"]
+assert step["jobs"] > 1, step
+print("  paxos N=4: ACCEPTED, 174227 configurations, 4669461 obligations, "
+      "(I3) in %d jobs, threads=1 == threads=4" % step["jobs"])
+EOF
+
 echo "==== TSan: threaded engine + memos + scheduler + symmetry + serve ===="
 cmake -B build-tsan -S . -DISQ_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target engine_test flat_memo_test \
-  canonicalizer_test scheduler_test symmetry_test cli_test serve_test \
-  reentrancy_test isq-verify
+  canonicalizer_test scheduler_test universe_test symmetry_test cli_test \
+  serve_test reentrancy_test isq-verify
 (cd build-tsan && ctest -j "$JOBS" --output-on-failure \
-  -R 'Engine|StateArena|OmegaGateCache|ParallelExplore|WorkStealing|FlatMemo|Canonicalizer|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
+  -R 'Engine|StateArena|OmegaGateCache|ParallelExplore|WorkStealing|FlatMemo|Canonicalizer|Scheduler|ScheduledISCheck|ISUniverse|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
 build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
   --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
   --engine threads=4 >/dev/null
