@@ -2,34 +2,31 @@
 
 #include "is/Sequentialize.h"
 
+#include <algorithm>
+
 using namespace isq;
+
+bool isq::keptByRestriction(const std::vector<Symbol> &E,
+                            const Transition &T) {
+  for (const PendingAsync &PA : T.Created)
+    if (std::find(E.begin(), E.end(), PA.Action) != E.end())
+      return false;
+  return true;
+}
 
 Action isq::restrictInvariant(const ISApplication &App) {
   // Capture only what is needed: the invariant and the set E.
   Action Invariant = App.Invariant;
   std::vector<Symbol> E = App.E;
-  auto IsToE = [E](const PendingAsync &PA) {
-    for (Symbol Name : E)
-      if (PA.Action == Name)
-        return true;
-    return false;
-  };
   Action::GateFn Gate = [Invariant](const GateContext &Ctx) {
     return Invariant.evalGate(Ctx.Global, Ctx.Args, Ctx.Omega);
   };
   Action::TransitionsFn Transitions =
-      [Invariant, IsToE](const Store &G, const std::vector<Value> &Args) {
+      [Invariant, E](const Store &G, const std::vector<Value> &Args) {
         std::vector<Transition> Out;
-        for (Transition &T : Invariant.transitions(G, Args)) {
-          bool HasE = false;
-          for (const PendingAsync &PA : T.Created)
-            if (IsToE(PA)) {
-              HasE = true;
-              break;
-            }
-          if (!HasE)
+        for (Transition &T : Invariant.transitions(G, Args))
+          if (keptByRestriction(E, T))
             Out.push_back(std::move(T));
-        }
         return Out;
       };
   // Filtering is pure, so the restriction is concurrently enumerable
@@ -39,8 +36,12 @@ Action isq::restrictInvariant(const ISApplication &App) {
                 App.Invariant.transitionsThreadSafe());
 }
 
+bool isq::derivesSequentializedAction(const ISApplication &App) {
+  return !App.SeqAction;
+}
+
 Action isq::sequentializedAction(const ISApplication &App) {
-  if (App.SeqAction)
+  if (!derivesSequentializedAction(App))
     return App.SeqAction->withName(App.M.str());
   return restrictInvariant(App);
 }

@@ -16,8 +16,17 @@
 
 namespace isq {
 
-/// The action (ρI, {t ∈ τI | PAE(t) = ∅}) of condition (I2), named M.
+/// Whether transition \p T of the invariant survives the restriction of
+/// condition (I2): PAE(T) = ∅, i.e. T creates no PA to an action of \p E.
+bool keptByRestriction(const std::vector<Symbol> &E, const Transition &T);
+
+/// The action (ρI, {t ∈ τI | PAE(t) = ∅}) of condition (I2), named M: the
+/// invariant's transitions that keptByRestriction keeps, in order.
 Action restrictInvariant(const ISApplication &App);
+
+/// Whether M' is derived, i.e. sequentializedAction(App) is
+/// restrictInvariant(App): the application supplies no M' of its own.
+bool derivesSequentializedAction(const ISApplication &App);
 
 /// The action M' substituted for M: App.SeqAction if supplied (renamed to
 /// M), otherwise restrictInvariant(App).

@@ -8,9 +8,27 @@
 #include "movers/MoverCheck.h"
 
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace isq;
 using namespace isq::engine;
+
+namespace {
+
+/// The invariant's transition relation at one (store, args) point, with
+/// value-level transitions (preserving the user's created-PA enumeration
+/// order for the choice function) alongside their interned images and an
+/// integer-keyed membership index: the (I3) loop's memo entry, shared
+/// across every Ω-variant of the same call point.
+struct InvPoint {
+  std::vector<Transition> Trans;
+  std::vector<StoreId> TGlobal;
+  std::vector<PaCountVec> TCreated;
+  /// packIds(Global, CreatedSet) per transition of I.
+  std::unordered_set<uint64_t> Index;
+};
+
+} // namespace
 
 ISCheckReport reference::checkIS(const ISApplication &App,
                                  const ISUniverse &Universe) {
