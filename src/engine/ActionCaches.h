@@ -1,16 +1,26 @@
 //===- engine/ActionCaches.h - Interned transition/gate caches ---*- C++ -*-===//
 ///
 /// \file
-/// Memoization layers over interned state. Keys are (action identity,
-/// StoreId, PaId-of-args) triples — three integer-width values — so
-/// lookups cost a small hash of machine words instead of deep structural
-/// hashing of stores and argument tuples. Cached transitions are interned:
-/// the successor store and created-PA multiset are handles, which makes
-/// transition-set membership (the inner loop of the mover and IS checks)
-/// an integer compare.
+/// Memoization layers over interned state. Keys are a few integer-width
+/// handles — an action identity, a StoreId, the args' PaId and, for
+/// Ω-observing gates, Ω's PaSetId — so lookups cost a small hash of
+/// machine words instead of deep structural hashing of stores and
+/// argument tuples. Cached transitions are interned: the successor store
+/// and created-PA multiset are handles, which makes transition-set
+/// membership (the inner loop of the mover and IS checks) an integer
+/// compare.
+///
+/// The gate memos key each gate on what it reads (Action.h's gate
+/// footprint): a store-free gate keys on the NoStoreKey sentinel in place
+/// of its store, so its verdict at one (args, Ω) is computed once for
+/// every store; a gate that always holds skips the memo. A miss still
+/// evaluates the gate at the real store. The reference checkers build
+/// their GateCache with GateKeys::Exact, which keys and evaluates every
+/// gate at its real store, so the differential tests between the two
+/// paths check the declared footprints.
 ///
 /// Transition relations never observe Ω and are pure functions of
-/// (g, args), which is what makes both caches sound. User-supplied
+/// (g, args), which is what makes the transition cache sound. User-supplied
 /// transition enumerators are not required to be thread-safe: cache misses
 /// serialize the underlying calls behind a single compute mutex, unless
 /// the action declares Action::transitionsThreadSafe().
@@ -299,14 +309,33 @@ private:
   StripedCounter Hits;
 };
 
+/// The StoreId a gate memo key holds in place of a store-free gate's
+/// store.
+constexpr StoreId NoStoreKey = InvalidId;
+
+/// The store a gate memo keys \p A's gate on when evaluated at \p G.
+inline StoreId gateKeyStore(const Action &A, StoreId G) {
+  return A.gateReadsStore() ? G : NoStoreKey;
+}
+
+/// How a GateCache keys the gates it memoizes.
+enum class GateKeys : uint8_t {
+  /// By footprint (the production checkers): a store-free gate keys on
+  /// NoStoreKey, and a gate that always holds skips the memo.
+  Footprint,
+  /// By the real store, whatever the footprint (the reference checkers).
+  Exact,
+};
+
 /// Memoizes Ω-independent gate evaluations per (action instance, StoreId,
-/// args PaId). Callers must only use this for actions with
-/// gateReadsOmega() == false; Ω-observing gates must be evaluated
-/// directly. Thread-safe; a racing double-compute is benign (gates are
-/// pure functions of (g, args) under the contract).
+/// args PaId), the StoreId keyed per \p Keys. Callers must only use this
+/// for actions with gateReadsOmega() == false; Ω-observing gates must be
+/// evaluated directly. Thread-safe; a racing double-compute is benign
+/// (gates are pure functions of (g, args) under the contract).
 class GateCache {
 public:
-  explicit GateCache(StateArena &Arena) : Arena(Arena) {}
+  explicit GateCache(StateArena &Arena, GateKeys Keys = GateKeys::Footprint)
+      : Arena(Arena), Keys(Keys) {}
 
   /// Evaluates (and memoizes) \p A's gate at (\p G, args of \p ArgsPa).
   /// \p OmegaForEval is materialized and passed through to the gate only
@@ -314,7 +343,13 @@ public:
   /// false).
   bool get(const Action &A, StoreId G, PaId ArgsPa, PaSetId OmegaForEval) {
     assert(!A.gateReadsOmega() && "GateCache requires an Ω-independent gate");
-    ActionPointKey K(A, G, ArgsPa);
+    StoreId KeyG = G;
+    if (Keys == GateKeys::Footprint) {
+      if (A.gateAlwaysHolds())
+        return true;
+      KeyG = gateKeyStore(A, G);
+    }
+    ActionPointKey K(A, KeyG, ArgsPa);
     uint64_t Hash = K.hash();
     if (std::optional<bool> Found = Memo.find(K, Hash))
       return *Found;
@@ -325,20 +360,26 @@ public:
 
 private:
   StateArena &Arena;
+  GateKeys Keys;
   FlatMemo<ActionPointKey, bool> Memo;
 };
 
 /// Memoizes Ω-observing gate evaluations per (action instance, StoreId,
-/// args PaId, PaSetId of Ω). Gates are pure functions of (g, args, Ω) under
-/// the action contract, so keying on the interned Ω extends GateCache to
-/// exactly the gates it must refuse. The checker evaluates the same
-/// (gate, configuration) point once per mover pair and once per condition;
-/// this cache collapses those repeats into a single interpreter run.
-/// Thread-safe; a racing double-compute is benign (purity).
+/// args PaId, PaSetId of Ω), keyed by footprint like a GateKeys::Footprint
+/// GateCache (only the production checkers use this memo). Gates are pure
+/// functions of (g, args, Ω) under the action contract, so keying on the
+/// interned Ω extends GateCache to exactly the gates it must refuse. The
+/// checker evaluates the same (gate, configuration) point once per mover
+/// pair and once per condition; this cache collapses those repeats into a
+/// single interpreter run. Thread-safe; a racing double-compute is benign
+/// (purity).
 ///
-/// This is the largest memo of a check (≈210K entries on Paxos R=2 N=3),
-/// so its key is four 32-bit words: the action instance is a dense
-/// per-cache id, and the bool lives in the slot's tag (24-byte slots).
+/// This is the largest gate memo of a check, so its key is four 32-bit
+/// words: the action instance is a dense per-cache id, and the bool lives
+/// in the slot's tag (24-byte slots). Paxos's Ω-observing gates are all
+/// store-free but ProposeAbs's: at R=2 N=3 the memo holds ≈28K entries in
+/// 64K slots, at N=4 ≈121K in 256K (≈210K and ≈1.12M entries when every
+/// gate keyed on its store).
 class OmegaGateCache {
 public:
   explicit OmegaGateCache(StateArena &Arena) : Arena(Arena) {}
@@ -346,12 +387,14 @@ public:
   /// Evaluates (and memoizes) \p A's gate at (\p G, args of \p ArgsPa,
   /// multiset of \p Omega).
   bool get(const Action &A, StoreId G, PaId ArgsPa, PaSetId Omega) {
+    if (A.gateAlwaysHolds())
+      return true;
     Lookups.add();
     uint32_t Id = idOf(A);
     if (Id == InvalidId) // more gated actions than ids: evaluate directly
       return A.evalGate(Arena.store(G), Arena.pa(ArgsPa).Args,
                         Arena.paSet(Omega));
-    Key K{Id, G, ArgsPa, Omega};
+    Key K{Id, gateKeyStore(A, G), ArgsPa, Omega};
     uint64_t Hash = hashKey(K);
     if (std::optional<bool> Found = Memo.find(K, Hash)) {
       Hits.add();

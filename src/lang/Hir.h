@@ -103,7 +103,7 @@ struct Expr {
   std::string Op;     ///< unary/binary operator spelling
   std::vector<ExprPtr> Children;
   /// Pending builtins: Callee resolved to its symbol index by
-  /// annotateForEvaluation (lang/HirEval.h); NoSlot until then, when the
+  /// resolvePendingCallees (lang/HirEval.h); NoSlot until then, when the
   /// evaluator resolves the name per call.
   uint32_t CalleeIndex = NoSlot;
 };
@@ -132,7 +132,7 @@ struct Stmt {
   std::vector<StmtPtr> ElseBody;
   /// An assert is reachable from this statement to the end of its block,
   /// this statement's nested blocks included. Set once per statement by
-  /// annotateForEvaluation (lang/HirEval.h); the gate-only evaluator ends
+  /// annotateGates (lang/HirEval.h); the gate-only evaluator ends
   /// a path where neither this bit nor any enclosing continuation's holds.
   /// True until annotated, so unannotated HIR is never pruned.
   bool RestMayAssert = true;
@@ -154,6 +154,13 @@ struct Action {
   uint32_t NumSlots = 0;
   /// The body mentions a pending builtin (the gate observes Ω).
   bool UsesPending = false;
+  /// The gate's store footprint, set by annotateGates (lang/HirEval.h):
+  /// an assert is reachable from the start of the body, and the store is
+  /// read (a GlobalRef, or an indexed assignment's target) while one is.
+  /// True until annotated, so unannotated HIR is never taken as
+  /// store-free or constant.
+  bool GateMayFail = true;
+  bool GateReadsStore = true;
 };
 
 struct Global {

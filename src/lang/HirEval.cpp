@@ -584,18 +584,71 @@ struct GateRunner {
   }
 };
 
-/// Sets RestMayAssert over \p Body (nested blocks included); returns
-/// whether an assert is reachable from the start of \p Body.
-bool markAssertReach(std::vector<hir::StmtPtr> &Body) {
-  bool Rest = false;
+/// Whether \p E reads the global store.
+bool readsStore(const hir::Expr &E) {
+  if (E.Kind == hir::ExprKind::GlobalRef)
+    return true;
+  for (const hir::ExprPtr &C : E.Children)
+    if (readsStore(*C))
+      return true;
+  return false;
+}
+
+/// Whether evaluating \p S itself (not its nested blocks) reads the
+/// store: a GlobalRef in its expressions, or an indexed assignment, which
+/// reads the target it updates.
+bool readsStore(const hir::Stmt &S) {
+  if (S.Kind == hir::StmtKind::Assign && S.Exprs.size() > 1)
+    return true;
+  for (const hir::ExprPtr &E : S.Exprs)
+    if (readsStore(*E))
+      return true;
+  return false;
+}
+
+/// What markGates learns about one block.
+struct BlockGateFacts {
+  /// An assert is reachable from the start of the block.
+  bool MayAssert = false;
+  /// The gate evaluator can read the store in the block while an assert
+  /// is reachable (given the enclosing continuation's MayAssert).
+  bool ReadsLive = false;
+  /// Some statement of the block, nested blocks included, reads the
+  /// store.
+  bool ReadsAny = false;
+};
+
+/// Sets RestMayAssert over \p Body (nested blocks included) and collects
+/// its gate facts, where \p ContMayAssert says whether an assert is
+/// reachable from the continuation the block ends in. One walk: a
+/// statement's RestMayAssert is its block's suffix (known when walking
+/// backwards) or its own nested blocks, and the live-path rule is
+/// GateRunner::fails's — a statement's expressions are evaluated iff
+/// RestMayAssert or the continuation's MayAssert holds.
+BlockGateFacts markGates(std::vector<hir::StmtPtr> &Body, bool ContMayAssert) {
+  BlockGateFacts F;
   for (size_t I = Body.size(); I-- > 0;) {
     hir::Stmt &S = *Body[I];
-    bool InBody = markAssertReach(S.Body);
-    bool InElse = markAssertReach(S.ElseBody);
-    Rest = Rest || S.Kind == hir::StmtKind::Assert || InBody || InElse;
+    // Nested blocks end in the rest of this block, then the continuation.
+    bool After = F.MayAssert || ContMayAssert;
+    BlockGateFacts InBody = markGates(S.Body, After);
+    BlockGateFacts InElse = markGates(S.ElseBody, After);
+    bool Rest = F.MayAssert || S.Kind == hir::StmtKind::Assert ||
+                InBody.MayAssert || InElse.MayAssert;
     S.RestMayAssert = Rest;
+    // A loop body that may assert is live throughout on every iteration
+    // but the last (the next one may assert).
+    bool BodyReads = S.Kind == hir::StmtKind::For && InBody.MayAssert
+                         ? InBody.ReadsAny
+                         : InBody.ReadsLive;
+    bool SelfReads = readsStore(S);
+    F.MayAssert = Rest;
+    F.ReadsLive = F.ReadsLive || ((Rest || ContMayAssert) && SelfReads) ||
+                  BodyReads || InElse.ReadsLive;
+    F.ReadsAny =
+        F.ReadsAny || SelfReads || InBody.ReadsAny || InElse.ReadsAny;
   }
-  return Rest;
+  return F;
 }
 
 void resolveCallees(hir::Expr &E) {
@@ -624,9 +677,15 @@ bool asl::runHirGate(const std::vector<hir::StmtPtr> &Body, const Store &G,
   return !R.fails(Body, 0, GateRunner::State{G, Env.Slots}, nullptr);
 }
 
-void asl::annotateForEvaluation(hir::Module &M) {
+void asl::annotateGates(hir::Module &M) {
   for (hir::Action &A : M.Actions) {
-    markAssertReach(A.Body);
-    resolveCallees(A.Body);
+    BlockGateFacts F = markGates(A.Body, /*ContMayAssert=*/false);
+    A.GateMayFail = F.MayAssert;
+    A.GateReadsStore = F.ReadsLive;
   }
+}
+
+void asl::resolvePendingCallees(hir::Module &M) {
+  for (hir::Action &A : M.Actions)
+    resolveCallees(A.Body);
 }

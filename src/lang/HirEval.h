@@ -21,11 +21,23 @@
 /// assert is reachable from it — neither in the rest of its block nor in
 /// any enclosing continuation (outer blocks, remaining loop iterations).
 /// That reachability is a per-statement bit (hir::Stmt::RestMayAssert)
-/// computed once by annotateForEvaluation, never rescanned per step.
+/// computed once by annotateGates, never rescanned per step.
 /// runHirBody's CanFail stays the reference the gate evaluator is tested
 /// against. Expressions cannot fault an action today, so skipping an
 /// assert-free suffix cannot change a verdict; once runtime faults fail
 /// an action, the bit must also cover fallible expressions.
+///
+/// The same pass gives each action its gate's store footprint
+/// (hir::Action::GateReadsStore): whether the gate-only evaluator can
+/// read the global store on a path that may still reach an assert, by
+/// the same rule it prunes paths with. An expression read after the last
+/// reachable assert never decides the gate, so a gate whose store reads
+/// all lie there (or that has none) gives one verdict at every store for
+/// fixed args and Ω. The read set is sound, not exact: a GlobalRef counts
+/// even when it reads a value the gate itself wrote, and an indexed
+/// assignment counts as a read of its target (it will fault on a missing
+/// key once evaluation faults fail an action). A gate with no reachable
+/// assert at all (hir::Action::GateMayFail false) always holds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,11 +88,17 @@ BodyOutcome runHirBody(const std::vector<hir::StmtPtr> &Body,
 bool runHirGate(const std::vector<hir::StmtPtr> &Body, const Store &G,
                 const HirEnv &Env);
 
-/// Prepares \p M for evaluation: sets every statement's RestMayAssert bit
-/// and resolves the pending builtins' target actions to symbols. Called
-/// once by the lowering; evaluation of unannotated HIR stays correct,
+/// Sets every statement's RestMayAssert bit and every action's gate
+/// footprint (GateMayFail, GateReadsStore) in one walk of \p M. Interns
+/// nothing, so the lowering runs it before building the actions that
+/// carry the footprint. Evaluation of unannotated HIR stays correct,
 /// only slower.
-void annotateForEvaluation(hir::Module &M);
+void annotateGates(hir::Module &M);
+
+/// Resolves the pending builtins' target actions to symbols. Interns a
+/// symbol for any callee not interned yet, so the lowering calls it
+/// after interning every action name.
+void resolvePendingCallees(hir::Module &M);
 
 } // namespace asl
 } // namespace isq

@@ -167,7 +167,8 @@ std::optional<CompiledModule> asl::lowerHir(hir::Module &&M,
   if (!Diags.empty())
     return std::nullopt;
 
-  // Lower the actions.
+  // Lower the actions, each carrying its gate's footprint.
+  annotateGates(*Shared);
   CompiledModule Result;
   Result.InitialStore = Init;
   Result.Hir = Shared;
@@ -202,13 +203,16 @@ std::optional<CompiledModule> asl::lowerHir(hir::Module &&M,
                    A.UsesPending,
                    /*TransitionsThreadSafe=*/true);
     Lowered.setFp(fingerprintHirAction(A, Shared->Types));
+    Lowered.setGateFootprint(!A.GateMayFail    ? GateFootprint::AlwaysHolds
+                             : A.GateReadsStore ? GateFootprint::Store
+                                                : GateFootprint::NoStore);
     Result.P.addAction(std::move(Lowered));
   }
-  // Annotate last: every name a pending builtin can target is an action
+  // Resolve last: every name a pending builtin can target is an action
   // interned above, so resolving the callees interns nothing new —
   // interning order fixes symbol order, which Ω's canonical order and
   // with it exploration order rest on.
-  annotateForEvaluation(*Shared);
+  resolvePendingCallees(*Shared);
   if (Sym)
     Result.P.setSymmetry(std::move(Sym));
   return Result;

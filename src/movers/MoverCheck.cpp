@@ -116,7 +116,8 @@ CheckResult checkMover(Symbol Subject, const Action &SubjectAction,
   CheckResult Result;
   StateArena &Arena = *Universe.Arena;
   InternedTransitionCache Cache(Arena);
-  GateCache Gates(Arena);
+  // The serial loop is the scheduled one's oracle: no footprint keys.
+  GateCache Gates(Arena, GateKeys::Exact);
   // Commutation and non-blocking do not read Ω: check each distinct
   // (store, subject, other) point once across the universe.
   std::unordered_set<Key3, Key3Hash> CommuteDone;

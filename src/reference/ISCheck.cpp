@@ -162,7 +162,7 @@ ISCheckReport reference::checkIS(const ISApplication &App,
   // --- (CO) cooperation ----------------------------------------------------------
   {
     InternedTransitionCache CoCache(Arena);
-    GateCache Gates(Arena);
+    GateCache Gates(Arena, GateKeys::Exact);
     for (Symbol A : App.E) {
       const Action &Abs = App.abstraction(A);
       for (ConfigId Cid : Space.Configs) {

@@ -14,6 +14,13 @@
 /// multiset Ω (including the executing PA). Transition relations never
 /// read Ω, so the formal model is unchanged up to this encoding.
 ///
+/// The gate contract: ρ is a pure function of (g, args, Ω), evaluable from
+/// several threads at once; it reads Ω only if gateReadsOmega(), and the
+/// global store g only if gateReadsStore(). The store footprint defaults
+/// to "reads g"; a builder that proves a gate store-free (the ASL
+/// frontend does, from the HIR) declares it so the checkers' gate memos
+/// can share one verdict across every store (engine/ActionCaches.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ISQ_SEMANTICS_ACTION_H
@@ -23,6 +30,7 @@
 #include "semantics/PendingAsync.h"
 #include "semantics/Store.h"
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -61,6 +69,21 @@ struct GateContext {
   const PaMultiset &Omega;
 };
 
+/// A gate's static store footprint: what of its context, besides the
+/// arguments and (when gateReadsOmega()) Ω, its verdict may depend on.
+/// Declaring less than the gate reads is unsound — the checkers' gate
+/// memos reuse a store-free gate's verdict across stores.
+enum class GateFootprint : uint8_t {
+  /// The gate may read the global store. The default, and the only
+  /// footprint native and derived actions declare.
+  Store,
+  /// The gate gives one verdict at every global store for fixed args
+  /// and Ω.
+  NoStore,
+  /// The gate cannot fail: it holds in every context.
+  AlwaysHolds,
+};
+
 /// A gated atomic action.
 class Action {
 public:
@@ -94,6 +117,17 @@ public:
   /// Whether the gate may observe Ω.
   bool gateReadsOmega() const { return GateReadsOmega; }
 
+  /// The gate's declared store footprint (GateFootprint::Store unless
+  /// the builder proved less, as the ASL frontend does).
+  GateFootprint gateFootprint() const { return Footprint; }
+  void setGateFootprint(GateFootprint F) { Footprint = F; }
+  /// Whether the gate's verdict may depend on the global store.
+  bool gateReadsStore() const { return Footprint == GateFootprint::Store; }
+  /// Whether the gate holds in every context.
+  bool gateAlwaysHolds() const {
+    return Footprint == GateFootprint::AlwaysHolds;
+  }
+
   /// Whether the transition enumerator may run concurrently.
   bool transitionsThreadSafe() const { return TransitionsThreadSafe; }
 
@@ -123,12 +157,13 @@ public:
 
   /// Returns a copy of this action registered under \p NewName. Used to
   /// substitute an invariant or sequentialized action for M in P[M ↦ a].
-  /// The behavior fingerprint carries over: renaming does not change what
-  /// the gate/transition closures compute.
+  /// The behavior fingerprint and the gate footprint carry over: renaming
+  /// does not change what the gate/transition closures compute.
   Action withName(const std::string &NewName) const {
     Action Renamed(NewName, Arity, Gate, Transitions, GateReadsOmega,
                    TransitionsThreadSafe);
     Renamed.Fp = Fp;
+    Renamed.Footprint = Footprint;
     return Renamed;
   }
 
@@ -149,6 +184,7 @@ private:
   TransitionsFn Transitions;
   bool GateReadsOmega = false;
   bool TransitionsThreadSafe = false;
+  GateFootprint Footprint = GateFootprint::Store;
   Fingerprint Fp;
 };
 

@@ -334,6 +334,64 @@ TEST(OmegaGateCacheTest, CountsLookupsAndHitsAcrossThreads) {
   EXPECT_EQ(Evals.load(), Points.size()) << "hits must not re-run the gate";
 }
 
+TEST(GateCacheTest, StoreFreeGatesShareOneEntryAcrossStores) {
+  // A gate declared store-free is keyed without its store: one run per
+  // (args, Ω) in the production memos, one per store under
+  // GateKeys::Exact. A gate that always holds never runs.
+  StateArena Arena;
+  size_t Evals = 0;
+  auto Counting = [&Evals](bool ReadsOmega, GateFootprint F) {
+    Action A(
+        "Guard", 1,
+        [&Evals](const GateContext &Ctx) {
+          ++Evals;
+          return Ctx.Args[0].getInt() > 0;
+        },
+        [](const Store &, const std::vector<Value> &) {
+          return std::vector<Transition>{};
+        },
+        ReadsOmega);
+    A.setGateFootprint(F);
+    return A;
+  };
+  StoreId G1 = Arena.internStore(makeStore({{"x", 1}}));
+  StoreId G2 = Arena.internStore(makeStore({{"x", 2}}));
+  PaId Args = Arena.internPa(PendingAsync(Symbol::get("Guard"),
+                                          {Value::integer(1)}));
+  PaSetId Omega = Arena.emptyPaSet();
+
+  Action Free = Counting(false, GateFootprint::NoStore);
+  GateCache Footprint(Arena);
+  EXPECT_TRUE(Footprint.get(Free, G1, Args, Omega));
+  EXPECT_TRUE(Footprint.get(Free, G2, Args, Omega));
+  EXPECT_EQ(Evals, 1u);
+  GateCache Exact(Arena, GateKeys::Exact);
+  EXPECT_TRUE(Exact.get(Free, G1, Args, Omega));
+  EXPECT_TRUE(Exact.get(Free, G2, Args, Omega));
+  EXPECT_EQ(Evals, 3u);
+
+  Action OmegaFree = Counting(true, GateFootprint::NoStore);
+  OmegaGateCache OmegaGates(Arena);
+  EXPECT_TRUE(OmegaGates.get(OmegaFree, G1, Args, Omega));
+  EXPECT_TRUE(OmegaGates.get(OmegaFree, G2, Args, Omega));
+  EXPECT_EQ(Evals, 4u);
+  EXPECT_EQ(OmegaGates.hits(), 1u);
+
+  Action Reads = Counting(true, GateFootprint::Store);
+  EXPECT_TRUE(OmegaGates.get(Reads, G1, Args, Omega));
+  EXPECT_TRUE(OmegaGates.get(Reads, G2, Args, Omega));
+  EXPECT_EQ(Evals, 6u);
+
+  Action Always = Counting(false, GateFootprint::AlwaysHolds);
+  Action OmegaAlways = Counting(true, GateFootprint::AlwaysHolds);
+  EXPECT_TRUE(Footprint.get(Always, G1, Args, Omega));
+  EXPECT_TRUE(OmegaGates.get(OmegaAlways, G1, Args, Omega));
+  EXPECT_EQ(Evals, 6u);
+  EXPECT_EQ(OmegaGates.lookups(), 4u) << "always-true gates skip the memo";
+  EXPECT_TRUE(Exact.get(Always, G1, Args, Omega));
+  EXPECT_EQ(Evals, 7u) << "the exact memo runs every gate";
+}
+
 TEST(OmegaGateCacheTest, MoreActionsThanIdsStayCorrect) {
   // Past the cache's dense action ids, gates are evaluated directly:
   // still correct, merely unmemoized.

@@ -647,6 +647,38 @@ TEST(ScheduledISCheckTest, MatchesReferenceOnShippedExamples) {
   EXPECT_EQ(Rejected, 3u);
 }
 
+TEST(ScheduledISCheckTest, MatchesReferenceWhereAStoreReadDecidesAGate) {
+  // α(Check)'s gate reads x before its assert, and Bump changes x: the
+  // gate holds before Bump and fails after it, so (LM) rejects α(Check).
+  // The production gate memos key this gate on its store; keyed without
+  // it, the verdict at x = 0 would be reused at x = 1 and hide the
+  // failure. The reference memos always key on the store.
+  driver::VerifyOptions Options;
+  Options.Source = "var x: int := 0;\n"
+                   "var y: int := 0;\n"
+                   "action Main() { async Check(1); async Bump(1); }\n"
+                   "action Bump(k: int) { x := x + k; }\n"
+                   "action Check(k: int) { y := k; }\n"
+                   "action CheckAbs(k: int) { assert x == 0; y := k; }\n";
+  Options.Eliminate = {"Check", "Bump"};
+  Options.Abstractions = {{"Check", "CheckAbs"}};
+  std::vector<asl::Diagnostic> Diags;
+  std::optional<asl::CompiledModule> C = asl::frontend::compileSource(
+      Options.Source, "", Options.Consts, Options.Frontend, Diags);
+  ASSERT_TRUE(C) << (Diags.empty() ? "" : Diags[0].str());
+  EXPECT_TRUE(C->P.action("CheckAbs").gateReadsStore());
+  ISApplication App = driver::deriveApplication(Options, C->P);
+  ISUniverse Universe = ISUniverse::build(App, {{C->InitialStore, {}}});
+  ISCheckReport Serial = expectParallelMatchesSerial(App, Universe, {1, 4});
+  EXPECT_TRUE(Serial.AbstractionRefinement.ok());
+  EXPECT_TRUE(Serial.Cooperation.ok());
+  EXPECT_FALSE(Serial.LeftMovers.ok());
+  EXPECT_EQ(Serial.LeftMovers.failures(), 2u);
+  ASSERT_EQ(Serial.LeftMovers.issues().size(), 2u);
+  EXPECT_NE(Serial.LeftMovers.issues()[1].find("gate not forward-preserved"),
+            std::string::npos);
+}
+
 TEST(ScheduledISCheckTest, MatchesSerialAcrossSlicesOnPaxosR3N2) {
   isq::testing::ShippedExample Ex =
       isq::testing::loadShippedExample("paxos.asl", paxosFlags("3", "2"));
