@@ -2,8 +2,6 @@
 
 #include "bench/Table1.h"
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/Broadcast.h"
 #include "protocols/ChangRoberts.h"
@@ -12,6 +10,8 @@
 #include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
 #include "protocols/TwoPhaseCommit.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
 #include "support/Format.h"
 #include "support/Timer.h"
 

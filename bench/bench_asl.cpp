@@ -10,9 +10,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/VerifyDriver.h"
-#include "is/ISCheck.h"
 #include "lang/Frontend.h"
 #include "protocols/Broadcast.h"
+#include "reference/ISCheck.h"
 
 #include <benchmark/benchmark.h>
 

@@ -13,9 +13,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "protocols/Broadcast.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
 #include "support/Timer.h"
 
 #include <benchmark/benchmark.h>

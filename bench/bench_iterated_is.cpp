@@ -10,12 +10,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/Broadcast.h"
 #include "protocols/ChangRoberts.h"
 #include "protocols/NBuyer.h"
 #include "protocols/TwoPhaseCommit.h"
+#include "reference/ISCheck.h"
 
 #include <benchmark/benchmark.h>
 

@@ -9,13 +9,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Explorer.h"
-#include "movers/MoverCheck.h"
 #include "protocols/Broadcast.h"
 #include "protocols/ChangRoberts.h"
 #include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
 #include "protocols/TwoPhaseCommit.h"
+#include "reference/Explorer.h"
+#include "reference/MoverCheck.h"
 
 #include <benchmark/benchmark.h>
 

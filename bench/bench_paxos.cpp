@@ -10,10 +10,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/Paxos.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
 
 #include <benchmark/benchmark.h>
 

@@ -11,12 +11,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Trace.h"
-#include "is/Rewriter.h"
 #include "protocols/Broadcast.h"
 #include "protocols/ChangRoberts.h"
 #include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
+#include "reference/Rewriter.h"
+#include "reference/Trace.h"
 
 #include <benchmark/benchmark.h>
 

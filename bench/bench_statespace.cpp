@@ -10,7 +10,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Explorer.h"
 #include "is/Sequentialize.h"
 #include "protocols/Broadcast.h"
 #include "protocols/ChangRoberts.h"
@@ -18,6 +17,7 @@
 #include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
 #include "protocols/TwoPhaseCommit.h"
+#include "reference/Explorer.h"
 
 #include <benchmark/benchmark.h>
 
@@ -106,7 +106,7 @@ BENCHMARK(BM_Paxos)
 
 void reportSymmetryExplore(benchmark::State &State, const Program &P,
                            const Store &Init, int64_t Mode) {
-  ExploreOptions Opts;
+  engine::EngineOptions Opts;
   Opts.Config.Symmetry = Mode == 1;
   size_t Configs = 0, Interned = 0, OrbitStates = 0;
   for (auto _ : State) {

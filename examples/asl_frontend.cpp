@@ -11,7 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/VerifyDriver.h"
-#include "explorer/Explorer.h"
+#include "reference/Explorer.h"
 
 #include <cstdio>
 #include <cstdlib>

@@ -13,11 +13,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Trace.h"
-#include "is/ISCheck.h"
-#include "is/Rewriter.h"
-#include "is/Sequentialize.h"
 #include "is/ScheduleInvariant.h"
+#include "is/Sequentialize.h"
+#include "protocols/Measures.h"
+#include "reference/ISCheck.h"
+#include "reference/Rewriter.h"
+#include "reference/Trace.h"
 
 #include <cstdio>
 
@@ -85,7 +86,7 @@ int main() {
   App.Invariant =
       makeScheduleInvariant("Fig2Inv", P, App.M, Rank);
   App.Choice = chooseMinRank(Rank);
-  App.WfMeasure = Measure::pendingAsyncCount();
+  App.WfMeasure = protocols::pendingAsyncCount();
 
   ISCheckReport Report = checkIS(App, {{Init, {}}});
   std::printf("IS conditions for M with E = {A, B}:\n%s\n",

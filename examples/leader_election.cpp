@@ -12,10 +12,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/ChangRoberts.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
 #include "support/Timer.h"
 
 #include <algorithm>

@@ -12,11 +12,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/TwoPhaseCommit.h"
-#include "refine/Refinement.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Refinement.h"
 #include "support/Timer.h"
 
 #include <cstdio>

@@ -63,9 +63,8 @@ const char *driver::usageText() {
          "order, and discharges every condition of the IS rule.\n"
          "\n"
          "options:\n"
-         "  --const NAME=VALUE    bind a module constant (repeatable)\n"
-         "  --param NAME=VALUE    bind a module parameter (repeatable;\n"
-         "                        alias of --const — parameters declared\n"
+         "  --const NAME=VALUE    bind a module constant or parameter\n"
+         "                        (repeatable; parameters declared\n"
          "                        `param n: int := 2;` may also be left\n"
          "                        to their default)\n"
          "  --eliminate A,B,C     eliminated actions in schedule order\n"
@@ -183,8 +182,7 @@ CliParse driver::parseCommandLine(const std::vector<std::string> &Args) {
       Cli.Verify.RewriteAction = V;
       continue;
     }
-    if (Arg == "--const" || Arg == "--param" || Arg == "--abstract" ||
-        Arg == "--weight") {
+    if (Arg == "--const" || Arg == "--abstract" || Arg == "--weight") {
       std::string V;
       if (!NeedValue(Arg + " needs a NAME=VALUE argument", V))
         return Parse;
@@ -193,10 +191,10 @@ CliParse driver::parseCommandLine(const std::vector<std::string> &Args) {
         Parse.Error = Arg + " expects NAME=VALUE, got '" + V + "'";
         return Parse;
       }
-      if (Arg == "--const" || Arg == "--param") {
+      if (Arg == "--const") {
         int64_t N = 0;
         if (!parseNumber(Value, N)) {
-          Parse.Error = Arg + " " + Key + " expects an integer, got '" +
+          Parse.Error = "--const " + Key + " expects an integer, got '" +
                         Value + "'";
           return Parse;
         }

@@ -262,8 +262,10 @@ VerifyResult driver::verifyModule(const VerifyOptions &Options) {
   ISApplication App = deriveApplication(Options, Compiled->P);
 
   // 4. Discharge the IS conditions. The universe is built explicitly so
-  // its engine statistics can be surfaced in the summary.
-  ExploreOptions Explore;
+  // its engine statistics can be surfaced in the summary. Every
+  // exploration of the run records no parent links.
+  engine::EngineOptions Explore;
+  Explore.RecordParents = false;
   Explore.Config = Options.Engine;
   InitialCondition Init{Compiled->InitialStore, {}};
   ISUniverse Universe = ISUniverse::build(App, {Init}, Explore);
@@ -303,14 +305,10 @@ VerifyResult driver::verifyModule(const VerifyOptions &Options) {
     Timer CrossTimer;
     const ProgramSummary &SP = Universe.PSummaries.front();
     Program PPrime = applyIS(App);
-    engine::EngineOptions EO;
-    EO.MaxConfigurations = Explore.MaxConfigurations;
-    EO.RecordParents = false;
-    EO.Config = Options.Engine;
     ProgramSummary SPPrime = summarizeGraph(
         PPrime, engine::exploreGraph(
                     PPrime, {initialConfiguration(Init.Global, Init.MainArgs)},
-                    nullptr, EO));
+                    nullptr, Explore));
     Result.Engine.accumulate(SPPrime.Engine);
     Result.CrossCheck.Ran = true;
     Result.CrossCheck.ConfigsP = SP.Engine.NumConfigurations;

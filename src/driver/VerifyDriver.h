@@ -39,7 +39,7 @@ struct VerifyOptions {
   /// for sources without a file (imports are then unavailable).
   std::string SourcePath;
   /// Bindings for the module's integer constants and parameters
-  /// (--const and --param contribute here alike).
+  /// (--const binds both).
   std::map<std::string, int64_t> Consts;
   /// The frontend pipeline; V2 is the only value (see lang/Frontend.h).
   asl::frontend::FrontendVersion Frontend =

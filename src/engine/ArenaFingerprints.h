@@ -55,7 +55,8 @@ public:
         Id, Id, [&] { return fingerprintPaMultiset(Arena.paSet(Id)); });
   }
 
-  /// Matches fingerprintConfiguration of the same (non-failure) content.
+  /// A configuration's fingerprint: its store's and its Ω's, under the
+  /// "config/v1" domain.
   Fingerprint config(ConfigId Id) {
     if (std::optional<Fingerprint> F = Configs.find(Id, Id))
       return *F;

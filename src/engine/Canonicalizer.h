@@ -4,9 +4,10 @@
 /// The engine's one symmetry canonicalization: maps an interned raw
 /// configuration (StoreId, PaSetId) to its orbit representative's
 /// ConfigId and orbit size, without interning the raw configuration.
-/// Exploration and the IS closure test use it; SymmetrySpec::canonical
-/// is the value-level reference. Configurations compare store-first, so
-/// only the permutations minimizing the store (usually one) touch Ω.
+/// Exploration and the IS closure test use it; reference::canonical
+/// (reference/Symmetry.h) is the value-level reference. Configurations
+/// compare store-first, so only the permutations minimizing the store
+/// (usually one) touch Ω.
 ///
 /// Stage 1 memoizes raw StoreId → (canonical StoreId, those
 /// permutations). Stage 2 works on handles: it maps Ω's PaCountVec

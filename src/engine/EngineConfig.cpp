@@ -154,24 +154,3 @@ bool EngineConfig::applyKeyValues(
   }
   return true;
 }
-
-std::string EngineConfig::str() const {
-  std::string Out;
-  for (const auto &[Key, Value] : toKeyValues()) {
-    if (!Out.empty())
-      Out += ",";
-    Out += Key + "=" + Value;
-  }
-  const EngineConfig Defaults;
-  if (!CacheDir.empty())
-    Out = Out.empty() ? "cache-dir=" + CacheDir
-                      : "cache-dir=" + CacheDir + "," + Out;
-  if (Incremental != Defaults.Incremental)
-    Out = Out.empty() ? std::string("incremental=false")
-                      : "incremental=false," + Out;
-  if (NumThreads != Defaults.NumThreads) {
-    std::string T = "threads=" + std::to_string(NumThreads);
-    Out = Out.empty() ? T : T + "," + Out;
-  }
-  return Out.empty() ? "defaults" : Out;
-}

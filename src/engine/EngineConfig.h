@@ -89,10 +89,6 @@ struct EngineConfig {
   /// toKeyValues()).
   bool applyKeyValues(const std::map<std::string, std::string> &KeyValues,
                       std::string &Error);
-
-  /// Human-readable one-line rendering of the non-default settings
-  /// ("defaults" when none).
-  std::string str() const;
 };
 
 } // namespace engine

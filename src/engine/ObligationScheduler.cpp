@@ -77,24 +77,6 @@ ObligationStats::Bucket ObligationStats::totals() const {
   return T;
 }
 
-void ObligationStats::accumulate(const ObligationStats &Other) {
-  for (size_t I = 0; I < NumObConditions; ++I) {
-    PerCondition[I].Jobs += Other.PerCondition[I].Jobs;
-    PerCondition[I].Units += Other.PerCondition[I].Units;
-    PerCondition[I].Obligations += Other.PerCondition[I].Obligations;
-    PerCondition[I].Failures += Other.PerCondition[I].Failures;
-    PerCondition[I].OrbitConfigs += Other.PerCondition[I].OrbitConfigs;
-    PerCondition[I].OrbitStates += Other.PerCondition[I].OrbitStates;
-    PerCondition[I].JobSeconds += Other.PerCondition[I].JobSeconds;
-  }
-  Cache.Hits += Other.Cache.Hits;
-  Cache.Misses += Other.Cache.Misses;
-  Cache.DiskHits += Other.Cache.DiskHits;
-  Cache.Enabled = Cache.Enabled || Other.Cache.Enabled;
-  WallSeconds += Other.WallSeconds;
-  Threads = std::max(Threads, Other.Threads);
-}
-
 std::string ObligationStats::str() const {
   Bucket T = totals();
   std::string Out;

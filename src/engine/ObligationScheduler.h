@@ -205,8 +205,7 @@ struct ObSlice {
   }
 };
 
-/// Per-condition and aggregate observability of one scheduler run (or of
-/// several runs accumulated by the driver).
+/// Per-condition and aggregate observability of one scheduler run.
 struct ObligationStats {
   struct Bucket {
     size_t Jobs = 0;
@@ -242,8 +241,6 @@ struct ObligationStats {
   unsigned Threads = 1;
 
   Bucket totals() const;
-  /// Merges \p Other into this (sums counters, maxes threads).
-  void accumulate(const ObligationStats &Other);
   /// One-line human-readable rendering.
   std::string str() const;
 };

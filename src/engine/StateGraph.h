@@ -38,10 +38,12 @@
 namespace isq {
 namespace engine {
 
-/// Knobs for exploreGraph(). Mirrors ExploreOptions plus the engine
-/// configuration.
+/// Knobs for exploreGraph() and every exploration built on it.
 struct EngineOptions {
+  /// Hard cap on distinct configurations; exploration reports truncation
+  /// when hit.
   size_t MaxConfigurations = 2'000'000;
+  /// Keep parent links for counterexample extraction.
   bool RecordParents = true;
   /// Threads, symmetry, steal granularity, store shape.
   /// Results are identical for every setting (see engine/EngineConfig.h).

@@ -8,7 +8,6 @@
 #include "engine/ObligationCache.h"
 #include "engine/ParallelFor.h"
 #include "engine/StateGraph.h"
-#include "is/ISCheckShared.h"
 #include "is/Sequentialize.h"
 #include "movers/MoverCheck.h"
 #include "semantics/Symmetry.h"
@@ -227,13 +226,11 @@ bool TauITable::enumerates(const Action &Inv,
 
 ISUniverse ISUniverse::build(const ISApplication &App,
                              const std::vector<InitialCondition> &Inits,
-                             const ExploreOptions &Opts) {
+                             const EngineOptions &Opts) {
   ISUniverse U;
   U.Space.Arena = std::make_shared<StateArena>(Opts.Config.Shards);
-  EngineOptions EO;
-  EO.MaxConfigurations = Opts.MaxConfigurations;
+  EngineOptions EO = Opts;
   EO.RecordParents = false; // parents are never consulted for universes
-  EO.Config = Opts.Config;
   // Every exploration interns into the one arena, so the union dedups by
   // ConfigId and the configurations are shared with every later check.
   std::unordered_set<ConfigId> Seen;
@@ -300,17 +297,6 @@ ISUniverse ISUniverse::build(const ISApplication &App,
   }
   U.MCalls = Calls.take();
   return U;
-}
-
-std::string isq::describeCall(const Store &Global,
-                              const std::vector<Value> &Args) {
-  std::string Out = "store=" + Global.str() + " args=(";
-  for (size_t I = 0; I < Args.size(); ++I) {
-    if (I)
-      Out += ", ";
-    Out += Args[I].str();
-  }
-  return Out + ")";
 }
 
 CheckResult isq::staticSideConditions(const ISApplication &App) {
@@ -797,14 +783,6 @@ ISCheckReport isq::checkIS(const ISApplication &App,
     Report.Cooperation.merge(Sched.result(CoGroup));
   Report.Scheduler = Sched.stats();
   return Report;
-}
-
-ISCheckReport isq::checkIS(const ISApplication &App,
-                           const std::vector<InitialCondition> &Inits,
-                           const ExploreOptions &Opts) {
-  ISCheckOptions CheckOpts;
-  CheckOpts.Config = Opts.Config;
-  return checkIS(App, ISUniverse::build(App, Inits, Opts), CheckOpts);
 }
 
 std::string ISCheckReport::str() const {

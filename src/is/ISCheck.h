@@ -116,9 +116,12 @@ struct ISUniverse {
   /// call points, its interning and the closure test run on
   /// Opts.Config.NumThreads threads; the universe, TauI and every arena
   /// count are the same for any thread count.
+  /// The explorations record no parent links, whatever
+  /// Opts.RecordParents says.
   static ISUniverse build(const ISApplication &App,
                           const std::vector<InitialCondition> &Inits,
-                          const ExploreOptions &Opts = ExploreOptions());
+                          const engine::EngineOptions &Opts =
+                              engine::EngineOptions());
 };
 
 /// Options for checkIS.
@@ -168,6 +171,11 @@ struct ISCheckReport {
   std::string str() const;
 };
 
+/// The structural side conditions on the application itself (everything
+/// checked before any universe-quantified obligation): O(|E|) bookkeeping
+/// checks, not obligation loops. Shared by checkIS and reference::checkIS.
+CheckResult staticSideConditions(const ISApplication &App);
+
 /// Checks every condition of the IS rule for \p App over \p Universe.
 /// τI comes from Universe.TauI when it enumerates App.Invariant (a
 /// universe built for \p App), and is enumerated afresh otherwise.
@@ -179,12 +187,6 @@ struct ISCheckReport {
 /// concurrently), which every protocol in this repo satisfies.
 ISCheckReport checkIS(const ISApplication &App, const ISUniverse &Universe,
                       const ISCheckOptions &Opts = ISCheckOptions());
-
-/// Convenience: builds the universe from \p Inits and checks it on the
-/// scheduler under Opts.Config (no obligation cache).
-ISCheckReport checkIS(const ISApplication &App,
-                      const std::vector<InitialCondition> &Inits,
-                      const ExploreOptions &Opts = ExploreOptions());
 
 } // namespace isq
 

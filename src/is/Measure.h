@@ -6,7 +6,9 @@
 /// easy" pattern (§4): a measure maps a configuration to a tuple of
 /// natural numbers — channel sizes and PA counts — compared
 /// lexicographically. Such measures are well-founded and monotonic under
-/// multiset union by construction.
+/// multiset union by construction. The driver builds one from each ASL
+/// module's declared measure; the stock measures of the native protocols
+/// are in protocols/Measures.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,15 +59,6 @@ public:
     }
     return false;
   }
-
-  /// The paper's generic pattern instantiated with the total PA count:
-  /// c ≫ c' iff c has more pending asyncs than c'. Sufficient whenever
-  /// eliminated actions do not create new PAs to E.
-  static Measure pendingAsyncCount();
-
-  /// A measure that sums the sizes of all bag/seq-valued variables in
-  /// \p ChannelVars and then counts PAs (lexicographic).
-  static Measure channelsThenPas(std::vector<Symbol> ChannelVars);
 
   /// Content fingerprint of what Eval computes, when known (the frontend
   /// stamps it from the declaration the measure was built from). Zero

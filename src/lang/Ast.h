@@ -166,7 +166,7 @@ struct ActionDecl {
 ///
 ///   const x: int;          host-bound (a --const binding is required)
 ///   param n: int;          instantiation parameter, no default
-///                          (a --param/--const binding is required)
+///                          (a --const binding is required)
 ///   param n: int := 2;     instantiation parameter with a default
 ///   const q: int := e;     derived: folded from parameters and earlier
 ///                          constants; never externally bindable

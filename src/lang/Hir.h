@@ -191,12 +191,6 @@ struct Module {
   uint32_t NumInitSlots = 0;
 };
 
-/// Renders the module in a stable textual form (used by tests for
-/// optimizer idempotence and by --dump-hir style debugging).
-std::string print(const Module &M);
-std::string print(const Expr &E);
-std::string print(const Stmt &S, unsigned Indent = 0);
-
 } // namespace hir
 } // namespace asl
 } // namespace isq

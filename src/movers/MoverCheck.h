@@ -1,19 +1,19 @@
-//===- movers/MoverCheck.h - Mover-type engine -------------------*- C++ -*-===//
+//===- movers/MoverCheck.h - Scheduled left-mover check ----------*- C++ -*-===//
 ///
 /// \file
-/// The mover-type engine (§3 "Left movers" and Lipton's reduction theory).
-/// An action l is a *left mover* w.r.t. an action x if
+/// The left-mover condition (LM) of the IS rule (§3 "Left movers"). An
+/// action l is a *left mover* w.r.t. an action x if
 ///   (1) the gate of l is forward-preserved by x,
 ///   (2) the gate of x is backward-preserved by l,
 ///   (3) l commutes to the left of x (preserving created-PA multisets), and
 ///   (4) l is non-blocking.
-/// Right movers satisfy the mirrored commutation/gate conditions (without
-/// non-blocking); they are used by the reduction module.
 ///
 /// All conditions are universally quantified over stores; we evaluate them
 /// over pairs of co-pending PAs in a finite configuration universe,
 /// which covers exactly the commuting steps performed by the soundness
-/// construction of §4.1 for the explored instances (see DESIGN.md).
+/// construction of §4.1 for the explored instances (see DESIGN.md). The
+/// serial loops, right movers and Lipton mover types live in isq_reference
+/// (reference/MoverCheck.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,49 +24,18 @@
 #include "refine/Refinement.h"
 #include "semantics/Program.h"
 
-#include <string>
-#include <vector>
+#include <memory>
 
 namespace isq {
-
-/// Lipton mover types for annotated primitive operations.
-enum class MoverType : uint8_t { Both, Left, Right, None };
-
-const char *moverTypeName(MoverType M);
 
 /// Checks that PAs named \p Subject, when executed with behavior
 /// \p LAction (the identity or an abstraction α(A)), are left movers with
 /// respect to every co-pending PA in \p Universe executed with \p P's
-/// original actions. This is LeftMover(α(A), P) of §3 evaluated over the
-/// universe.
-CheckResult checkLeftMover(Symbol Subject, const Action &LAction,
-                           const Program &P,
-                           const std::vector<Configuration> &Universe);
-
-/// Interned form: evaluates the same obligations over a universe of
-/// ConfigIds in a shared arena. Dedup keys and transition-set membership
-/// are integer compares; value-level configurations are only materialized
-/// for failure messages.
-CheckResult checkLeftMover(Symbol Subject, const Action &LAction,
-                           const Program &P,
-                           const engine::StateSpace &Universe);
-
-/// Mirrored check: PAs named \p Subject are right movers w.r.t. every
-/// co-pending PA (commute to the right; gates preserved in the mirrored
-/// directions). Non-blocking is not required of right movers.
-CheckResult checkRightMover(Symbol Subject, const Action &RAction,
-                            const Program &P,
-                            const std::vector<Configuration> &Universe);
-
-/// Interned form of checkRightMover (see checkLeftMover above).
-CheckResult checkRightMover(Symbol Subject, const Action &RAction,
-                            const Program &P,
-                            const engine::StateSpace &Universe);
-
-/// Obligation-scheduler form of checkLeftMover: submits the same
-/// obligations as sliced jobs under \p Cond and returns the group handle;
-/// after Sched.run(), Sched.result(group) is bit-identical to the serial
-/// check for any thread count. The jobs iterate the universe grouped by
+/// original actions: LeftMover(α(A), P) of §3 evaluated over the universe.
+/// Submits the obligations as sliced jobs under \p Cond and returns the
+/// group handle; after Sched.run(), Sched.result(group) is bit-identical
+/// to the serial checkLeftMover (reference/MoverCheck.h) for any thread
+/// count. The jobs iterate the universe grouped by
 /// store and slice only at store boundaries, so each Ω-independent
 /// (store, subject, other) obligation is decided once, in one job (see
 /// engine/ObligationScheduler.h). \p LAction, \p P, \p Universe and the
@@ -93,35 +62,13 @@ scheduleLeftMover(engine::ObligationScheduler &Sched, engine::ObCondition Cond,
                   std::shared_ptr<const engine::StoreGroupedOrder> Order =
                       nullptr);
 
-/// Obligation-scheduler form of checkRightMover (see scheduleLeftMover).
-engine::ObligationScheduler::Group *
-scheduleRightMover(engine::ObligationScheduler &Sched, engine::ObCondition Cond,
-                   Symbol Subject, const Action &RAction, const Program &P,
-                   const engine::StateSpace &Universe,
-                   engine::InternedTransitionCache &Cache,
-                   engine::GateCache &Gates,
-                   engine::OmegaGateCache &OmegaGates,
-                   engine::SuccessorOmegaCache &SuccOmega,
-                   engine::ArenaFingerprints *Fps = nullptr,
-                   std::shared_ptr<const engine::StoreGroupedOrder> Order =
-                       nullptr);
-
-/// The iteration order of the scheduled mover checks over \p Universe:
+/// The iteration order of the scheduled mover check over \p Universe:
 /// configurations grouped by store, slices of about 2048 configurations
-/// cut at store boundaries. The schedule calls above compute it when
+/// cut at store boundaries. scheduleLeftMover computes it when
 /// passed none; a caller running several passes over one universe
 /// computes it once and passes it to each.
 std::shared_ptr<const engine::StoreGroupedOrder>
 moverSliceOrder(const engine::StateSpace &Universe);
-
-/// Classifies \p Subject (executed with its own program action) over
-/// \p Universe as Both/Left/Right/None by running both directed checks.
-MoverType classifyMover(Symbol Subject, const Program &P,
-                        const std::vector<Configuration> &Universe);
-
-/// Interned form of classifyMover.
-MoverType classifyMover(Symbol Subject, const Program &P,
-                        const engine::StateSpace &Universe);
 
 } // namespace isq
 

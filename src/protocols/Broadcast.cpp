@@ -2,6 +2,7 @@
 
 #include "protocols/Broadcast.h"
 
+#include "protocols/Measures.h"
 #include "protocols/ProtocolUtil.h"
 
 #include <algorithm>
@@ -229,7 +230,7 @@ ISApplication protocols::makeBroadcastIS(const BroadcastParams &Params) {
   App.Abstractions.emplace(
       Symbol::get("Collect"),
       makeCollectAbs(Params, /*RequireNoBroadcasts=*/true));
-  App.WfMeasure = Measure::pendingAsyncCount();
+  App.WfMeasure = pendingAsyncCount();
   App.SeqAction = makeBroadcastSeqSpec(Params);
   return App;
 }
@@ -242,7 +243,7 @@ protocols::makeBroadcastStage1IS(const BroadcastParams &Params) {
   App.E = {Symbol::get("Broadcast")};
   App.Invariant = makeInv(Symbol::get("Broadcast"), Symbol::get("Collect"));
   App.Choice = ISApplication::chooseInOrder({Symbol::get("Broadcast")});
-  App.WfMeasure = Measure::pendingAsyncCount();
+  App.WfMeasure = pendingAsyncCount();
   return App;
 }
 
@@ -260,7 +261,7 @@ protocols::makeBroadcastStage2IS(const BroadcastParams &Params,
   App.Abstractions.emplace(
       Symbol::get("Collect"),
       makeCollectAbs(Params, /*RequireNoBroadcasts=*/false));
-  App.WfMeasure = Measure::pendingAsyncCount();
+  App.WfMeasure = pendingAsyncCount();
   App.SeqAction = makeBroadcastSeqSpec(Params);
   return App;
 }

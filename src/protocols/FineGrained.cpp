@@ -2,10 +2,9 @@
 
 #include "protocols/FineGrained.h"
 
-#include "explorer/Explorer.h"
-#include "movers/MoverCheck.h"
 #include "protocols/ProtocolUtil.h"
-#include "reduction/Reduction.h"
+#include "reference/Explorer.h"
+#include "reference/Reduction.h"
 
 #include <algorithm>
 

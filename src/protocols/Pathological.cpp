@@ -2,6 +2,7 @@
 
 #include "protocols/Pathological.h"
 
+#include "protocols/Measures.h"
 #include "protocols/ProtocolUtil.h"
 
 using namespace isq;
@@ -42,6 +43,6 @@ ISApplication protocols::makeCooperationCounterexampleIS() {
   // I = Main, as in the paper's discussion.
   App.Invariant = App.P.action("Main").withName("Inv");
   App.Choice = ISApplication::chooseInOrder({Symbol::get("Rec")});
-  App.WfMeasure = Measure::pendingAsyncCount();
+  App.WfMeasure = pendingAsyncCount();
   return App;
 }

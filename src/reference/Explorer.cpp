@@ -1,4 +1,4 @@
-//===- reference/Explorer.cpp - Value-level reference BFS ------------------------===//
+//===- reference/Explorer.cpp - Value-level exploration --------------------===//
 
 #include "reference/Explorer.h"
 
@@ -12,10 +12,61 @@ using namespace isq;
 
 namespace {
 
+/// Canonical orders promised by the ExploreResult contract.
+void sortResults(ExploreResult &R) {
+  std::sort(R.TerminalStores.begin(), R.TerminalStores.end());
+  std::sort(R.Deadlocks.begin(), R.Deadlocks.end());
+}
+
+/// Reconstructs the failing execution ending at \p NodeIdx + \p FailVia
+/// from the graph's parent links.
+Execution traceFromLinks(engine::StateGraph &G,
+                         const std::vector<Configuration> &Reachable,
+                         uint32_t NodeIdx, engine::PaId FailVia) {
+  const std::vector<engine::StateGraph::Link> &Links = G.links();
+  std::vector<uint32_t> Chain;
+  for (uint32_t I = NodeIdx; I != UINT32_MAX; I = Links[I].Parent)
+    Chain.push_back(I);
+  Execution E;
+  E.Initial = Reachable[Chain.back()];
+  for (size_t I = Chain.size() - 1; I > 0; --I) {
+    uint32_t Node = Chain[I - 1];
+    E.Steps.push_back({G.arena().pa(Links[Node].Via), Reachable[Node]});
+  }
+  E.Steps.push_back({G.arena().pa(FailVia), Configuration::failure()});
+  return E;
+}
+
+/// Materializes an engine StateGraph into the value-level ExploreResult.
+ExploreResult fromGraph(engine::StateGraph G,
+                        const engine::EngineOptions &Opts) {
+  ExploreResult R;
+  engine::StateArena &A = G.arena();
+  R.Reachable.reserve(G.nodes().size());
+  for (engine::ConfigId Cid : G.nodes())
+    R.Reachable.push_back(A.configuration(Cid));
+  R.FailureReachable = G.failureReachable();
+  if (G.failureAt() && Opts.RecordParents)
+    R.FailureTrace = traceFromLinks(G, R.Reachable, G.failureAt()->first,
+                                    G.failureAt()->second);
+  R.TerminalStores.reserve(G.terminalStores().size());
+  for (engine::StoreId S : G.terminalStores())
+    R.TerminalStores.push_back(A.store(S));
+  R.Deadlocks.reserve(G.deadlockNodes().size());
+  for (uint32_t Node : G.deadlockNodes())
+    R.Deadlocks.push_back(R.Reachable[Node]);
+  R.Engine = G.stats();
+  R.Stats.NumConfigurations = R.Engine.NumConfigurations;
+  R.Stats.NumTransitions = R.Engine.NumTransitions;
+  R.Stats.Truncated = R.Engine.Truncated;
+  sortResults(R);
+  return R;
+}
+
 /// Internal state of the value-level BFS.
 struct Bfs {
   const Program &P;
-  const ExploreOptions &Opts;
+  const engine::EngineOptions &Opts;
   ExploreResult Result;
 
   // Configuration -> index into Result.Reachable.
@@ -26,7 +77,7 @@ struct Bfs {
   std::unordered_set<Store> TerminalSeen;
   std::deque<size_t> Worklist;
 
-  Bfs(const Program &P, const ExploreOptions &Opts) : P(P), Opts(Opts) {}
+  Bfs(const Program &P, const engine::EngineOptions &Opts) : P(P), Opts(Opts) {}
 
   /// Registers \p C if new; returns its index or SIZE_MAX when capped.
   size_t add(const Configuration &C, size_t Parent, const PendingAsync &Via) {
@@ -106,7 +157,7 @@ struct Bfs {
 
 ExploreResult reference::exploreAll(const Program &P,
                                    const std::vector<Configuration> &Inits,
-                                   const ExploreOptions &Opts) {
+                                   const engine::EngineOptions &Opts) {
   Bfs B(P, Opts);
   for (const Configuration &Init : Inits) {
     assert(!Init.isFailure() && "initial configuration cannot be failure");
@@ -114,8 +165,28 @@ ExploreResult reference::exploreAll(const Program &P,
   }
   B.run();
   B.Result.Stats.NumConfigurations = B.Result.Reachable.size();
-  // The canonical orders of the ExploreResult contract.
-  std::sort(B.Result.TerminalStores.begin(), B.Result.TerminalStores.end());
-  std::sort(B.Result.Deadlocks.begin(), B.Result.Deadlocks.end());
+  sortResults(B.Result);
   return std::move(B.Result);
+}
+
+ExploreResult isq::explore(const Program &P, const Configuration &Init,
+                           const engine::EngineOptions &Opts) {
+  return exploreAll(P, {Init}, Opts);
+}
+
+ExploreResult isq::exploreAll(const Program &P,
+                              const std::vector<Configuration> &Inits,
+                              const engine::EngineOptions &Opts) {
+  return fromGraph(engine::exploreGraph(P, Inits, nullptr, Opts), Opts);
+}
+
+ProgramSummary isq::summarize(const Program &P, const Store &Init,
+                              std::vector<Value> MainArgs,
+                              const engine::EngineOptions &Opts) {
+  engine::EngineOptions EO = Opts;
+  EO.RecordParents = false; // a summary never reports a trace
+  return summarizeGraph(
+      P, engine::exploreGraph(
+             P, {initialConfiguration(Init, std::move(MainArgs))}, nullptr,
+             EO));
 }

@@ -3,9 +3,9 @@
 #include "reference/ISCheck.h"
 
 #include "engine/ActionCaches.h"
-#include "is/ISCheckShared.h"
 #include "is/Sequentialize.h"
-#include "movers/MoverCheck.h"
+#include "reference/MoverCheck.h"
+#include "reference/Refinement.h"
 
 #include <unordered_map>
 #include <unordered_set>
@@ -29,6 +29,14 @@ struct InvPoint {
 };
 
 } // namespace
+
+ISCheckReport isq::checkIS(const ISApplication &App,
+                           const std::vector<InitialCondition> &Inits,
+                           const EngineOptions &Opts) {
+  ISCheckOptions CheckOpts;
+  CheckOpts.Config = Opts.Config;
+  return checkIS(App, ISUniverse::build(App, Inits, Opts), CheckOpts);
+}
 
 ISCheckReport reference::checkIS(const ISApplication &App,
                                  const ISUniverse &Universe) {

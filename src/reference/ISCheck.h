@@ -5,7 +5,8 @@
 /// one plain loop per condition over the universe, in universe order. The
 /// production checker (is/ISCheck.h) runs the same obligations on the
 /// obligation scheduler; tests compare the two reports field by field.
-/// Part of isq_reference, which only tests, benches and examples link.
+/// Also the one-call form of the production checker that tests, benches
+/// and examples use. Part of isq_reference, which only they link.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,14 @@
 #include "is/ISCheck.h"
 
 namespace isq {
+
+/// Builds the universe from \p Inits and checks it with the production
+/// checker on the scheduler under Opts.Config (no obligation cache).
+ISCheckReport checkIS(const ISApplication &App,
+                      const std::vector<InitialCondition> &Inits,
+                      const engine::EngineOptions &Opts =
+                          engine::EngineOptions());
+
 namespace reference {
 
 /// Checks every condition of the IS rule for \p App over \p Universe with

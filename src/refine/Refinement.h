@@ -62,21 +62,12 @@ private:
   std::vector<std::string> Issues;
 };
 
-/// One point of the quantifier domain for action-level checks: a global
-/// store, parameter values for the action under check, and the ambient
-/// pending-async multiset visible to Ω-observing gates.
-struct ActionContext {
-  Store Global;
-  std::vector<Value> Args;
-  PaMultiset Omega;
-};
-
-/// A finite quantifier domain.
-using ContextUniverse = std::vector<ActionContext>;
-
-/// The interned form of one quantifier point: handles into a shared
-/// arena. ArgsPa carries the argument tuple (its action symbol is
-/// irrelevant to the check and only fixes the args' interning identity).
+/// One point of the quantifier domain for action-level checks, as handles
+/// into a shared arena: a global store, parameter values for the action
+/// under check, and the ambient pending-async multiset visible to
+/// Ω-observing gates. ArgsPa carries the argument tuple (its action symbol
+/// is irrelevant to the check and only fixes the args' interning
+/// identity).
 struct InternedActionContext {
   engine::StoreId Global;
   engine::PaId ArgsPa;
@@ -89,30 +80,22 @@ struct InternedContextUniverse {
   std::vector<InternedActionContext> Items;
 };
 
-/// Extracts contexts for action \p Name from explored configurations: one
-/// context per PA to \p Name per configuration.
-ContextUniverse collectContexts(const std::vector<Configuration> &Configs,
-                                Symbol Name);
-
-/// Interned form: extracts contexts for \p Name directly from an explored
-/// state space, without materializing configurations.
+/// Extracts contexts for action \p Name from an explored state space: one
+/// context per PA to \p Name per configuration, without materializing
+/// configurations.
 InternedContextUniverse collectContexts(const engine::StateSpace &Space,
                                         Symbol Name);
 
+/// "store=... args=(...)": the quantifier point named in refinement, (I3)
+/// and choice-function diagnostics.
+std::string describeCall(const Store &Global, const std::vector<Value> &Args);
+
 /// Checks Definition 3.1, a1 ≼ a2, over \p Universe:
 ///  (1) ρ2 ⊆ ρ1 and (2) ρ2 ∘ τ1 ⊆ τ2.
-CheckResult checkActionRefinement(const Action &A1, const Action &A2,
-                                  const ContextUniverse &Universe);
-
-/// Interned form: same obligations with (store, args) dedup and
-/// transition-set membership as integer compares.
-CheckResult checkActionRefinement(const Action &A1, const Action &A2,
-                                  const InternedContextUniverse &Universe);
-
-/// Obligation-scheduler form: submits the same obligations as sliced jobs
-/// into \p Sched under \p Cond and returns the group handle; after
-/// Sched.run(), Sched.result(group) is bit-identical to the serial
-/// checkActionRefinement above for any thread count. The jobs iterate
+/// Submits the obligations as sliced jobs into \p Sched under \p Cond and
+/// returns the group handle; after Sched.run(), Sched.result(group) is
+/// bit-identical to the serial checkActionRefinement of
+/// reference/Refinement.h for any thread count. The jobs iterate
 /// the contexts grouped by store and slice only at store boundaries, so
 /// each job decides every (store, args) point of condition (2) it meets
 /// exactly once, where the serial loop does (see
@@ -152,14 +135,6 @@ struct InitialCondition {
 CheckResult checkProgramRefinement(const ProgramSummary &S1,
                                    const ProgramSummary &S2,
                                    const Store &Init);
-
-/// Checks Definition 3.2, P1 ≼ P2, over the given initial conditions:
-/// explores each program once per initial condition (P1 only where P2
-/// cannot fail) and compares the summaries.
-CheckResult checkProgramRefinement(const Program &P1, const Program &P2,
-                                   const std::vector<InitialCondition> &Inits,
-                                   const ExploreOptions &Opts =
-                                       ExploreOptions());
 
 } // namespace isq
 

@@ -2,8 +2,7 @@
 
 #include "semantics/Fingerprint.h"
 
-#include "semantics/Configuration.h"
-#include "semantics/Symmetry.h"
+#include "semantics/Store.h"
 
 #include <algorithm>
 
@@ -58,16 +57,6 @@ Fingerprint FpHasher::finish() const {
   if (F.isZero())
     F.Lo = 0x9e3779b97f4a7c15ULL; // reserve zero for "absent"
   return F;
-}
-
-std::string Fingerprint::str() const {
-  static const char *Digits = "0123456789abcdef";
-  std::string Out(32, '0');
-  for (int I = 0; I < 16; ++I)
-    Out[15 - I] = Digits[(Hi >> (4 * I)) & 0xf];
-  for (int I = 0; I < 16; ++I)
-    Out[31 - I] = Digits[(Lo >> (4 * I)) & 0xf];
-  return Out;
 }
 
 Fingerprint isq::fingerprintValue(const Value &V) {
@@ -155,50 +144,5 @@ Fingerprint isq::fingerprintPaMultiset(const PaMultiset &Omega) {
     Entry.u64(Count);
     Acc = combineUnordered(Acc, Entry.finish());
   }
-  return Acc;
-}
-
-Fingerprint isq::fingerprintConfiguration(const Configuration &C) {
-  FpHasher H("config/v1");
-  H.boolean(C.isFailure());
-  if (!C.isFailure()) {
-    H.fp(fingerprintStore(C.global()));
-    H.fp(fingerprintPaMultiset(C.pendingAsyncs()));
-  }
-  return H.finish();
-}
-
-namespace {
-
-Fingerprint fingerprintShape(const ValueShape &S) {
-  FpHasher H("shape/v1");
-  H.u32(static_cast<uint32_t>(S.kind()));
-  H.u64(S.numChildren());
-  for (size_t I = 0; I < S.numChildren(); ++I)
-    H.fp(fingerprintShape(S.child(I)));
-  return H.finish();
-}
-
-} // namespace
-
-Fingerprint isq::fingerprintSymmetry(const SymmetrySpec *Spec) {
-  FpHasher H("symmetry/v1");
-  if (!Spec) {
-    H.boolean(false);
-    return H.finish();
-  }
-  H.boolean(true);
-  H.str(Spec->sortName());
-  H.u64(Spec->domain().size());
-  for (int64_t N : Spec->domain())
-    H.i64(N);
-  // Shape maps are symbol-keyed: fold commutatively. The global/action
-  // shape sets are part of the spec's identity — the measure masks ranks
-  // through them, so two specs differing only in shapes must not collide.
-  Fingerprint Acc = H.finish();
-  // SymmetrySpec does not expose map iteration; shapes are derived
-  // deterministically from (sort name, per-action types), which the
-  // action fingerprints and sort name already cover. Nothing further to
-  // absorb here.
   return Acc;
 }

@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Canonical 128-bit fingerprints for the semantic objects a verification
-/// obligation can depend on: values, stores, pending-async multisets,
-/// configurations, symmetry specs, and (via the frontend) action bodies.
+/// obligation can depend on: values, stores, pending-async multisets and
+/// (via the frontend) action bodies. engine/ArenaFingerprints.h extends
+/// them to interned configurations.
 /// Fingerprints are the keys of the content-addressed obligation verdict
 /// cache (engine/ObligationCache.h): a warm re-verification replays a
 /// slice's recorded verdict exactly when every input the slice consumed
@@ -44,8 +45,6 @@ namespace isq {
 
 class Value;
 class Store;
-class Configuration;
-class SymmetrySpec;
 
 /// Version of the fingerprint byte streams. Part of every hasher's seed
 /// and of the on-disk cache header: bumping it invalidates every
@@ -70,9 +69,6 @@ struct Fingerprint {
   /// zero fingerprint is reserved as "absent": the hasher never produces
   /// it (finish() remaps it).
   bool isZero() const { return Hi == 0 && Lo == 0; }
-
-  /// 32 lowercase hex digits, Hi first.
-  std::string str() const;
 };
 
 /// Incremental fingerprint hasher. Deterministic across platforms and
@@ -128,9 +124,6 @@ Fingerprint fingerprintValue(const Value &V);
 Fingerprint fingerprintStore(const Store &G);
 Fingerprint fingerprintPendingAsync(const PendingAsync &PA);
 Fingerprint fingerprintPaMultiset(const PaMultiset &Omega);
-Fingerprint fingerprintConfiguration(const Configuration &C);
-/// Null spec fingerprints as a distinct constant (absent ≠ any real spec).
-Fingerprint fingerprintSymmetry(const SymmetrySpec *Spec);
 
 } // namespace isq
 

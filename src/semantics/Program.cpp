@@ -46,51 +46,3 @@ Configuration isq::initialConfiguration(Store Global,
   Omega.insert(PendingAsync(Program::mainSymbol(), std::move(MainArgs)));
   return Configuration(std::move(Global), std::move(Omega));
 }
-
-std::vector<Configuration> isq::stepPendingAsync(const Program &P,
-                                                 const Configuration &C,
-                                                 const PendingAsync &PA) {
-  assert(!C.isFailure() && "cannot step the failure configuration");
-  assert(C.pendingAsyncs().contains(PA) && "PA not schedulable here");
-  const Action &A = P.action(PA.Action);
-
-  if (!A.evalGate(C.global(), PA.Args, C.pendingAsyncs()))
-    return {Configuration::failure()};
-
-  std::vector<Configuration> Result;
-  PaMultiset Rest = C.pendingAsyncs();
-  Rest.erase(PA);
-  for (const Transition &T : A.transitions(C.global(), PA.Args)) {
-    PaMultiset Omega = Rest;
-    for (const PendingAsync &New : T.Created)
-      Omega.insert(New);
-    Result.emplace_back(T.Global, std::move(Omega));
-  }
-  return Result;
-}
-
-std::vector<Configuration> isq::successors(const Program &P,
-                                           const Configuration &C) {
-  std::vector<Configuration> Result;
-  if (C.isFailure())
-    return Result;
-  for (const auto &[PA, Count] : C.pendingAsyncs().entries()) {
-    (void)Count; // scheduling one of several identical PAs is symmetric
-    std::vector<Configuration> Succs = stepPendingAsync(P, C, PA);
-    Result.insert(Result.end(), Succs.begin(), Succs.end());
-  }
-  return Result;
-}
-
-bool isq::hasBlockedPendingAsync(const Program &P, const Configuration &C) {
-  if (C.isFailure())
-    return false;
-  for (const auto &[PA, Count] : C.pendingAsyncs().entries()) {
-    (void)Count;
-    const Action &A = P.action(PA.Action);
-    if (A.evalGate(C.global(), PA.Args, C.pendingAsyncs()) &&
-        A.transitions(C.global(), PA.Args).empty())
-      return true;
-  }
-  return false;
-}

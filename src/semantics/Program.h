@@ -2,9 +2,11 @@
 ///
 /// \file
 /// A program is a finite mapping from action names to gated atomic actions,
-/// containing the dedicated name Main (§3). This header also provides the
-/// operational semantics: the transition relation between configurations,
-/// where any pending async may be scheduled next.
+/// containing the dedicated name Main (§3). Its operational semantics, the
+/// transition relation between configurations where any pending async may
+/// be scheduled next, is engine::exploreGraph's expansion
+/// (engine/StateGraph.h); the value-level step functions live in
+/// reference/Trace.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,23 +79,6 @@ private:
 /// Builds the initialized configuration (g, {(ℓ, Main)}) of §3.
 Configuration initialConfiguration(Store Global,
                                    std::vector<Value> MainArgs = {});
-
-/// Executes one occurrence of \p PA (which must be contained in \p C's
-/// pending asyncs) and returns all successor configurations. A failed gate
-/// yields the single failure configuration; a blocked action yields no
-/// successors.
-std::vector<Configuration> stepPendingAsync(const Program &P,
-                                            const Configuration &C,
-                                            const PendingAsync &PA);
-
-/// All successors of \p C across every schedulable pending async.
-std::vector<Configuration> successors(const Program &P,
-                                      const Configuration &C);
-
-/// True if some pending async of \p C has a true gate but no transition
-/// (i.e. \p C is a deadlock if additionally no other PA can run) — used by
-/// diagnostics.
-bool hasBlockedPendingAsync(const Program &P, const Configuration &C);
 
 } // namespace isq
 

@@ -178,24 +178,6 @@ SymmetrySpec::permutePendingAsync(const PendingAsync &PA,
   return PendingAsync(PA.Action, std::move(Args));
 }
 
-PaMultiset
-SymmetrySpec::permuteOmega(const PaMultiset &Omega,
-                           const std::vector<int64_t> &Image) const {
-  PaMultiset Out;
-  for (const auto &[PA, Count] : Omega.entries())
-    Out.insert(permutePendingAsync(PA, Image), Count);
-  return Out;
-}
-
-Configuration
-SymmetrySpec::permuteConfiguration(const Configuration &C,
-                                   const std::vector<int64_t> &Image) const {
-  if (C.isFailure())
-    return C;
-  return Configuration(permuteStore(C.global(), Image),
-                       permuteOmega(C.pendingAsyncs(), Image));
-}
-
 Store SymmetrySpec::canonicalStore(const Store &G,
                                    std::vector<uint32_t> &MinPerms) const {
   Store Best = G; // Perms[0] is the identity
@@ -210,19 +192,6 @@ Store SymmetrySpec::canonicalStore(const Store &G,
     }
   }
   return Best;
-}
-
-Configuration SymmetrySpec::canonical(const Configuration &C,
-                                      uint64_t *OrbitSize) const {
-  std::vector<Configuration> Images;
-  Images.reserve(Perms.size());
-  for (const std::vector<int64_t> &Image : Perms)
-    Images.push_back(permuteConfiguration(C, Image));
-  std::sort(Images.begin(), Images.end());
-  Images.erase(std::unique(Images.begin(), Images.end()), Images.end());
-  if (OrbitSize)
-    *OrbitSize = Images.size();
-  return Images.front();
 }
 
 std::vector<Store>

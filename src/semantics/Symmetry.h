@@ -131,28 +131,15 @@ public:
   Store permuteStore(const Store &G, const std::vector<int64_t> &Image) const;
   PendingAsync permutePendingAsync(const PendingAsync &PA,
                                    const std::vector<int64_t> &Image) const;
-  /// Applies the permutation to every pending async in \p Omega.
-  PaMultiset permuteOmega(const PaMultiset &Omega,
-                          const std::vector<int64_t> &Image) const;
-  Configuration
-  permuteConfiguration(const Configuration &C,
-                       const std::vector<int64_t> &Image) const;
 
   /// The lexicographically least image of \p G over the full group;
   /// \p MinPerms receives the indices of every permutation achieving it
   /// (the coset of the canonical store's stabilizer, never empty).
   /// Configurations compare store-first, so canonicalizing a
   /// configuration only has to permute Ω under these permutations
-  /// (engine::Canonicalizer).
+  /// (engine::Canonicalizer; its naive reference is reference::canonical,
+  /// reference/Symmetry.h).
   Store canonicalStore(const Store &G, std::vector<uint32_t> &MinPerms) const;
-
-  /// The orbit representative of \p C, the lexicographically least image
-  /// over the full group, found by enumerating every image: the naive
-  /// reference engine::Canonicalizer is tested against. When \p OrbitSize
-  /// is non-null it receives the number of distinct images. Failure
-  /// configurations are their own orbit.
-  Configuration canonical(const Configuration &C,
-                          uint64_t *OrbitSize = nullptr) const;
 
   /// All distinct images of \p G, sorted. Used by the refinement
   /// cross-check to expand a canonical terminal store back to its orbit.

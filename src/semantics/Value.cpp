@@ -9,30 +9,6 @@
 
 using namespace isq;
 
-const char *isq::valueKindName(ValueKind K) {
-  switch (K) {
-  case ValueKind::Unit:
-    return "unit";
-  case ValueKind::Bool:
-    return "bool";
-  case ValueKind::Int:
-    return "int";
-  case ValueKind::Tuple:
-    return "tuple";
-  case ValueKind::Option:
-    return "option";
-  case ValueKind::Set:
-    return "set";
-  case ValueKind::Bag:
-    return "bag";
-  case ValueKind::Map:
-    return "map";
-  case ValueKind::Seq:
-    return "seq";
-  }
-  return "<invalid>";
-}
-
 // Construction ---------------------------------------------------------------
 
 Value Value::boolean(bool B) {

@@ -40,9 +40,6 @@ enum class ValueKind : uint8_t {
   Seq,
 };
 
-/// Returns a printable name for \p K ("int", "bag", ...).
-const char *valueKindName(ValueKind K);
-
 /// An immutable dynamic value.
 class Value {
 public:

@@ -9,19 +9,6 @@
 using namespace isq;
 using namespace isq::serve;
 
-bool serve::isKnownMsgType(uint8_t Type) {
-  switch (static_cast<MsgType>(Type)) {
-  case MsgType::SubmitRequest:
-  case MsgType::StatsRequest:
-  case MsgType::VerdictResponse:
-  case MsgType::StatsResponse:
-  case MsgType::BusyResponse:
-  case MsgType::ErrorResponse:
-    return true;
-  }
-  return false;
-}
-
 //===----------------------------------------------------------------------===//
 // Marshall
 //===----------------------------------------------------------------------===//

@@ -67,9 +67,6 @@ enum class MsgType : uint8_t {
   ErrorResponse = 0x7f,
 };
 
-/// Returns true when \p Type is a known message type.
-bool isKnownMsgType(uint8_t Type);
-
 //===----------------------------------------------------------------------===//
 // Marshall / Unmarshall
 //===----------------------------------------------------------------------===//

@@ -15,8 +15,8 @@
 
 #include "driver/CliOptions.h"
 #include "driver/VerifyDriver.h"
-#include "is/ISCheck.h"
 #include "lang/Frontend.h"
+#include "reference/ISCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -111,7 +111,7 @@ loadShippedExample(const std::string &File,
   if (!compileShippedExample(Ex, File, Flags))
     return Ex;
   Ex.App = driver::deriveApplication(Ex.Options, Ex.Compiled.P);
-  ExploreOptions Explore;
+  engine::EngineOptions Explore;
   Explore.Config = Ex.Options.Engine;
   Ex.Universe =
       ISUniverse::build(Ex.App, {{Ex.Compiled.InitialStore, {}}}, Explore);

@@ -1,9 +1,9 @@
 //===- tests/asl_eval_test.cpp - ASL (HIR) evaluator/compiler tests --------------===//
 
 #include "ShippedExamples.h"
-#include "explorer/Explorer.h"
 #include "lang/Frontend.h"
 #include "lang/HirEval.h"
+#include "reference/Explorer.h"
 
 #include <gtest/gtest.h>
 

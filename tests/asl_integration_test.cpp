@@ -8,12 +8,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
+#include "is/ScheduleInvariant.h"
 #include "is/Sequentialize.h"
 #include "lang/Frontend.h"
-#include "is/ScheduleInvariant.h"
-#include "refine/Refinement.h"
+#include "protocols/Measures.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Refinement.h"
 
 #include <gtest/gtest.h>
 
@@ -105,7 +106,7 @@ ISApplication makeAslBroadcastIS(const CompiledModule &C, int64_t N) {
                return P.action("Collect").transitions(G, Args);
              },
              /*GateReadsOmega=*/true));
-  App.WfMeasure = Measure::pendingAsyncCount();
+  App.WfMeasure = protocols::pendingAsyncCount();
   return App;
 }
 

@@ -1,10 +1,10 @@
 //===- tests/broadcast_test.cpp - Broadcast consensus (Fig. 1) tests -------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/Broadcast.h"
-#include "refine/Refinement.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Refinement.h"
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,7 @@
 //===- tests/canonicalizer_test.cpp - Orbit canonicalization tests --------===//
 //
 // Differential tests for engine::Canonicalizer (engine/Canonicalizer.h)
-// against the value-level reference SymmetrySpec::canonical: over every
+// against the naive value-level reference::canonical: over every
 // configuration of the unreduced exploration of each shipped example that
 // declares a symmetric sort, both must pick the same representative and
 // the same orbit size. A 4-thread variant races every thread over the
@@ -16,6 +16,7 @@
 
 #include "engine/Canonicalizer.h"
 #include "engine/StateGraph.h"
+#include "reference/Symmetry.h"
 
 #include <gtest/gtest.h>
 
@@ -77,7 +78,7 @@ std::vector<std::pair<StoreId, PaSetId>> rawInputs(Subject &S) {
   return In;
 }
 
-/// SymmetrySpec::canonical's answer per input: the interned
+/// reference::canonical's answer per input: the interned
 /// representative and the orbit size.
 std::vector<std::pair<ConfigId, uint32_t>>
 referenceAnswers(Subject &S,
@@ -86,8 +87,8 @@ referenceAnswers(Subject &S,
   std::vector<std::pair<ConfigId, uint32_t>> Want;
   for (auto [G, Omega] : In) {
     uint64_t Orbit = 0;
-    Configuration Canon = S.Sym->canonical(
-        Configuration(Arena.store(G), Arena.paSet(Omega)), &Orbit);
+    Configuration Canon = reference::canonical(
+        *S.Sym, Configuration(Arena.store(G), Arena.paSet(Omega)), &Orbit);
     Want.emplace_back(Arena.internConfig(Canon),
                       static_cast<uint32_t>(Orbit));
   }
@@ -162,7 +163,7 @@ TEST(CanonicalizerTest, StoreTiesBreakOnOmegaInValueOrder) {
   // both cases several permutations tie on the store and Ω decides. The
   // PAs are interned in reverse value order first, so PaId order is the
   // reverse of value order: a tie-break that compared images by PaId
-  // would pick other representatives than SymmetrySpec::canonical.
+  // would pick other representatives than reference::canonical.
   SymmetrySpec Sym("Node", {1, 2, 3});
   Symbol Leader = Symbol::get("leader");
   Symbol A = Symbol::get("A"), B = Symbol::get("B");
@@ -213,11 +214,12 @@ TEST(CanonicalizerTest, StoreTiesBreakOnOmegaInValueOrder) {
       ASSERT_GT(MinPerms.size(), 1u) << G.str();
       std::set<PaMultiset> Images;
       for (uint32_t I : MinPerms)
-        Images.insert(Sym.permuteOmega(Omega, Sym.perm(I)));
+        Images.insert(reference::permuteOmega(Sym, Omega, Sym.perm(I)));
       TiesWithDistinctImages += Images.size() > 1;
 
       uint64_t Orbit = 0;
-      Configuration Want = Sym.canonical(Configuration(G, Omega), &Orbit);
+      Configuration Want =
+          reference::canonical(Sym, Configuration(G, Omega), &Orbit);
       std::pair<ConfigId, uint32_t> Got =
           Canon.canon(Arena.internStore(G), Arena.internPaSet(Omega));
       EXPECT_EQ(Got.first, Arena.internConfig(Want))

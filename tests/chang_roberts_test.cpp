@@ -1,11 +1,11 @@
 //===- tests/chang_roberts_test.cpp - Chang-Roberts tests ------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
-#include "is/Rewriter.h"
 #include "is/Sequentialize.h"
 #include "protocols/ChangRoberts.h"
-#include "refine/Refinement.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Refinement.h"
+#include "reference/Rewriter.h"
 
 #include <gtest/gtest.h>
 

@@ -193,6 +193,9 @@ TEST(CliTest, RemovedSpellingsAreUsageErrors) {
               "unknown option '--no-work-stealing'");
   expectError({"x.asl", "--eliminate", "A", "--frontend", "v1"},
               "unknown option '--frontend'");
+  // --const binds `param` declarations too; its --param alias is gone.
+  expectError({"x.asl", "--eliminate", "A", "--param", "n=3"},
+              "unknown option '--param'");
   expectError({"x.asl", "--eliminate", "A", "--engine",
                "work-stealing=false"},
               "unknown engine option 'work-stealing'");
@@ -216,8 +219,8 @@ TEST(CliTest, RemovedSpellingsAreUsageErrors) {
   EXPECT_NE(Usage.find("--engine K=V"), std::string::npos);
   for (const char *Gone :
        {"--threads", "--no-symmetry", "--no-parallel-check",
-        "--no-work-stealing", "--frontend", "work-stealing", "parallel-check",
-        "compress", "spill", "mem-budget"})
+        "--no-work-stealing", "--frontend", "--param", "work-stealing",
+        "parallel-check", "compress", "spill", "mem-budget"})
     EXPECT_EQ(Usage.find(Gone), std::string::npos) << Gone;
 }
 

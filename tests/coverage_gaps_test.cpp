@@ -1,10 +1,10 @@
 //===- tests/coverage_gaps_test.cpp - Assorted API edge cases ------------------------===//
 
 #include "TestPrograms.h"
-#include "explorer/Explorer.h"
 #include "is/Sequentialize.h"
-#include "movers/MoverCheck.h"
-#include "refine/Refinement.h"
+#include "reference/Explorer.h"
+#include "reference/MoverCheck.h"
+#include "reference/Refinement.h"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,7 @@ using namespace isq::testing;
 
 TEST(CoverageTest, ParentTrackingCanBeDisabled) {
   Program P = makeConditionalFailProgram();
-  ExploreOptions Opts;
+  engine::EngineOptions Opts;
   Opts.RecordParents = false;
   ExploreResult R = explore(P, initialConfiguration(xStore(1)), Opts);
   EXPECT_TRUE(R.FailureReachable);

@@ -10,6 +10,8 @@
 #include "driver/CliOptions.h"
 #include "driver/VerifyDriver.h"
 #include "is/Sequentialize.h"
+#include "reference/Explorer.h"
+#include "reference/Refinement.h"
 
 #include <gtest/gtest.h>
 
@@ -359,7 +361,7 @@ VerifyOptions paxosTwoByTwo() {
 TEST(DriverCrossCheckTest, MatchesStandaloneReferenceOnServeManifest) {
   // The reference: the program-level checkProgramRefinement run
   // standalone and unreduced, exploring P and P' itself.
-  ExploreOptions Reference;
+  engine::EngineOptions Reference;
   Reference.Config.Symmetry = false;
   for (VerifyOptions &Job : serveManifestJobs()) {
     Job.Engine.NumThreads = 2;
@@ -409,7 +411,7 @@ TEST(DriverCrossCheckTest, ExploresPOnceAndPPrimeOnce) {
         Options.Source, Options.SourcePath, Options.Consts, Options.Frontend,
         Diags);
     ASSERT_TRUE(C);
-    ExploreOptions Explore;
+    engine::EngineOptions Explore;
     Explore.Config = Options.Engine;
     EXPECT_EQ(R.CrossCheck.ConfigsP,
               summarize(C->P, C->InitialStore, {}, Explore)

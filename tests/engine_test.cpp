@@ -11,7 +11,6 @@
 
 #include "engine/ActionCaches.h"
 #include "engine/StateArena.h"
-#include "explorer/Explorer.h"
 #include "protocols/Broadcast.h"
 #include "protocols/PingPong.h"
 #include "protocols/TwoPhaseCommit.h"
@@ -484,13 +483,13 @@ void expectIdentical(const ExploreResult &A, const ExploreResult &B,
 
 TEST(ParallelExploreTest, ThreadCountDoesNotChangeResults) {
   for (const Instance &I : tier1Instances()) {
-    ExploreOptions Serial;
+    engine::EngineOptions Serial;
     Serial.Config.NumThreads = 1;
     ExploreResult Base = explore(I.P, initialConfiguration(I.Init), Serial);
     EXPECT_GT(Base.Stats.NumConfigurations, 1u) << I.Name;
 
     for (unsigned Threads : {2u, 8u}) {
-      ExploreOptions Par;
+      engine::EngineOptions Par;
       Par.Config.NumThreads = Threads;
       ExploreResult R = explore(I.P, initialConfiguration(I.Init), Par);
       EXPECT_EQ(R.Engine.Threads, Threads) << I.Name;
@@ -506,13 +505,13 @@ TEST(ParallelExploreTest, FailureTracesIdenticalAcrossThreadCounts) {
   Program Buggy = makeBuggyPingPongProgram(PP);
   Configuration Init = initialConfiguration(makePingPongInitialStore(PP));
 
-  ExploreOptions Serial;
+  engine::EngineOptions Serial;
   ExploreResult Base = explore(Buggy, Init, Serial);
   ASSERT_TRUE(Base.FailureReachable);
   ASSERT_TRUE(Base.FailureTrace.has_value());
 
   for (unsigned Threads : {2u, 8u}) {
-    ExploreOptions Par;
+    engine::EngineOptions Par;
     Par.Config.NumThreads = Threads;
     ExploreResult R = explore(Buggy, Init, Par);
     expectIdentical(Base, R,
@@ -531,7 +530,7 @@ TEST(EngineDifferentialTest, MatchesLegacyExplorer) {
     ExploreResult Reference = reference::exploreAll(I.P, Inits);
     // The reference explorer is always unreduced; compare like with like
     // (symmetry-vs-unreduced differentials live in symmetry_test.cpp).
-    ExploreOptions Unreduced;
+    engine::EngineOptions Unreduced;
     Unreduced.Config.Symmetry = false;
     ExploreResult Engine = exploreAll(I.P, Inits, Unreduced);
     EXPECT_EQ(Engine.Reachable, Reference.Reachable) << I.Name;
@@ -552,12 +551,12 @@ TEST(EngineDifferentialTest, MatchesLegacyExplorer) {
 
 TEST(WorkStealingTest, BitIdenticalAcrossThreadCounts) {
   for (const Instance &I : tier1Instances()) {
-    ExploreOptions One;
+    engine::EngineOptions One;
     One.Config.NumThreads = 1;
     ExploreResult Base = explore(I.P, initialConfiguration(I.Init), One);
 
     for (unsigned Threads : {2u, 8u}) {
-      ExploreOptions Par;
+      engine::EngineOptions Par;
       Par.Config.NumThreads = Threads;
       ExploreResult R = explore(I.P, initialConfiguration(I.Init), Par);
       expectIdentical(Base, R,
@@ -579,13 +578,13 @@ TEST(WorkStealingTest, SmallChunksStealAndStayDeterministic) {
   Program P = makeBroadcastProgram(BC);
   Configuration Init = initialConfiguration(makeBroadcastInitialStore(BC));
 
-  ExploreOptions Base;
+  engine::EngineOptions Base;
   Base.Config.NumThreads = 1;
   ExploreResult Expect = explore(P, Init, Base);
 
   // chunk=1 maximizes scheduling freedom — the strongest determinism
   // stress — and makes steals essentially certain with 4 threads.
-  ExploreOptions Tiny;
+  engine::EngineOptions Tiny;
   Tiny.Config.NumThreads = 4;
   Tiny.Config.StealChunk = 1;
   ExploreResult R = explore(P, Init, Tiny);
@@ -602,7 +601,7 @@ TEST(WorkStealingTest, FailuresHandledWithoutStop) {
   ASSERT_TRUE(Oracle.FailureReachable);
 
   // The reference explorer is always unreduced; compare like with like.
-  ExploreOptions Ws;
+  engine::EngineOptions Ws;
   Ws.Config.NumThreads = 4;
   Ws.Config.Symmetry = false;
   ExploreResult R = explore(Buggy, Init, Ws);
@@ -618,7 +617,7 @@ TEST(StateArenaTest, ShardCountIsObservableAndDeterministic) {
   Program P = makeBroadcastProgram(BC);
   Configuration Init = initialConfiguration(makeBroadcastInitialStore(BC));
 
-  ExploreOptions Opts;
+  engine::EngineOptions Opts;
   Opts.Config.Shards = 8;
   ExploreResult First = explore(P, Init, Opts);
   EXPECT_EQ(First.Engine.Shards, 8u);
@@ -632,7 +631,7 @@ TEST(StateArenaTest, ShardCountIsObservableAndDeterministic) {
   EXPECT_EQ(First.Engine.ShardOccupancy, Second.Engine.ShardOccupancy);
 
   // Fewer shards must not change anything but the occupancy bound.
-  ExploreOptions One;
+  engine::EngineOptions One;
   One.Config.Shards = 1;
   ExploreResult Single = explore(P, Init, One);
   expectIdentical(First, Single, "broadcast shards=1");
@@ -648,13 +647,13 @@ TEST(EngineTruncationTest, MaxConfigurationsSetsTruncatedFlag) {
   Program P = makeBroadcastProgram(BC);
   Configuration Init = initialConfiguration(makeBroadcastInitialStore(BC));
 
-  ExploreOptions Full;
+  engine::EngineOptions Full;
   ExploreResult Complete = explore(P, Init, Full);
   ASSERT_FALSE(Complete.Stats.Truncated);
   ASSERT_GT(Complete.Stats.NumConfigurations, 4u);
 
   for (unsigned Threads : {1u, 4u}) {
-    ExploreOptions Opts;
+    engine::EngineOptions Opts;
     Opts.MaxConfigurations = 4;
     Opts.Config.NumThreads = Threads;
     ExploreResult R = explore(P, Init, Opts);

@@ -1,7 +1,7 @@
 //===- tests/explorer_test.cpp - Explorer unit tests --------------------------===//
 
 #include "TestPrograms.h"
-#include "explorer/Explorer.h"
+#include "reference/Explorer.h"
 
 #include <gtest/gtest.h>
 
@@ -48,7 +48,7 @@ TEST(ExplorerTest, DeadlockDetection) {
 
 TEST(ExplorerTest, TruncationIsReported) {
   Program P = makeIncrementProgram(10);
-  ExploreOptions Opts;
+  engine::EngineOptions Opts;
   Opts.MaxConfigurations = 3;
   ExploreResult R = explore(P, initialConfiguration(xStore(0)), Opts);
   EXPECT_TRUE(R.Stats.Truncated);

@@ -9,11 +9,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/FineGrained.h"
-#include "reduction/Reduction.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Reduction.h"
 
 #include <gtest/gtest.h>
 

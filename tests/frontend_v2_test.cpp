@@ -12,14 +12,11 @@
 
 #include "driver/ReportRender.h"
 #include "driver/VerifyDriver.h"
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "lang/Binder.h"
 #include "lang/Frontend.h"
 #include "lang/HirBuilder.h"
 #include "lang/HirOptimizer.h"
 #include "lang/ModuleResolver.h"
-#include "lang/Printer.h"
 #include "lang/TypeCheck.h"
 #include "protocols/Broadcast.h"
 #include "protocols/ChangRoberts.h"
@@ -27,6 +24,9 @@
 #include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
 #include "protocols/TwoPhaseCommit.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Printer.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -277,7 +277,7 @@ TEST(FrontendV2Test, ParamDefaultsOverridesAndDerivedConsts) {
   auto Defaulted = frontend::compileSource(Source, "", {}, V2, Diags);
   ASSERT_TRUE(Defaulted.has_value());
   EXPECT_EQ(Defaulted->InitialStore.get("x").getInt(), 6);
-  // Override: --param n=5.
+  // Override: --const n=5.
   auto Overridden = frontend::compileSource(Source, "", {{"n", 5}}, V2, Diags);
   ASSERT_TRUE(Overridden.has_value());
   EXPECT_EQ(Overridden->InitialStore.get("x").getInt(), 15);

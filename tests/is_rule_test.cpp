@@ -1,10 +1,12 @@
 //===- tests/is_rule_test.cpp - IS proof rule unit tests -------------------------===//
 
 #include "TestPrograms.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
+#include "protocols/Measures.h"
 #include "protocols/Pathological.h"
-#include "refine/Refinement.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Refinement.h"
 
 #include <gtest/gtest.h>
 
@@ -34,7 +36,7 @@ ISApplication makeIncrementIS(int64_t N) {
         return Out;
       });
   App.Choice = ISApplication::chooseInOrder({Symbol::get("Inc")});
-  App.WfMeasure = Measure::pendingAsyncCount();
+  App.WfMeasure = protocols::pendingAsyncCount();
   return App;
 }
 

@@ -2,6 +2,7 @@
 
 #include "TestPrograms.h"
 #include "is/Measure.h"
+#include "protocols/Measures.h"
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,7 @@ Configuration configWithPas(int64_t X, std::vector<PendingAsync> Pas) {
 } // namespace
 
 TEST(MeasureTest, PendingAsyncCountDecreases) {
-  Measure M = Measure::pendingAsyncCount();
+  Measure M = protocols::pendingAsyncCount();
   Configuration Two =
       configWithPas(0, {PendingAsync("A", {}), PendingAsync("B", {})});
   Configuration One = configWithPas(0, {PendingAsync("A", {})});
@@ -60,7 +61,7 @@ TEST(MeasureTest, DifferentLengthTuplesZeroPad) {
 
 TEST(MeasureTest, ChannelsThenPas) {
   Symbol Chan = Symbol::get("chan");
-  Measure M = Measure::channelsThenPas({Chan});
+  Measure M = protocols::channelsThenPas({Chan});
   auto WithChan = [&](std::vector<int64_t> Msgs,
                       std::vector<PendingAsync> Pas) {
     std::vector<Value> Elems;
@@ -80,7 +81,7 @@ TEST(MeasureTest, ChannelsThenPas) {
 
 TEST(MeasureTest, ChannelsThenPasSumsMapsOfChannels) {
   Symbol Chans = Symbol::get("CHS");
-  Measure M = Measure::channelsThenPas({Chans});
+  Measure M = protocols::channelsThenPas({Chans});
   auto WithSizes = [&](std::vector<int64_t> Sizes) {
     std::vector<std::pair<Value, Value>> Pairs;
     for (size_t I = 0; I < Sizes.size(); ++I) {
@@ -99,6 +100,6 @@ TEST(MeasureTest, ChannelsThenPasSumsMapsOfChannels) {
 TEST(MeasureTest, InvalidMeasureDetectable) {
   Measure M;
   EXPECT_FALSE(M.isValid());
-  EXPECT_TRUE(Measure::pendingAsyncCount().isValid());
-  EXPECT_EQ(Measure::pendingAsyncCount().name(), "|Ω|");
+  EXPECT_TRUE(protocols::pendingAsyncCount().isValid());
+  EXPECT_EQ(protocols::pendingAsyncCount().name(), "|Ω|");
 }

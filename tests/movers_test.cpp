@@ -1,7 +1,7 @@
 //===- tests/movers_test.cpp - Mover engine unit tests --------------------------===//
 
 #include "TestPrograms.h"
-#include "movers/MoverCheck.h"
+#include "reference/MoverCheck.h"
 
 #include <gtest/gtest.h>
 

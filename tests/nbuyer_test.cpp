@@ -1,10 +1,10 @@
 //===- tests/nbuyer_test.cpp - N-Buyer protocol tests -----------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/NBuyer.h"
-#include "refine/Refinement.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Refinement.h"
 
 #include <gtest/gtest.h>
 

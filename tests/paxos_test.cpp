@@ -1,10 +1,10 @@
 //===- tests/paxos_test.cpp - Paxos tests (§5.2, Fig. 4) --------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/Paxos.h"
-#include "refine/Refinement.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Refinement.h"
 
 #include <gtest/gtest.h>
 

@@ -1,11 +1,11 @@
 //===- tests/pingpong_test.cpp - Ping-Pong protocol tests ------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
-#include "is/Rewriter.h"
 #include "is/Sequentialize.h"
 #include "protocols/PingPong.h"
-#include "refine/Refinement.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Refinement.h"
+#include "reference/Rewriter.h"
 
 #include <gtest/gtest.h>
 

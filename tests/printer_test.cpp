@@ -2,7 +2,7 @@
 
 #include "lang/Frontend.h"
 #include "lang/Parser.h"
-#include "lang/Printer.h"
+#include "reference/Printer.h"
 
 #include <gtest/gtest.h>
 

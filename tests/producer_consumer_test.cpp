@@ -1,10 +1,10 @@
 //===- tests/producer_consumer_test.cpp - Producer-Consumer tests -----------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/ProducerConsumer.h"
-#include "refine/Refinement.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Refinement.h"
 
 #include <gtest/gtest.h>
 

@@ -16,9 +16,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
-#include "is/Rewriter.h"
 #include "is/Sequentialize.h"
 #include "protocols/Broadcast.h"
 #include "protocols/ChangRoberts.h"
@@ -26,6 +23,10 @@
 #include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
 #include "protocols/TwoPhaseCommit.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Refinement.h"
+#include "reference/Rewriter.h"
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,8 @@
 //===- tests/reduction_test.cpp - Lipton reduction tests --------------------------===//
 
 #include "TestPrograms.h"
-#include "reduction/Reduction.h"
+#include "reference/Explorer.h"
+#include "reference/Reduction.h"
 
 #include <gtest/gtest.h>
 

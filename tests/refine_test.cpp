@@ -1,7 +1,7 @@
 //===- tests/refine_test.cpp - Refinement checker unit tests -------------------===//
 
 #include "TestPrograms.h"
-#include "refine/Refinement.h"
+#include "reference/Refinement.h"
 
 #include <gtest/gtest.h>
 

@@ -9,9 +9,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestPrograms.h"
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "protocols/Broadcast.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
 
 #include <gtest/gtest.h>
 

@@ -1,10 +1,11 @@
 //===- tests/rewriter_test.cpp - Execution rewriter tests (Lemma 4.3) -----------===//
 
 #include "TestPrograms.h"
-#include "explorer/Trace.h"
-#include "is/Rewriter.h"
 #include "is/Sequentialize.h"
 #include "protocols/Broadcast.h"
+#include "protocols/Measures.h"
+#include "reference/Rewriter.h"
+#include "reference/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -32,7 +33,7 @@ ISApplication makeIncrementIS(int64_t N) {
         return Out;
       });
   App.Choice = ISApplication::chooseInOrder({Symbol::get("Inc")});
-  App.WfMeasure = Measure::pendingAsyncCount();
+  App.WfMeasure = protocols::pendingAsyncCount();
   return App;
 }
 

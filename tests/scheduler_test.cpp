@@ -13,14 +13,14 @@
 #include "ShippedExamples.h"
 #include "TestPrograms.h"
 #include "engine/ObligationScheduler.h"
-#include "is/ISCheck.h"
-#include "movers/MoverCheck.h"
 #include "protocols/Broadcast.h"
+#include "protocols/Measures.h"
 #include "protocols/Pathological.h"
 #include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
 #include "reference/ISCheck.h"
-#include "refine/Refinement.h"
+#include "reference/MoverCheck.h"
+#include "reference/Refinement.h"
 
 #include <gtest/gtest.h>
 
@@ -398,7 +398,6 @@ TEST(ScheduledMoverTest, MatchesSerialOnBroadcastUniverse) {
   for (Symbol A : App.E) {
     const Action &Abs = App.abstraction(A);
     CheckResult SerialL = checkLeftMover(A, Abs, App.P, Universe.Space);
-    CheckResult SerialR = checkRightMover(A, Abs, App.P, Universe.Space);
     for (unsigned Threads : {1u, 2u, 8u}) {
       ObligationScheduler Sched(threadConfig(Threads));
       InternedTransitionCache Cache(*Universe.Space.Arena);
@@ -409,15 +408,9 @@ TEST(ScheduledMoverTest, MatchesSerialOnBroadcastUniverse) {
           scheduleLeftMover(Sched, ObCondition::LeftMovers, A, Abs, App.P,
                             Universe.Space, Cache, Gates, OmegaGates,
                             SuccOmega);
-      auto *GR =
-          scheduleRightMover(Sched, ObCondition::CrossCheck, A, Abs, App.P,
-                             Universe.Space, Cache, Gates, OmegaGates,
-                             SuccOmega);
       Sched.run();
       expectSameResult(SerialL, Sched.result(GL),
                        A.str() + " left, threads " + std::to_string(Threads));
-      expectSameResult(SerialR, Sched.result(GR),
-                       A.str() + " right, threads " + std::to_string(Threads));
     }
   }
 }
@@ -484,7 +477,7 @@ TEST(ScheduledISCheckTest, MatchesSerialOnNonInductiveInvariant) {
         return Out;
       });
   App.Choice = ISApplication::chooseInOrder({Symbol::get("Inc")});
-  App.WfMeasure = Measure::pendingAsyncCount();
+  App.WfMeasure = protocols::pendingAsyncCount();
   ISUniverse Universe = ISUniverse::build(App, {{xStore(0), {}}});
   ISCheckReport Serial = reference::checkIS(App, Universe);
   ASSERT_FALSE(Serial.InductiveStep.ok());
@@ -524,7 +517,7 @@ ISApplication makeRowsApp(std::function<int64_t(int64_t)> Hole) {
         return Out;
       });
   App.Choice = ISApplication::chooseInOrder({Symbol::get("Inc")});
-  App.WfMeasure = Measure::pendingAsyncCount();
+  App.WfMeasure = protocols::pendingAsyncCount();
   return App;
 }
 
@@ -597,7 +590,7 @@ void expectMatchesSerialAcrossSlices(const isq::testing::ShippedExample &Ex) {
 }
 
 std::vector<std::string> paxosFlags(const char *R, const char *N) {
-  return {"--param", std::string("R=") + R, "--param", std::string("N=") + N,
+  return {"--const", std::string("R=") + R, "--const", std::string("N=") + N,
           "--arg-major", "--eliminate", "StartRound,Join,Propose,Vote,Conclude",
           "--abstract", "Join=JoinAbs", "--abstract", "Propose=ProposeAbs",
           "--abstract", "Vote=VoteAbs", "--abstract", "Conclude=ConcludeAbs",
@@ -694,7 +687,7 @@ TEST(ScheduledISCheckTest, RetainsSerialDiagnosticsAcrossSlices) {
   // on the symmetry quotient (CO) fails at only 7 representatives.
   isq::testing::ShippedExample Ex = isq::testing::loadShippedExample(
       "two_phase_commit.asl",
-      {"--param", "n=5", "--eliminate", "RequestVotes,Vote,Decide,Finalize",
+      {"--const", "n=5", "--eliminate", "RequestVotes,Vote,Decide,Finalize",
        "--abstract", "Decide=DecideAbs", "--weight", "RequestVotes=8",
        "--weight", "Decide=4", "--engine", "symmetry=false"});
   ISCheckReport Serial = reference::checkIS(Ex.App, Ex.Universe);

@@ -1,7 +1,7 @@
 //===- tests/semantics_test.cpp - Action/Program semantics tests -------------===//
 
 #include "TestPrograms.h"
-#include "semantics/Program.h"
+#include "reference/Trace.h"
 
 #include <gtest/gtest.h>
 

@@ -21,8 +21,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/VerifyDriver.h"
-#include "explorer/Explorer.h"
-#include "is/ISCheck.h"
 #include "is/Sequentialize.h"
 #include "protocols/Broadcast.h"
 #include "protocols/ChangRoberts.h"
@@ -31,7 +29,9 @@
 #include "protocols/PingPong.h"
 #include "protocols/ProducerConsumer.h"
 #include "protocols/TwoPhaseCommit.h"
-#include "semantics/Symmetry.h"
+#include "reference/Explorer.h"
+#include "reference/ISCheck.h"
+#include "reference/Symmetry.h"
 
 #include <gtest/gtest.h>
 
@@ -73,7 +73,7 @@ std::vector<int64_t> inverseImage(const std::vector<int64_t> &Domain,
 /// \p Init, explored unreduced.
 std::vector<Configuration> sampleConfigs(const Program &P, const Store &Init,
                                          size_t Max) {
-  ExploreOptions Opts;
+  engine::EngineOptions Opts;
   Opts.Config.Symmetry = false;
   ExploreResult R = explore(P, initialConfiguration(Init), Opts);
   if (R.Reachable.size() > Max) {
@@ -88,7 +88,7 @@ std::vector<Configuration> sampleConfigs(const Program &P, const Store &Init,
 
 ExploreResult exploreWith(const Program &P, const Store &Init, bool Symmetry,
                           unsigned Threads = 1) {
-  ExploreOptions Opts;
+  engine::EngineOptions Opts;
   Opts.Config.Symmetry = Symmetry;
   Opts.Config.NumThreads = Threads;
   return explore(P, initialConfiguration(Init), Opts);
@@ -113,8 +113,8 @@ TEST(SymmetrySpecTest, PermutationRoundTripsOnProtocolState) {
   Store Init = makeTwoPhaseCommitInitialStore(Params);
   for (const Configuration &C : sampleConfigs(P, Init, 20)) {
     for (const std::vector<int64_t> &Image : allImages(Spec.domain())) {
-      Configuration Permuted = Spec.permuteConfiguration(C, Image);
-      Configuration Back = Spec.permuteConfiguration(
+      Configuration Permuted = reference::permuteConfiguration(Spec, C, Image);
+      Configuration Back = reference::permuteConfiguration(Spec, 
           Permuted, inverseImage(Spec.domain(), Image));
       EXPECT_EQ(Back, C);
     }
@@ -129,13 +129,13 @@ TEST(SymmetrySpecTest, CanonicalIsLexLeastImageAndOrbitInvariant) {
   Store Init = makeTwoPhaseCommitInitialStore(Params);
   for (const Configuration &C : sampleConfigs(P, Init, 12)) {
     uint64_t OrbitSize = 0;
-    Configuration Canon = Spec.canonical(C, &OrbitSize);
+    Configuration Canon = reference::canonical(Spec, C, &OrbitSize);
     // Idempotent, and every image canonicalizes to the same representative.
-    EXPECT_EQ(Spec.canonical(Canon), Canon);
+    EXPECT_EQ(reference::canonical(Spec, Canon), Canon);
     std::vector<Configuration> Orbit;
     for (const std::vector<int64_t> &Image : allImages(Spec.domain())) {
-      Configuration Permuted = Spec.permuteConfiguration(C, Image);
-      EXPECT_EQ(Spec.canonical(Permuted), Canon);
+      Configuration Permuted = reference::permuteConfiguration(Spec, C, Image);
+      EXPECT_EQ(reference::canonical(Spec, Permuted), Canon);
       EXPECT_FALSE(Permuted < Canon) << "canonical form is not lex-least";
       Orbit.push_back(std::move(Permuted));
     }
@@ -171,10 +171,10 @@ TEST(SymmetrySpecTest, CanonicalStoreIsLexLeastAndReportsAllArgmins) {
     EXPECT_EQ(MinPerms, Expected);
     // permuteOmega agrees with the configuration-level action.
     for (uint32_t I : MinPerms) {
-      Configuration Permuted = Spec.permuteConfiguration(C, Spec.perm(I));
+      Configuration Permuted = reference::permuteConfiguration(Spec, C, Spec.perm(I));
       EXPECT_EQ(Permuted.global(), Canon);
       EXPECT_EQ(Permuted.pendingAsyncs(),
-                Spec.permuteOmega(C.pendingAsyncs(), Spec.perm(I)));
+                reference::permuteOmega(Spec, C.pendingAsyncs(), Spec.perm(I)));
     }
   }
 }
@@ -244,7 +244,7 @@ void expectQuotientLaws(const std::string &Name, const Program &P,
 
   // summarize performs that expansion itself (Definition 3.2's Trans is a
   // semantic object): both modes agree verbatim.
-  ExploreOptions On, Off;
+  engine::EngineOptions On, Off;
   Off.Config.Symmetry = false;
   ProgramSummary SOn = summarize(P, Init, {}, On);
   ProgramSummary SOff = summarize(P, Init, {}, Off);
@@ -302,7 +302,7 @@ void expectSameCondition(const std::string &Name, const CheckResult &A,
 /// all valid, so any disagreement pins a broken equivariance assumption).
 void expectCheckerDifferential(const std::string &Name,
                                const ISApplication &App, const Store &Init) {
-  ExploreOptions On, Off;
+  engine::EngineOptions On, Off;
   Off.Config.Symmetry = false;
   ISCheckReport Reduced = checkIS(App, {{Init, {}}}, On);
   ISCheckReport Unreduced = checkIS(App, {{Init, {}}}, Off);

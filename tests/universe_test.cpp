@@ -21,7 +21,8 @@
 #include "ShippedExamples.h"
 #include "reference/Explorer.h"
 #include "reference/ISCheck.h"
-#include "semantics/Symmetry.h"
+#include "reference/Refinement.h"
+#include "reference/Symmetry.h"
 
 #include <gtest/gtest.h>
 
@@ -62,7 +63,7 @@ std::set<Configuration> orbitExpandedSpace(const Program &P,
     }
     const SymmetrySpec &Sym = *P.symmetry();
     for (size_t I = 0; I < Sym.numPermutations(); ++I)
-      Out.insert(Sym.permuteConfiguration(C, Sym.perm(I)));
+      Out.insert(reference::permuteConfiguration(Sym, C, Sym.perm(I)));
   }
   return Out;
 }
@@ -136,7 +137,7 @@ CompiledApp compileApp(const driver::VerifyOptions &Options) {
   return Out;
 }
 
-ISUniverse buildUniverse(const CompiledApp &C, ExploreOptions Explore) {
+ISUniverse buildUniverse(const CompiledApp &C, engine::EngineOptions Explore) {
   return ISUniverse::build(C.App, {{C.Compiled.InitialStore, {}}}, Explore);
 }
 
@@ -281,7 +282,7 @@ TEST(ISUniverseTest, InvariantLeavingPExploresTheLeg) {
 
   // The failing closure test runs its slices on four threads: the same
   // universe, call points and arena occupancy as on one.
-  ExploreOptions Four;
+  engine::EngineOptions Four;
   Four.Config.NumThreads = 4;
   ISUniverse U4 =
       ISUniverse::build(App, {{Ex.Compiled.InitialStore, {}}}, Four);
@@ -335,14 +336,14 @@ action Tail(k: int) {
   Options.RewriteAction = "Work";
   Options.Eliminate = {"Ack"};
   CompiledApp C = compileApp(Options);
-  ExploreOptions Small;
+  engine::EngineOptions Small;
   Small.MaxConfigurations = 5;
   ISUniverse U = buildUniverse(C, Small);
   ASSERT_TRUE(U.PSummaries.front().Engine.Truncated);
   ASSERT_EQ(U.MCalls.Items.size(), 1u);
   EXPECT_TRUE(exploredLeg(U));
   // The complete exploration of the same instance skips it.
-  ISUniverse Full = buildUniverse(C, ExploreOptions());
+  ISUniverse Full = buildUniverse(C, engine::EngineOptions());
   ASSERT_FALSE(Full.PSummaries.front().Engine.Truncated);
   EXPECT_FALSE(exploredLeg(Full));
 }
@@ -399,7 +400,7 @@ TEST(ISUniverseTest, CallPointOrbitsKeepI1ToI3Counts) {
   for (bool Symmetry : {true, false}) {
     driver::VerifyOptions Options = workersOptions(Symmetry, 1);
     CompiledApp C = compileApp(Options);
-    ExploreOptions Explore;
+    engine::EngineOptions Explore;
     Explore.Config = Options.Engine;
     ISUniverse U = buildUniverse(C, Explore);
     ASSERT_EQ(U.Stats.SymmetryReduced, Symmetry);

@@ -2,7 +2,8 @@
 # CI entry point: build and test the normal configuration, then the
 # sanitized (address + undefined) configuration, which must compile
 # without a single warning; build the optimized (Release) configuration,
-# which must compile without a single warning too; verify every shipped
+# which must compile without a single warning too; check that every
+# libisq archive member is linked by a tool; verify every shipped
 # example end-to-end in both report formats (with a JSON schema sanity
 # check); smoke-run the smallest row of every benchmark binary;
 # smoke-test the verification service (isq-serve + isq-loadgen: removed
@@ -153,6 +154,40 @@ if grep -q 'warning:' build-release/ci-build.log; then
   echo "build-release: compiler warnings"; exit 1
 fi
 
+echo "==== libisq is what the tools link ===="
+# libisq holds production code only: every archive member must be pulled
+# into isq-verify, isq-serve or isq-loadgen. Test oracles, paper artifacts
+# and the native protocol twins live in isq_reference, which only tests,
+# benches and examples link, so nothing they reach is flagged here. Given
+# --trace twice, the linker names each archive member it loads; each tool
+# is relinked from its own link line (the Makefile generator's link.txt)
+# into a scratch file, and a member no tool loads fails the stage by name:
+# it belongs in isq_reference, or nowhere.
+check_libisq_members() {
+  local dir="$1" tmp tool unlinked
+  tmp=$(mktemp -d)
+  ar t "$dir/src/libisq.a" | sort > "$tmp/members"
+  if [ -n "$(uniq -d "$tmp/members")" ]; then
+    echo "libisq: member names must be unique for this check:"
+    uniq -d "$tmp/members"; rm -rf "$tmp"; return 1
+  fi
+  for tool in isq-verify isq-serve isq-loadgen; do
+    (cd "$dir/tools" &&
+     sh -c "$(cat "CMakeFiles/$tool.dir/link.txt") -Wl,--trace,--trace -o $tmp/$tool") |
+      sed -n 's/^(.*libisq\.a)//p'
+  done | sort -u > "$tmp/linked"
+  unlinked=$(comm -23 "$tmp/members" "$tmp/linked")
+  if [ ! -s "$tmp/linked" ] || [ -n "$unlinked" ]; then
+    echo "libisq members linked by no tool (move to isq_reference or delete):"
+    echo "${unlinked:-(the tool links could not be traced)}"
+    rm -rf "$tmp"; return 1
+  fi
+  echo "  $(wc -l < "$tmp/members") libisq members, each linked by a tool"
+  rm -rf "$tmp"
+}
+cmake --build build -j "$JOBS" --target isq-verify isq-serve isq-loadgen
+check_libisq_members build
+
 echo "==== verify shipped examples (text + json) ===="
 for f in examples/asl/*.asl; do
   verify_example build/tools/isq-verify "$f"
@@ -204,7 +239,7 @@ done
 [ -s "$SERVE_TMP/port" ] || { echo "isq-serve did not come up"; exit 1; }
 
 # Submit both paxos instances from the manifest (the parametric
-# paxos.asl at --param N=2 and N=3) twice each over one connection: the
+# paxos.asl at --const N=2 and N=3) twice each over one connection: the
 # second pass of each must be served from the verdict cache, and every
 # served verdict must agree with itself across repeats after timing
 # fields are scrubbed.
@@ -468,7 +503,7 @@ echo "==== out of memory: exit 2 with a located diagnostic ===="
 # address-space cap (set in a subshell, so nothing else runs capped) an
 # allocation fails mid-run. isq-verify must report it and exit 2, never
 # die on an uncaught std::bad_alloc.
-paxos4_flags="--param R=2 --param N=4 --arg-major
+paxos4_flags="--const R=2 --const N=4 --arg-major
   --eliminate StartRound,Join,Propose,Vote,Conclude
   --abstract Join=JoinAbs --abstract Propose=ProposeAbs
   --abstract Vote=VoteAbs --abstract Conclude=ConcludeAbs
